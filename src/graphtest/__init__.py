@@ -18,6 +18,7 @@ from .graphs import (
     GraphSample,
     five_number_summary,
     load_adjacency_csv,
+    pair_layout,
     save_adjacency_csv,
     threshold_binarize,
     validate_adjacency,
@@ -27,9 +28,7 @@ from .models import (
     TwoBlockModel,
     beta_moments,
     beta_params_from_moments,
-    block_of_pair,
     model_mean_matrix,
-    sample_graph,
     sample_graph_from_means,
     sample_population,
 )
@@ -58,16 +57,15 @@ __all__ = [
     "TwoBlockModel",
     "beta_moments",
     "beta_params_from_moments",
-    "block_of_pair",
     "critical_value",
     "decide",
     "edge_statistics",
     "five_number_summary",
     "load_adjacency_csv",
     "model_mean_matrix",
+    "pair_layout",
     "random_partition",
     "run_method",
-    "sample_graph",
     "sample_graph_from_means",
     "sample_population",
     "save_adjacency_csv",

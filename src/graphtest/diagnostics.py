@@ -31,7 +31,8 @@ from .errors import (
     InvalidScenarioParamsError,
     OddSampleSizeError,
 )
-from .models import MeanMatrix, TwoBlockModel, _pair_layout, model_mean_matrix
+from .graphs import pair_layout
+from .models import MeanMatrix, TwoBlockModel, _block_matrix, model_mean_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +62,6 @@ class ModelMoments:
     def _require_null(self, what: str) -> None:
         if not self.is_null:
             raise ValueError(f"{what} is a null-model diagnostic; use epsilon = 0 moments")
-
-
-def _upper(matrix: np.ndarray) -> np.ndarray:
-    rows, cols = np.triu_indices(matrix.shape[0], k=1)
-    return matrix[rows, cols]
 
 
 def beta_raw_moment(alpha: float, beta: float, k: int) -> float:
@@ -114,10 +110,7 @@ def two_block_moments(model: TwoBlockModel, m: int) -> ModelMoments:
     p_within, p_between = model.params(shifted=False)
     eta_w = paired_difference_fourth_moment(model.family, p_within)
     eta_b = paired_difference_fourth_moment(model.family, p_between)
-    rows, cols, within = _pair_layout(model.n)
-    eta = np.zeros((model.n, model.n))
-    eta[rows, cols] = np.where(within, eta_w, eta_b)
-    eta += eta.T
+    eta = _block_matrix(model.n, eta_w, eta_b)
 
     return ModelMoments(
         n=model.n,
@@ -146,7 +139,7 @@ def mean_matrix_moments(mean: MeanMatrix, m: int) -> ModelMoments:
 def null_variance(moments: ModelMoments) -> float:
     """True variance of the numerator under the null: sum of m^2 sigma^4."""
     moments._require_null("null_variance")
-    s4 = _upper(moments.sigma1_sq) ** 2
+    s4 = moments.sigma1_sq[pair_layout(moments.n)] ** 2
     return float(moments.m**2 * s4.sum())
 
 
@@ -178,8 +171,9 @@ def condition_ratios(moments: ModelMoments) -> ConditionRatios:
     moments._require_null("condition_ratios")
     if moments.eta is None:
         raise ValueError("condition_ratios needs fourth moments (eta)")
-    s4 = _upper(moments.sigma1_sq) ** 2
-    eta = _upper(moments.eta)
+    pairs = pair_layout(moments.n)
+    s4 = moments.sigma1_sq[pairs] ** 2
+    eta = moments.eta[pairs]
     total_s4 = float(s4.sum())
     if total_s4 == 0.0:
         raise DegenerateModelError("all edge variances are zero")
@@ -212,12 +206,12 @@ def bernoulli_condition(mu: np.ndarray, delta: float) -> BernoulliCondition:
     """
     mu = np.asarray(mu, dtype=np.float64)
     n = mu.shape[0]
-    upper = _upper(mu)
+    rows, cols = pair_layout(n)
+    upper = mu[rows, cols]
     fro_sq = float(2.0 * (upper * upper).sum())
     degenerate = fro_sq == 0.0
     ratio = float("inf") if degenerate else n / fro_sq
 
-    rows, cols = np.triu_indices(n, k=1)
     offenders = upper > 1.0 - delta
     violations = tuple(
         (int(i), int(j)) for i, j in zip(rows[offenders], cols[offenders])
@@ -241,8 +235,9 @@ def lambda_n(
 ) -> float:
     """Noncentrality ``m * sum((mu1-mu2)^2) / (2 * sqrt(sum(V^2)))`` with
     ``V = sigma1^2 + sigma2^2 + (mu1-mu2)^2`` per pair."""
-    d = _upper(np.asarray(mu1) - np.asarray(mu2))
-    v = _upper(np.asarray(sigma1_sq) + np.asarray(sigma2_sq)) + d * d
+    pairs = pair_layout(np.shape(mu1)[0])
+    d = (np.asarray(mu1) - np.asarray(mu2))[pairs]
+    v = (np.asarray(sigma1_sq) + np.asarray(sigma2_sq))[pairs] + d * d
     total_v_sq = float((v * v).sum())
     if total_v_sq == 0.0:
         raise DegenerateModelError("all V_ij are zero; noncentrality undefined")
@@ -290,8 +285,9 @@ def tfro_consistency_ratio(moments: ModelMoments) -> float:
     variance: ``sum(mu^2) / sum(sigma^4)``.  Far from 1 means the baseline's
     normalizer estimates the wrong scale and the test fails."""
     moments._require_null("tfro_consistency_ratio")
-    mu_sq = _upper(moments.mu1) ** 2
-    s4 = _upper(moments.sigma1_sq) ** 2
+    pairs = pair_layout(moments.n)
+    mu_sq = moments.mu1[pairs] ** 2
+    s4 = moments.sigma1_sq[pairs] ** 2
     total_s4 = float(s4.sum())
     if total_s4 == 0.0:
         raise DegenerateModelError("all edge variances are zero")
@@ -326,8 +322,9 @@ def power_condition_ratios(moments: ModelMoments) -> dict[str, float]:
     Two normalizations are in circulation, ``n / (m * sum(V^2))`` and
     ``n * m / (m^4 * sum(V^2))``; both are reported rather than adjudicated.
     """
-    d = _upper(moments.mu1 - moments.mu2)
-    v = _upper(moments.sigma1_sq + moments.sigma2_sq) + d * d
+    pairs = pair_layout(moments.n)
+    d = (moments.mu1 - moments.mu2)[pairs]
+    v = (moments.sigma1_sq + moments.sigma2_sq)[pairs] + d * d
     total_v_sq = float((v * v).sum())
     if total_v_sq == 0.0:
         raise DegenerateModelError("all V_ij are zero")

@@ -2,15 +2,17 @@
 
 An observed network is a symmetric ``n x n`` weight matrix with zero
 diagonal (:class:`AdjacencyMatrix`); a group of networks over a common node
-set is a :class:`GraphSample`.  This module also provides validation of raw
-matrices, absolute-value thresholding to binary graphs, five-number
-summaries, and the adjacency CSV format used by the CLI.
+set is a :class:`GraphSample`, one array of pair weights.  This module also
+provides validation of raw matrices, absolute-value thresholding to binary
+graphs, five-number summaries, and the adjacency CSV format (dense).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -47,14 +49,25 @@ class AdjacencyMatrix:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@lru_cache(maxsize=None)
+def pair_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the node pairs ``i < j``, row-major: the
+    pair order of every edge array in the package."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 class GraphSample:
-    """An ordered i.i.d. sample of graphs over a common node set."""
+    """An ordered i.i.d. sample of ``m`` graphs on ``n`` common nodes, held as
+    one read-only float64 ``(m, n(n-1)/2)`` array ``edges``: row ``k`` is
+    graph ``k``'s pair weights in :func:`pair_layout` order."""
 
-    graphs: tuple[AdjacencyMatrix, ...]
+    __slots__ = ("edges", "n")
 
-    def __post_init__(self):
-        graphs = tuple(self.graphs)
+    def __init__(self, graphs):
+        graphs = tuple(graphs)
         if not graphs:
             raise EmptyInputError("a graph sample needs at least one graph")
         n0 = graphs[0].n
@@ -63,19 +76,41 @@ class GraphSample:
                 raise DimensionMismatchError(
                     f"graph {k} has {g.n} nodes, expected {n0}"
                 )
-        object.__setattr__(self, "graphs", graphs)
+        rows, cols = pair_layout(n0)
+        self._own(np.stack([g.weights[rows, cols] for g in graphs]))
 
-    @property
-    def n(self) -> int:
-        return self.graphs[0].n
+    @classmethod
+    def from_edges(cls, edges) -> GraphSample:
+        """Wrap an ``(m, P)`` array, which becomes read-only; it is copied
+        only if it is not already float64 and C-contiguous."""
+        sample = cls.__new__(cls)
+        sample._own(np.ascontiguousarray(edges, dtype=np.float64))
+        return sample
+
+    def _own(self, edges: np.ndarray) -> None:
+        n = (1 + isqrt(1 + 8 * edges.shape[-1])) // 2
+        if edges.ndim != 2 or not edges.size or edges.shape[1] != n * (n - 1) // 2:
+            raise DimensionMismatchError(
+                f"expected a non-empty (m, n(n-1)/2) edge array, got shape {edges.shape}"
+            )
+        edges.setflags(write=False)
+        self.edges, self.n = edges, n
 
     @property
     def m(self) -> int:
-        return len(self.graphs)
+        return self.edges.shape[0]
 
-    def stacked(self) -> np.ndarray:
-        """Weights as an ``(m, n, n)`` array."""
-        return np.stack([g.weights for g in self.graphs])
+    @property
+    def graphs(self) -> tuple[AdjacencyMatrix, ...]:
+        """Dense copies of the graphs, built on each access (for output)."""
+        rows, cols = pair_layout(self.n)
+        graphs = []
+        for row in self.edges:
+            mat = np.zeros((self.n, self.n))
+            mat[rows, cols] = row
+            mat[cols, rows] = row
+            graphs.append(AdjacencyMatrix(mat))
+        return tuple(graphs)
 
 
 @dataclass(frozen=True)
@@ -100,12 +135,7 @@ def validate_adjacency(raw, tolerance: float = 1e-9) -> AdjacencyMatrix:
     :class:`AsymmetryError` naming the first offending pair.  The diagonal
     is forced to exactly zero.
     """
-    w = np.array(raw, dtype=np.float64, copy=True)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {w.shape}")
-    if w.shape[0] < 2:
-        raise NonSquareError("a graph needs at least 2 nodes")
-
+    w = AdjacencyMatrix(raw).weights  # square float64, at least 2 nodes
     bad = ~np.isfinite(w)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -124,16 +154,18 @@ def validate_adjacency(raw, tolerance: float = 1e-9) -> AdjacencyMatrix:
     return AdjacencyMatrix(w)
 
 
-def threshold_binarize(graph: AdjacencyMatrix, tau: float) -> AdjacencyMatrix:
-    """Binarize by absolute weight: 1 where ``|w| > tau``, else 0.
+def threshold_binarize(graph: AdjacencyMatrix | GraphSample, tau: float):
+    """Binarize a graph, or every graph of a :class:`GraphSample`, by
+    absolute weight: 1 where ``|w| > tau``, else 0.
 
     The comparison is strict, so weights exactly at ``tau`` map to 0; ties
     at the threshold do occur with rank-transformed correlation weights.
     """
     if not np.isfinite(tau) or tau < 0:
         raise ValueError(f"threshold must be a finite non-negative real, got {tau!r}")
-    out = (np.abs(graph.weights) > tau).astype(np.float64)
-    return AdjacencyMatrix(out)
+    if isinstance(graph, GraphSample):
+        return GraphSample.from_edges(np.abs(graph.edges) > tau)
+    return AdjacencyMatrix(np.abs(graph.weights) > tau)
 
 
 def five_number_summary(values) -> FiveNumberSummary:

@@ -25,7 +25,7 @@ from .errors import (
     OddNodeCountError,
     ProbabilityRangeError,
 )
-from .graphs import AdjacencyMatrix, GraphSample
+from .graphs import AdjacencyMatrix, GraphSample, pair_layout
 
 FAMILIES = ("beta", "bernoulli")
 
@@ -100,7 +100,7 @@ class MeanMatrix:
         for name, arr in (("mu", mu), ("sigma2", s2)):
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ConfigError(f"{name} must be square, got shape {arr.shape}")
-            if not np.allclose(arr, arr.T, atol=0, rtol=0, equal_nan=False):
+            if not np.array_equal(arr, arr.T):
                 raise ConfigError(f"{name} must be symmetric")
             if np.diagonal(arr).any():
                 raise ConfigError(f"{name} must have a zero diagonal")
@@ -118,23 +118,22 @@ class MeanMatrix:
         return self.mu.shape[0]
 
 
-def block_of_pair(i: int, j: int, n: int) -> str:
-    """Classify the 1-based node pair ``i < j`` as "within" or "between"."""
-    if n % 2 != 0:
-        raise OddNodeCountError(f"two-block designs need even n, got {n}")
-    if not (1 <= i < j <= n):
-        raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j}) with n={n}")
-    half = n // 2
-    return "between" if i <= half < j else "within"
-
-
 @lru_cache(maxsize=None)
-def _pair_layout(n: int):
-    """Upper-triangle index arrays and the within-block mask for size n."""
-    rows, cols = np.triu_indices(n, k=1)
-    half = n // 2
-    within = (rows < half) == (cols < half)
-    return rows, cols, within
+def _blocks(n: int) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
+    """``(mask, count)`` over :func:`pair_layout` for the within-block
+    pairs, then for the between-block pairs."""
+    rows, cols = pair_layout(n)
+    within = (rows < n // 2) == (cols < n // 2)
+    return tuple((mask, int(mask.sum())) for mask in (within, ~within))
+
+
+def _block_matrix(n: int, within_value: float, between_value: float) -> np.ndarray:
+    """Symmetric ``n x n`` matrix, zero diagonal, holding one value on the
+    within-block pairs and another on the between-block pairs."""
+    (within, _), _ = _blocks(n)
+    out = np.zeros((n, n))
+    out[pair_layout(n)] = np.where(within, within_value, between_value)
+    return out + out.T
 
 
 def beta_moments(alpha: float, beta: float) -> tuple[float, float]:
@@ -167,15 +166,7 @@ def model_mean_matrix(model: TwoBlockModel, shifted: bool = False) -> MeanMatrix
     p_within, p_between = model.params(shifted)
     mw, vw = _family_moments(model.family, p_within)
     mb, vb = _family_moments(model.family, p_between)
-    rows, cols, within = _pair_layout(model.n)
-
-    mu = np.zeros((model.n, model.n))
-    s2 = np.zeros((model.n, model.n))
-    mu[rows, cols] = np.where(within, mw, mb)
-    s2[rows, cols] = np.where(within, vw, vb)
-    mu += mu.T
-    s2 += s2.T
-    return MeanMatrix(mu, s2)
+    return MeanMatrix(_block_matrix(model.n, mw, mb), _block_matrix(model.n, vw, vb))
 
 
 def _draw_pairs(family: str, params, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -186,45 +177,39 @@ def _draw_pairs(family: str, params, size: int, rng: np.random.Generator) -> np.
     return (rng.random(size) < params).astype(np.float64)
 
 
-def sample_graph(model: TwoBlockModel, shifted: bool, rng: np.random.Generator) -> AdjacencyMatrix:
-    """Draw one graph: independent weights per unordered pair.
-
-    Within-block pairs are drawn before between-block pairs, so a given
-    stream state always produces the same graph.
-    """
-    p_within, p_between = model.params(shifted)
-    rows, cols, within = _pair_layout(model.n)
-    vals = np.empty(rows.size)
-    n_within = int(within.sum())
-    vals[within] = _draw_pairs(model.family, p_within, n_within, rng)
-    vals[~within] = _draw_pairs(model.family, p_between, rows.size - n_within, rng)
-
-    mat = np.zeros((model.n, model.n))
-    mat[rows, cols] = vals
-    mat[cols, rows] = vals
-    return AdjacencyMatrix(mat)
-
-
 def sample_population(
     model: TwoBlockModel, shifted: bool, m: int, rng: np.random.Generator
 ) -> GraphSample:
-    """Draw ``m`` i.i.d. graphs from the model."""
+    """Draw ``m`` i.i.d. graphs from the model, graph by graph: within-block
+    pairs first, then between-block pairs, so a given stream state always
+    produces the same sample."""
     if m < 1:
         raise ConfigError(f"population size must be at least 1, got {m}")
-    return GraphSample(tuple(sample_graph(model, shifted, rng) for _ in range(m)))
+    blocks = tuple(zip(_blocks(model.n), model.params(shifted)))
+    edges = np.empty((m, model.n * (model.n - 1) // 2))
+    for row in edges:
+        for (mask, size), params in blocks:
+            row[mask] = _draw_pairs(model.family, params, size, rng)
+    return GraphSample.from_edges(edges)
 
 
-def beta_params_from_moments(mean: float, variance: float) -> tuple[float, float]:
+def beta_params_from_moments(mean, variance):
     """Invert (mean, variance) to Beta shape parameters.
 
-    Requires 0 < mean < 1 and 0 < variance < mean*(1-mean).
+    Requires 0 < mean < 1 and 0 < variance < mean*(1-mean).  Arrays are
+    inverted elementwise; an error names the first offending element.
     """
-    if not 0.0 < mean < 1.0:
-        raise NonPositiveParameterError(f"beta mean must lie in (0, 1), got {mean}")
-    limit = mean * (1.0 - mean)
-    if not 0.0 < variance < limit:
+    mean, variance = np.broadcast_arrays(mean, variance)
+    bad = ~((mean > 0.0) & (mean < 1.0))
+    if bad.any():
         raise NonPositiveParameterError(
-            f"beta variance must lie in (0, {limit:g}), got {variance}"
+            f"beta mean must lie in (0, 1), got {mean[bad][0]}"
+        )
+    limit = mean * (1.0 - mean)
+    bad = ~((variance > 0.0) & (variance < limit))
+    if bad.any():
+        raise NonPositiveParameterError(
+            f"beta variance must lie in (0, {limit[bad][0]:g}), got {variance[bad][0]}"
         )
     concentration = limit / variance - 1.0
     return mean * concentration, (1.0 - mean) * concentration
@@ -238,30 +223,20 @@ def sample_graph_from_means(
     Each pair (i, j) is drawn independently from the family member with
     mean ``mean.mu[i, j]``; the Beta family additionally matches
     ``mean.sigma2[i, j]`` (method of moments), while the Bernoulli family's
-    variance is implied by its mean.  Pairs are drawn in upper-triangle
-    row-major order.
+    variance is implied by its mean.  Pairs are drawn in
+    :func:`pair_layout` order.
     """
     if family not in FAMILIES:
         raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
-    n = mean.n
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = pair_layout(mean.n)
     mu = mean.mu[rows, cols]
     if family == "bernoulli":
         if ((mu < 0) | (mu > 1)).any():
             raise ProbabilityRangeError("bernoulli means must lie in [0, 1]")
-        vals = (rng.random(rows.size) < mu).astype(np.float64)
+        vals = (rng.random(mu.size) < mu).astype(np.float64)
     else:
-        alphas = np.empty(rows.size)
-        betas = np.empty(rows.size)
-        for k in range(rows.size):
-            alphas[k], betas[k] = beta_params_from_moments(
-                mu[k], mean.sigma2[rows[k], cols[k]]
-            )
-        vals = rng.beta(alphas, betas)
-    mat = np.zeros((n, n))
-    mat[rows, cols] = vals
-    mat[cols, rows] = vals
-    return AdjacencyMatrix(mat)
+        vals = rng.beta(*beta_params_from_moments(mu, mean.sigma2[rows, cols]))
+    return GraphSample.from_edges(vals[np.newaxis]).graphs[0]
 
 
 MODEL_KEYS = {"schema", "family", "n", "within", "between", "epsilon"}

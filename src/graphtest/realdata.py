@@ -101,9 +101,7 @@ def load_group(directory, label: str | None = None, tolerance: float = 1e-9) -> 
     for path in paths:
         try:
             graphs.append(load_adjacency_csv(path, tolerance))
-        except GraphTestError as err:
-            raise DataLoadError(f"{path.name}: {err}") from err
-        except (OSError, ValueError) as err:
+        except (GraphTestError, OSError, ValueError) as err:
             raise DataLoadError(f"{path.name}: {err}") from err
         if graphs[-1].n != graphs[0].n:
             raise MixedDimensionsError(
@@ -146,11 +144,11 @@ def equalize(
         deficit = large.m - small.m
         replace = deficit > small.m
         extra = rng.choice(small.m, size=deficit, replace=replace)
-        grown = GraphSample(small.graphs + tuple(small.graphs[i] for i in extra))
-        out_small, out_large = grown, large
+        grown = np.concatenate((small.edges, small.edges[extra]))
+        out_small, out_large = GraphSample.from_edges(grown), large
     else:  # subsample_larger
         keep = rng.choice(large.m, size=small.m, replace=False)
-        out_small, out_large = small, GraphSample(tuple(large.graphs[i] for i in keep))
+        out_small, out_large = small, GraphSample.from_edges(large.edges[keep])
 
     if sample_a.m < sample_b.m:
         return out_small, out_large
@@ -158,7 +156,7 @@ def equalize(
 
 
 def _drop_last_pair(a: GraphSample, b: GraphSample) -> tuple[GraphSample, GraphSample]:
-    return GraphSample(a.graphs[:-1]), GraphSample(b.graphs[:-1])
+    return GraphSample.from_edges(a.edges[:-1]), GraphSample.from_edges(b.edges[:-1])
 
 
 def repeated_tests(
@@ -223,8 +221,7 @@ def threshold_sweep(
     """
     rows: list[SweepRow] = []
     for tau in taus:
-        bin_a = GraphSample(tuple(threshold_binarize(g, tau) for g in sample_a.graphs))
-        bin_b = GraphSample(tuple(threshold_binarize(g, tau) for g in sample_b.graphs))
+        bin_a, bin_b = threshold_binarize(sample_a, tau), threshold_binarize(sample_b, tau)
         try:
             runs = repeated_tests(bin_a, bin_b, plan, methods, alpha, drop_last)
         except AllNAError:

@@ -15,15 +15,16 @@ but normalizes by cross-products of weight *sums* instead of squared
 differences; it is calibrated only when edge variances track squared means
 (see :mod:`graphtest.diagnostics`).
 
-Either denominator can vanish on very sparse or identical samples; such
-results are reported as NA with a reason code instead of a value.
+Either denominator can vanish on very sparse or identical samples, and
+weights near the float64 limit overflow the products; such results are
+reported as NA with a reason code instead of a value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 from scipy.stats import norm
@@ -41,6 +42,7 @@ METHODS = ("tn", "tfro")
 
 ZERO_DENOMINATOR = "zero_denominator"
 NEGATIVE_DENOMINATOR = "negative_denominator"
+NON_FINITE = "non_finite"
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,8 @@ class TestResult:
     """Outcome of one statistic evaluation.
 
     ``statistic`` and ``p_value`` are None when the denominator is not
-    positive; ``na_reason`` then says why.  ``reject`` and ``alpha`` are
-    filled by :func:`decide`.
+    positive or a sum is not finite; ``na_reason`` then says why.
+    ``reject`` and ``alpha`` are filled by :func:`decide`.
     """
 
     method: str
@@ -118,21 +120,41 @@ def _check_samples(sample_g: GraphSample, sample_h: GraphSample, partition: Part
         )
 
 
-def edge_statistics(
-    sample_g: GraphSample, sample_h: GraphSample, partition: Partition
-) -> np.ndarray:
-    """Full symmetric matrix of per-edge products T_ij (zero diagonal)."""
-    _check_samples(sample_g, sample_h, partition)
-    diff = sample_g.stacked() - sample_h.stacked()
-    s1 = diff[list(partition.first_half)].sum(axis=0)
-    s2 = diff[list(partition.second_half)].sum(axis=0)
+def _split_products(x: np.ndarray, partition: Partition) -> np.ndarray:
+    """Per-pair product of the two halves' sums of the rows of ``x``."""
+    s1 = x[list(partition.first_half)].sum(axis=0)
+    s2 = x[list(partition.second_half)].sum(axis=0)
     return s1 * s2
 
 
-def _upper(values: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    rows, cols = np.triu_indices(n, k=1)
-    return values[rows, cols]
+def edge_statistics(
+    sample_g: GraphSample, sample_h: GraphSample, partition: Partition
+) -> np.ndarray:
+    """Per-pair products T_ij, a ``(P,)`` vector in :func:`pair_layout` order."""
+    _check_samples(sample_g, sample_h, partition)
+    return _split_products(sample_g.edges - sample_h.edges, partition)
+
+
+def _statistic(
+    method: str, sample_g: GraphSample, sample_h: GraphSample, partition: Partition
+) -> TestResult:
+    """The kernel of both statistics: split products of D = G - H, and for
+    ``tfro`` of S = G + H.  Sums that overflow float64 give NA."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = edge_statistics(sample_g, sample_h, partition)
+        den_terms = (t * t if method == "tn"
+                     else _split_products(sample_g.edges + sample_h.edges, partition))
+        numerator, den_sq = float(t.sum()), float(den_terms.sum())
+    if not (isfinite(numerator) and isfinite(den_sq)):
+        reason = NON_FINITE
+    elif den_sq == 0.0:
+        reason = ZERO_DENOMINATOR
+    elif den_sq < 0.0:
+        reason = NEGATIVE_DENOMINATOR
+    else:
+        stat = numerator / sqrt(den_sq)
+        return TestResult(method, numerator, den_sq, stat, _two_sided_p(stat))
+    return TestResult(method, numerator, den_sq, None, None, reason)
 
 
 def statistic_tn(
@@ -142,13 +164,7 @@ def statistic_tn(
 
     NA when every T_ij is exactly zero (identical or empty samples).
     """
-    t = _upper(edge_statistics(sample_g, sample_h, partition))
-    numerator = float(t.sum())
-    den_sq = float((t * t).sum())
-    if den_sq == 0.0:
-        return TestResult("tn", numerator, den_sq, None, None, ZERO_DENOMINATOR)
-    stat = numerator / sqrt(den_sq)
-    return TestResult("tn", numerator, den_sq, stat, _two_sided_p(stat))
+    return _statistic("tn", sample_g, sample_h, partition)
 
 
 def statistic_tfro(
@@ -163,21 +179,7 @@ def statistic_tfro(
     With non-negative weights ``t_n^2 >= 0``; negative weights can push it
     negative, which is reported as NA with its own reason code.
     """
-    _check_samples(sample_g, sample_h, partition)
-    t = _upper(edge_statistics(sample_g, sample_h, partition))
-    numerator = float(t.sum())
-
-    total = sample_g.stacked() + sample_h.stacked()
-    u1 = total[list(partition.first_half)].sum(axis=0)
-    u2 = total[list(partition.second_half)].sum(axis=0)
-    den_sq = float(_upper(u1 * u2).sum())
-
-    if den_sq == 0.0:
-        return TestResult("tfro", numerator, den_sq, None, None, ZERO_DENOMINATOR)
-    if den_sq < 0.0:
-        return TestResult("tfro", numerator, den_sq, None, None, NEGATIVE_DENOMINATOR)
-    stat = numerator / sqrt(den_sq)
-    return TestResult("tfro", numerator, den_sq, stat, _two_sided_p(stat))
+    return _statistic("tfro", sample_g, sample_h, partition)
 
 
 def _two_sided_p(stat: float) -> float:
@@ -209,10 +211,6 @@ def run_method(
     alpha: float,
 ) -> TestResult:
     """Compute one named statistic ("tn" or "tfro") and its decision."""
-    if method == "tn":
-        result = statistic_tn(sample_g, sample_h, partition)
-    elif method == "tfro":
-        result = statistic_tfro(sample_g, sample_h, partition)
-    else:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    return decide(result, alpha)
+    return decide(_statistic(method, sample_g, sample_h, partition), alpha)

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from graphtest.cli import main
-from graphtest.graphs import load_adjacency_csv
+from graphtest.graphs import AdjacencyMatrix, load_adjacency_csv
 from graphtest.models import TwoBlockModel, sample_population
 from graphtest.realdata import make_synthetic_groups
 from graphtest.rng import substream
@@ -248,6 +248,43 @@ class TestRealdata:
                      "--strategy", "split-only", "--reps", "2", "--seed", "3"])
         assert code == 2
         assert "unequal-split-only" in capsys.readouterr().err
+
+
+class TestNonFiniteStatistic:
+    """Weights scaled by 1e170 overflow every product T_ij: the CLI reports
+    NA, never a NaN statistic or a traceback."""
+
+    @pytest.fixture
+    def huge_dirs(self, tmp_path):
+        a, b = make_synthetic_groups(n=10, size_a=4, size_b=4, seed=78)
+        dirs = []
+        for label, sample in (("a", a), ("b", b)):
+            directory = tmp_path / label
+            directory.mkdir()
+            for k, graph in enumerate(sample.graphs):
+                save_adjacency_csv(AdjacencyMatrix(graph.weights * 1e170),
+                                   directory / f"s{k}.csv")
+            dirs.append(directory)
+        return dirs
+
+    def test_test_prints_no_nan(self, huge_dirs, capsys):
+        a, b = huge_dirs
+        code = main(["test", "--group-a", str(a), "--group-b", str(b),
+                     "--method", "both", "--seed", "7"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "NaN" not in out
+        for line in out.strip().split("\n"):
+            record = json.loads(line)
+            assert record["statistic"] is None
+            assert record["na_reason"] == "non_finite"
+
+    def test_realdata_all_na_exit_2(self, huge_dirs, capsys):
+        a, b = huge_dirs
+        code = main(["realdata", "--group-a", str(a), "--group-b", str(b),
+                     "--reps", "3", "--seed", "3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("all-na:")
 
 
 class TestUsageAndHelp:

@@ -79,10 +79,10 @@ class TestGraphSample:
         with pytest.raises(EmptyInputError):
             GraphSample(())
 
-    def test_stacked_shape(self):
+    def test_edges_shape(self):
         g = AdjacencyMatrix(np.zeros((4, 4)))
         sample = GraphSample((g, g, g))
-        assert sample.stacked().shape == (3, 4, 4)
+        assert sample.edges.shape == (3, 6)
         assert sample.m == 3 and sample.n == 4
 
 

@@ -18,10 +18,8 @@ from graphtest.models import (
     TwoBlockModel,
     beta_moments,
     beta_params_from_moments,
-    block_of_pair,
     model_from_json,
     model_mean_matrix,
-    sample_graph,
     sample_graph_from_means,
     sample_population,
 )
@@ -29,22 +27,31 @@ from graphtest.rng import substream
 
 
 class TestBlockOfPair:
+    """Blocks are read off the model's mean matrix: a pair has the
+    within-block mean iff both nodes lie in the same half."""
+
+    MODEL = TwoBlockModel(n=10, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
+
+    def _block(self, i, j):
+        """Block of the 1-based pair (i, j)."""
+        mu = model_mean_matrix(self.MODEL).mu[i - 1, j - 1]
+        return {beta_moments(2.0, 3.0)[0]: "within",
+                beta_moments(1.0, 3.0)[0]: "between"}[mu]
+
     def test_first_block_pair(self):
-        assert block_of_pair(1, 2, 10) == "within"
+        assert self._block(1, 2) == "within"
 
     def test_straddling_pair(self):
-        assert block_of_pair(5, 6, 10) == "between"
+        assert self._block(5, 6) == "between"
 
     def test_second_block_pair(self):
-        assert block_of_pair(6, 10, 10) == "within"
+        assert self._block(6, 10) == "within"
 
-    def test_odd_n_rejected(self):
-        with pytest.raises(OddNodeCountError):
-            block_of_pair(1, 2, 9)
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
-            block_of_pair(3, 3, 10)
+    def test_every_pair_classified_by_half(self):
+        for i in range(1, 10):
+            for j in range(i + 1, 11):
+                same_half = (i <= 5) == (j <= 5)
+                assert self._block(i, j) == ("within" if same_half else "between")
 
 
 class TestBetaMoments:
@@ -147,7 +154,7 @@ class TestModelMeanMatrix:
 class TestSampling:
     def test_sampled_graph_invariants(self):
         model = TwoBlockModel(n=10, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
-        g = sample_graph(model, False, substream(1, 0))
+        g = sample_population(model, False, 1, substream(1, 0)).graphs[0]
         w = g.weights
         assert np.array_equal(w, w.T)
         assert not np.diagonal(w).any()
@@ -156,14 +163,14 @@ class TestSampling:
 
     def test_bernoulli_values_binary(self):
         model = TwoBlockModel(n=10, family="bernoulli", within=0.3, between=0.1)
-        g = sample_graph(model, False, substream(2, 0))
+        g = sample_population(model, False, 1, substream(2, 0)).graphs[0]
         assert set(np.unique(g.weights)) <= {0.0, 1.0}
 
     def test_degenerate_probabilities(self):
         zero = TwoBlockModel(n=6, family="bernoulli", within=0.0, between=0.0)
         ones = TwoBlockModel(n=6, family="bernoulli", within=1.0, between=1.0)
-        g0 = sample_graph(zero, False, substream(3, 0))
-        g1 = sample_graph(ones, False, substream(3, 0))
+        g0 = sample_population(zero, False, 1, substream(3, 0)).graphs[0]
+        g1 = sample_population(ones, False, 1, substream(3, 0)).graphs[0]
         assert not g0.weights.any()
         off_diag = ~np.eye(6, dtype=bool)
         assert (g1.weights[off_diag] == 1.0).all()
@@ -184,7 +191,7 @@ class TestSampling:
         sample = sample_population(model, False, 200, substream(7, 0))
         rows, cols = np.triu_indices(100, 1)
         within = (rows < 50) == (cols < 50)
-        values = sample.stacked()[:, rows[within], cols[within]].ravel()
+        values = sample.edges[:, within].ravel()
         mean, var = beta_moments(2.0, 3.0)
         se = math.sqrt(var / values.size)
         assert abs(values.mean() - mean) < 3 * se
@@ -199,7 +206,7 @@ class TestSampling:
         n_between = rows.size - n_within
         expected = (n_within * 0.05 + n_between * 0.01) / rows.size
         variance = (n_within * 0.05 * 0.95 + n_between * 0.01 * 0.99) / rows.size**2
-        observed = sample.stacked()[:, rows, cols].mean()
+        observed = sample.edges.mean()
         se = math.sqrt(variance / 14)
         assert abs(observed - expected) < 3 * se
 
@@ -208,7 +215,7 @@ class TestSampling:
                               epsilon=0.8)
         base = sample_population(model, False, 30, substream(9, 0))
         shifted = sample_population(model, True, 30, substream(9, 1))
-        assert shifted.stacked().mean() > base.stacked().mean() + 0.5
+        assert shifted.edges.mean() > base.edges.mean() + 0.5
 
 
 class TestInhomogeneousSampling:

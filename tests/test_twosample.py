@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from graphtest.models import TwoBlockModel, sample_population
 from graphtest.rng import substream
 from graphtest.twosample import (
     NEGATIVE_DENOMINATOR,
+    NON_FINITE,
     ZERO_DENOMINATOR,
     Partition,
     critical_value,
@@ -111,9 +113,9 @@ class TestEdgeStatistics:
         part = Partition((0,), (1,))
         g = _sample_from_arrays([ones, ones])
         h = _sample_from_arrays([zeros, zeros])
-        assert edge_statistics(g, h, part)[0, 1] == 1.0
+        assert edge_statistics(g, h, part).tolist() == [1.0]
         h_flip = _sample_from_arrays([zeros, _single_edge_graph(2.0)])
-        assert edge_statistics(g, h_flip, part)[0, 1] == -1.0
+        assert edge_statistics(g, h_flip, part).tolist() == [-1.0]
 
     def test_matches_brute_force_on_random_instance(self):
         rng = np.random.default_rng(17)
@@ -125,11 +127,12 @@ class TestEdgeStatistics:
             np.fill_diagonal(mat, 0.0)
         part = Partition((0, 2), (1, 3))
         t = edge_statistics(_sample_from_arrays(gs), _sample_from_arrays(hs), part)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                s1 = sum(gs[k][i][j] - hs[k][i][j] for k in (0, 2))
-                s2 = sum(gs[k][i][j] - hs[k][i][j] for k in (1, 3))
-                assert t[i, j] == pytest.approx(s1 * s2, rel=1e-12)
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        assert t.shape == (len(pairs),)
+        for (i, j), t_ij in zip(pairs, t):
+            s1 = sum(gs[k][i][j] - hs[k][i][j] for k in (0, 2))
+            s2 = sum(gs[k][i][j] - hs[k][i][j] for k in (1, 3))
+            assert t_ij == pytest.approx(s1 * s2, rel=1e-12)
 
     def test_dimension_mismatch(self):
         g2 = _sample_from_arrays([np.zeros((2, 2))] * 2)
@@ -288,6 +291,26 @@ class TestInvariances:
         base = statistic_tn(g, h, part)
         scaled = statistic_tn(rescale(g), rescale(h), part)
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-10)
+
+
+class TestNonFinite:
+    """Weights scaled by 1e170 overflow every product T_ij.  The result must
+    be NA with its own reason, never a NaN statistic, and no overflow
+    warning may escape."""
+
+    @pytest.mark.parametrize("method", ["tn", "tfro"])
+    def test_overflow_is_na(self, method):
+        model = TwoBlockModel(n=8, family="beta", within=(2.0, 3.0),
+                              between=(1.0, 3.0), epsilon=0.5)
+        huge = lambda s: GraphSample.from_edges(s.edges * 1e170)
+        g = huge(sample_population(model, False, 4, substream(43, 0)))
+        h = huge(sample_population(model, True, 4, substream(43, 1)))
+        part = random_partition(4, substream(43, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_method(method, g, h, part, 0.05)
+        assert result.is_na and result.na_reason == NON_FINITE
+        assert result.p_value is None and result.reject is None
 
 
 class TestRunMethod:
