@@ -47,6 +47,11 @@ class TestBlockOfPair:
     def test_second_block_pair(self):
         assert self._block(6, 10) == "within"
 
+    def test_odd_n_rejected(self):
+        """Nine nodes cannot be split into two equal halves."""
+        with pytest.raises(OddNodeCountError):
+            TwoBlockModel(n=9, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
+
     def test_every_pair_classified_by_half(self):
         for i in range(1, 10):
             for j in range(i + 1, 11):
