@@ -41,8 +41,7 @@ from .twosample import (
     edge_statistics,
     random_partition,
     run_method,
-    statistic_tfro,
-    statistic_tn,
+    run_methods,
 )
 
 __version__ = "0.1.0"
@@ -66,11 +65,10 @@ __all__ = [
     "pair_layout",
     "random_partition",
     "run_method",
+    "run_methods",
     "sample_graph_from_means",
     "sample_population",
     "save_adjacency_csv",
-    "statistic_tfro",
-    "statistic_tn",
     "substream",
     "threshold_binarize",
     "validate_adjacency",

@@ -9,9 +9,9 @@ One executable with five subcommands:
 * ``realdata`` - resampling pipeline for unequal-size observed groups
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.  Errors are printed
-to stderr as one line, ``<code>: <message>``.  Every subcommand accepts
-``--seed`` (omit for OS entropy), ``--output-format {json,csv,table}``, and
-``--threads``.
+to stderr as one line, ``<code>: <message>``.  A subcommand takes only the
+flags it reads: ``--seed`` (omit for OS entropy) all but ``theory``,
+``--output-format`` the three that print records, ``--threads`` ``simulate``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .graphs import save_adjacency_csv
 from .models import load_model_json, sample_population
 from .realdata import ResamplingPlan, load_group
 from .rng import check_seed, fresh_seed, substream
-from .twosample import METHODS, random_partition, run_method
+from .twosample import METHODS, random_partition, run_methods
 
 
 class _UsageError(Exception):
@@ -58,11 +58,13 @@ def _seed(value: str) -> int:
         raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit int, got {value}")
 
 
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return number
+def _int_at_least(low: int):
+    def integer(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return number
+    return integer
 
 
 def _tau_list(value: str) -> tuple[float, ...]:
@@ -76,57 +78,58 @@ def _tau_list(value: str) -> tuple[float, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=None,
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=None,
                         help="master seed; omit for a fresh one from OS entropy")
-    common.add_argument("--output-format", choices=("json", "csv", "table"),
-                        default="json", help="stdout format for printed results")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for replicated runs (0 = auto)")
+    printing = _Parser(add_help=False)
+    printing.add_argument("--output-format", choices=("json", "csv", "table"),
+                          default="json", help="stdout format for printed results")
 
     parser = _Parser(prog="graphtest",
                      description="Two-sample testing for weighted networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common],
+    p = sub.add_parser("generate", parents=[seeded, printing],
                        help="sample graphs from a model document into CSV files")
     p.add_argument("--model", required=True, help="model JSON document")
-    p.add_argument("--m", type=_positive_int, required=True, help="number of graphs")
+    p.add_argument("--m", type=_int_at_least(1), required=True, help="number of graphs")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--shifted", action="store_true",
                    help="sample the epsilon-shifted population")
 
-    p = sub.add_parser("test", parents=[common],
+    p = sub.add_parser("test", parents=[seeded, printing],
                        help="test two equally sized groups of adjacency CSVs")
     p.add_argument("--group-a", required=True)
     p.add_argument("--group-b", required=True)
     p.add_argument("--method", choices=("tn", "tfro", "both"), default="tn")
     p.add_argument("--alpha", type=_alpha, default=0.05)
-    p.add_argument("--splits", type=_positive_int, default=1,
+    p.add_argument("--splits", type=_int_at_least(1), default=1,
                    help="number of random-split repetitions")
     p.add_argument("--drop-last", action="store_true",
                    help="drop the last graph of each group when sizes are odd")
 
-    p = sub.add_parser("theory", parents=[common],
+    p = sub.add_parser("theory", parents=[printing],
                        help="closed-form diagnostics for a model document")
     p.add_argument("--config", required=True, help="model JSON document")
-    p.add_argument("--m", type=_positive_int, required=True,
+    p.add_argument("--m", type=_int_at_least(1), required=True,
                    help="group size the diagnostics assume")
     p.add_argument("--delta", type=float, default=0.05,
                    help="margin for the binary-mean bound (means above 1-delta flag)")
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seeded],
                        help="run a Monte Carlo experiment grid")
     p.add_argument("--config", required=True, help="experiment JSON document")
     p.add_argument("--out", required=True, help="CSV report path")
+    p.add_argument("--threads", type=_int_at_least(0), default=1,
+                   help="worker processes for the grid cells (0 = one per CPU)")
 
-    p = sub.add_parser("realdata", parents=[common],
+    p = sub.add_parser("realdata", parents=[seeded],
                        help="resampling pipeline for unequal-size groups")
     p.add_argument("--group-a", required=True)
     p.add_argument("--group-b", required=True)
     p.add_argument("--strategy", choices=("oversample", "subsample", "split-only"),
                    default="oversample")
-    p.add_argument("--reps", type=_positive_int, default=100)
+    p.add_argument("--reps", type=_int_at_least(1), default=100)
     p.add_argument("--taus", type=_tau_list, default=None,
                    help="comma-separated thresholds; adds a binarized sweep")
     p.add_argument("--method", choices=("tn", "tfro", "both"), default="both")
@@ -215,9 +218,8 @@ def _cmd_test(args) -> int:
     records = []
     for split in range(args.splits):
         partition = random_partition(group_a.m, substream(seed, split))
-        for method in _methods(args.method):
-            result = run_method(method, group_a, group_b, partition, args.alpha)
-            records.append(_result_record(split, result))
+        records.extend(_result_record(split, result) for result in run_methods(
+            _methods(args.method), group_a, group_b, partition, args.alpha))
     _print_records(records, args.output_format)
     return 0
 
@@ -291,15 +293,9 @@ def _cmd_simulate(args) -> int:
     config = simulate.load_experiment_json(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    threads = args.threads if args.threads and args.threads > 0 else None
-    report = simulate.run_experiment(config, threads=threads or _auto_threads())
+    report = simulate.run_experiment(config, threads=args.threads)
     simulate.emit_report(report, args.out)
     return 0
-
-
-def _auto_threads() -> int:
-    import os
-    return max(1, os.cpu_count() or 1)
 
 
 def _cmd_realdata(args) -> int:
@@ -320,7 +316,7 @@ def _cmd_realdata(args) -> int:
     if args.taus:
         for sweep in realdata.threshold_sweep(group_a, group_b, args.taus, plan,
                                               methods, args.alpha, args.drop_last):
-            rows.append(_sweep_row(strategy, sweep))
+            rows.append(_summary_row(strategy, f"{sweep.tau:g}", sweep))
 
     text = _rows_to_csv(rows)
     if args.out:
@@ -340,14 +336,10 @@ def _summary_fields(summary) -> list[str]:
     return [f"{v:.6g}" for v in summary.as_tuple()]
 
 
-def _summary_row(strategy, tau, run) -> list[str]:
+def _summary_row(strategy, tau: str, run) -> list[str]:
+    """One output row for a :class:`RepeatedRun` or a :class:`SweepRow`."""
     return [strategy, tau, run.method, *_summary_fields(run.summary),
             str(run.na_count)]
-
-
-def _sweep_row(strategy, sweep) -> list[str]:
-    return [strategy, f"{sweep.tau:g}", sweep.method,
-            *_summary_fields(sweep.summary), str(sweep.na_count)]
 
 
 def _rows_to_csv(rows: list[list[str]]) -> str:

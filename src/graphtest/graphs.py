@@ -149,7 +149,8 @@ def validate_adjacency(raw, tolerance: float = 1e-9) -> AdjacencyMatrix:
             i, j = j, i
         raise AsymmetryError(int(i), int(j), worst)
 
-    w = (w + w.T) / 2.0
+    # Pair midpoints; (w + w.T) / 2 would overflow above half the float64 max.
+    w = np.minimum(w, w.T) + gap / 2.0
     np.fill_diagonal(w, 0.0)
     return AdjacencyMatrix(w)
 

@@ -32,7 +32,7 @@ from .graphs import (
 )
 from .models import TwoBlockModel, sample_population
 from .rng import substream
-from .twosample import TestResult, random_partition, run_method
+from .twosample import TestResult, random_partition, run_methods
 
 STRATEGIES = ("oversample_smaller", "subsample_larger", "split_only")
 
@@ -175,29 +175,26 @@ def repeated_tests(
     result of every method is NA; a single all-NA method simply gets a None
     summary.
     """
-    per_method: dict[str, list[TestResult]] = {method: [] for method in methods}
+    replicates = []
     for rep in range(plan.repetitions):
         rng = substream(plan.seed, rep)
         eq_a, eq_b = equalize(sample_a, sample_b, plan.strategy, rng)
         if drop_last and eq_a.m % 2 != 0:
             eq_a, eq_b = _drop_last_pair(eq_a, eq_b)
         partition = random_partition(eq_a.m, rng)
-        for method in methods:
-            per_method[method].append(
-                run_method(method, eq_a, eq_b, partition, alpha)
-            )
+        replicates.append(run_methods(methods, eq_a, eq_b, partition, alpha))
 
-    if all(r.is_na for results in per_method.values() for r in results):
+    if all(r.is_na for results in replicates for r in results):
         raise AllNAError(
             f"all {plan.repetitions} repetitions produced undefined statistics"
         )
 
     runs = {}
-    for method, results in per_method.items():
+    for method, results in zip(methods, zip(*replicates)):
         valid = [r.statistic for r in results if not r.is_na]
         runs[method] = RepeatedRun(
             method=method,
-            results=tuple(results),
+            results=results,
             summary=five_number_summary(valid) if valid else None,
             na_count=len(results) - len(valid),
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .diagnostics import lambda_from_moments, two_block_moments
 from .errors import ConfigError, DegenerateModelError, GraphTestError
 from .models import FAMILIES, TwoBlockModel, model_from_json, sample_population
 from .rng import check_seed, substream
-from .twosample import METHODS, random_partition, run_method
+from .twosample import METHODS, random_partition, run_methods
 
 REPORT_HEADER = ("n", "m", "epsilon", "method", "rejections", "na",
                  "replications", "rate", "lambda")
@@ -124,33 +125,30 @@ def run_cell(
     except DegenerateModelError:
         lam = None
 
-    rejects = {method: 0 for method in config.methods}
-    nas = {method: 0 for method in config.methods}
+    replicates = []
     try:
         for r in range(config.replications):
             rng = substream(config.master_seed, cell_index, r)
             group_g = sample_population(model, False, m, rng)
             group_h = sample_population(model, True, m, rng)
             partition = random_partition(m, rng)
-            for method in config.methods:
-                result = run_method(method, group_g, group_h, partition, config.alpha)
-                if result.is_na:
-                    nas[method] += 1
-                elif result.reject:
-                    rejects[method] += 1
+            replicates.append(run_methods(config.methods, group_g, group_h,
+                                          partition, config.alpha))
     except GraphTestError as err:
         raise GraphTestError(
             f"cell n={n} m={m} epsilon={epsilon:g} failed: {err}"
         ) from err
 
     out = []
-    for method in config.methods:
-        valid = config.replications - nas[method]
-        rate = rejects[method] / valid if valid > 0 else None
+    for method, results in zip(config.methods, zip(*replicates)):
+        nas = sum(result.is_na for result in results)
+        rejects = sum(result.reject is True for result in results)
+        valid = config.replications - nas
         out.append(CellResult(
             n=n, m=m, epsilon=epsilon, method=method,
-            reject_count=rejects[method], na_count=nas[method],
-            replications=config.replications, rejection_rate=rate,
+            reject_count=rejects, na_count=nas,
+            replications=config.replications,
+            rejection_rate=rejects / valid if valid > 0 else None,
             lambda_theoretical=lam,
         ))
     return tuple(out)
@@ -162,12 +160,14 @@ def _cell_task(args) -> tuple[CellResult, ...]:
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> SimulationReport:
-    """Run every grid cell.  Results are identical for any thread count:
-    each cell's streams are keyed by (master seed, cell index, replicate)
-    and reduction follows the deterministic cell order."""
+    """Run every grid cell on ``threads`` worker processes (0 = one per
+    CPU).  Results are identical for any thread count: each cell's streams
+    are keyed by (master seed, cell index, replicate) and reduction follows
+    the deterministic cell order."""
+    if threads < 0:
+        raise ValueError(f"threads must be non-negative, got {threads}")
+    threads = threads or os.cpu_count() or 1
     tasks = [(config, idx, n, m, eps) for idx, n, m, eps in config.cells()]
-    if threads is None or threads < 1:
-        threads = 1
     if threads == 1 or len(tasks) == 1:
         results = [_cell_task(task) for task in tasks]
     else:

@@ -11,13 +11,18 @@ summed weight differences::
 The main statistic normalizes the total by the empirical root of the sum
 of squares, ``Tn = sum(T_ij) / sqrt(sum(T_ij^2))``, and is compared against
 standard normal quantiles.  The baseline ``Tfro`` uses the same numerator
-but normalizes by cross-products of weight *sums* instead of squared
-differences; it is calibrated only when edge variances track squared means
-(see :mod:`graphtest.diagnostics`).
+but normalizes by cross-products of weight *sums*::
+
+    t_n^2 = sum over pairs of
+        (sum over first half of (G_k,ij + H_k,ij))
+      * (sum over second half of (G_k,ij + H_k,ij))
+
+It is calibrated only when edge variances track squared means (see
+:mod:`graphtest.diagnostics`); negative weights can make ``t_n^2 < 0``.
 
 Either denominator can vanish on very sparse or identical samples, and
-weights near the float64 limit overflow the products; such results are
-reported as NA with a reason code instead of a value.
+half sums of weights of opposite sign near the float64 limit overflow;
+such results are reported as NA with a reason code instead of a value.
 """
 
 from __future__ import annotations
@@ -120,11 +125,14 @@ def _check_samples(sample_g: GraphSample, sample_h: GraphSample, partition: Part
         )
 
 
-def _split_products(x: np.ndarray, partition: Partition) -> np.ndarray:
-    """Per-pair product of the two halves' sums of the rows of ``x``."""
+def _scaled_half_sums(x: np.ndarray, partition: Partition):
+    """Per-pair sums of the rows of ``x`` over each half of the split, times
+    ``2**-e``, and ``e``, chosen so the larger magnitude lies in [0.5, 1):
+    exact, and safe to multiply at any scale."""
     s1 = x[list(partition.first_half)].sum(axis=0)
     s2 = x[list(partition.second_half)].sum(axis=0)
-    return s1 * s2
+    e = int(np.frexp(max(np.abs(s1).max(), np.abs(s2).max()))[1])
+    return np.ldexp(s1, -e, out=s1), np.ldexp(s2, -e, out=s2), e
 
 
 def edge_statistics(
@@ -132,19 +140,15 @@ def edge_statistics(
 ) -> np.ndarray:
     """Per-pair products T_ij, a ``(P,)`` vector in :func:`pair_layout` order."""
     _check_samples(sample_g, sample_h, partition)
-    return _split_products(sample_g.edges - sample_h.edges, partition)
+    d1, d2, e = _scaled_half_sums(sample_g.edges - sample_h.edges, partition)
+    return np.ldexp(d1 * d2, 2 * e)
 
 
-def _statistic(
-    method: str, sample_g: GraphSample, sample_h: GraphSample, partition: Partition
-) -> TestResult:
-    """The kernel of both statistics: split products of D = G - H, and for
-    ``tfro`` of S = G + H.  Sums that overflow float64 give NA."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = edge_statistics(sample_g, sample_h, partition)
-        den_terms = (t * t if method == "tn"
-                     else _split_products(sample_g.edges + sample_h.edges, partition))
-        numerator, den_sq = float(t.sum()), float(den_terms.sum())
+def _result(method: str, numerator: float, den_sq: float, num_exp: int,
+            den_exp: int) -> TestResult:
+    """The result for a numerator and squared denominator given in units of
+    ``2**num_exp`` and ``2**den_exp`` (``den_exp`` even)."""
+    stat = reason = None
     if not (isfinite(numerator) and isfinite(den_sq)):
         reason = NON_FINITE
     elif den_sq == 0.0:
@@ -152,38 +156,13 @@ def _statistic(
     elif den_sq < 0.0:
         reason = NEGATIVE_DENOMINATOR
     else:
-        stat = numerator / sqrt(den_sq)
-        return TestResult(method, numerator, den_sq, stat, _two_sided_p(stat))
-    return TestResult(method, numerator, den_sq, None, None, reason)
-
-
-def statistic_tn(
-    sample_g: GraphSample, sample_h: GraphSample, partition: Partition
-) -> TestResult:
-    """Difference-normalized statistic ``sum(T_ij) / sqrt(sum(T_ij^2))``.
-
-    NA when every T_ij is exactly zero (identical or empty samples).
-    """
-    return _statistic("tn", sample_g, sample_h, partition)
-
-
-def statistic_tfro(
-    sample_g: GraphSample, sample_h: GraphSample, partition: Partition
-) -> TestResult:
-    """Baseline with the same numerator but a weight-sum denominator::
-
-        t_n^2 = sum over pairs of
-            (sum over first half of (G_k,ij + H_k,ij))
-          * (sum over second half of (G_k,ij + H_k,ij))
-
-    With non-negative weights ``t_n^2 >= 0``; negative weights can push it
-    negative, which is reported as NA with its own reason code.
-    """
-    return _statistic("tfro", sample_g, sample_h, partition)
-
-
-def _two_sided_p(stat: float) -> float:
-    return float(2.0 * norm.sf(abs(stat)))
+        stat = float(np.ldexp(numerator / sqrt(den_sq), num_exp - den_exp // 2))
+        if not isfinite(stat):
+            stat, reason = None, NON_FINITE
+    return TestResult(method, float(np.ldexp(numerator, num_exp)),
+                      float(np.ldexp(den_sq, den_exp)), stat,
+                      None if stat is None else float(2.0 * norm.sf(abs(stat))),
+                      reason)
 
 
 @lru_cache(maxsize=None)
@@ -203,14 +182,43 @@ def decide(result: TestResult, alpha: float) -> TestResult:
     return replace(result, reject=bool(abs(result.statistic) > crit), alpha=alpha)
 
 
+def run_methods(
+    methods: tuple[str, ...], sample_g: GraphSample, sample_h: GraphSample,
+    partition: Partition, alpha: float,
+) -> tuple[TestResult, ...]:
+    """Compute the named statistics ("tn", "tfro") on one split and decide
+    each; one result per requested method, in the order requested.
+
+    D = G - H, its half sums and T are formed once; S = G + H only for
+    ``tfro``.  Half sums are scaled by a power of two before any product,
+    so ``tn`` is the same for weights of any magnitude and ``tfro`` scales
+    exactly with them.  No floating-point warning escapes.
+    """
+    if not set(methods) <= set(METHODS):
+        raise ValueError(f"unknown method in {methods!r}, expected a subset of {METHODS}")
+    _check_samples(sample_g, sample_h, partition)
+    results = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2, e_d = _scaled_half_sums(sample_g.edges - sample_h.edges, partition)
+        t = d1 * d2
+        numerator = float(t.sum())
+        if "tn" in methods:
+            results["tn"] = _result("tn", numerator, float((t * t).sum()),
+                                    2 * e_d, 4 * e_d)
+        if "tfro" in methods:
+            # Left above D's freed (m, P) block, these stop its reuse: S would
+            # fault in afresh (2000 minor faults, 2x the time at n=300, m=14).
+            del d1, d2, t
+            s1, s2, e_s = _scaled_half_sums(sample_g.edges + sample_h.edges,
+                                            partition)
+            results["tfro"] = _result("tfro", numerator, float((s1 * s2).sum()),
+                                      2 * e_d, 2 * e_s)
+    return tuple(decide(results[method], alpha) for method in methods)
+
+
 def run_method(
-    method: str,
-    sample_g: GraphSample,
-    sample_h: GraphSample,
-    partition: Partition,
+    method: str, sample_g: GraphSample, sample_h: GraphSample, partition: Partition,
     alpha: float,
 ) -> TestResult:
     """Compute one named statistic ("tn" or "tfro") and its decision."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    return decide(_statistic(method, sample_g, sample_h, partition), alpha)
+    return run_methods((method,), sample_g, sample_h, partition, alpha)[0]

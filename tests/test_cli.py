@@ -4,7 +4,9 @@ and seed reproducibility."""
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from graphtest.cli import main
@@ -250,19 +252,69 @@ class TestRealdata:
         assert "unequal-split-only" in capsys.readouterr().err
 
 
+def _write_scaled_groups(tmp_path, scale):
+    """Equal 4-graph groups from the synthetic design, weights times scale."""
+    a, b = make_synthetic_groups(n=10, size_a=4, size_b=4, seed=78)
+    dirs = []
+    for label, sample in (("a", a), ("b", b)):
+        directory = tmp_path / f"{label}_{scale:g}"
+        directory.mkdir()
+        for k, graph in enumerate(sample.graphs):
+            save_adjacency_csv(AdjacencyMatrix(graph.weights * scale),
+                               directory / f"s{k}.csv")
+        dirs.append(directory)
+    return dirs
+
+
+class TestExtremeScale:
+    """Weights ×1e170 once overflowed every product T_ij into NA; the
+    statistics are now computed on power-of-two rescaled half sums."""
+
+    def _test_records(self, dirs, capsys):
+        a, b = dirs
+        assert main(["test", "--group-a", str(a), "--group-b", str(b),
+                     "--method", "both", "--seed", "7", "--splits", "3"]) == 0
+        return [json.loads(line) for line in
+                capsys.readouterr().out.strip().split("\n")]
+
+    def test_test_scaled_1e170_is_valid(self, tmp_path, capsys):
+        plain = self._test_records(_write_scaled_groups(tmp_path, 1.0), capsys)
+        huge = self._test_records(_write_scaled_groups(tmp_path, 1e170), capsys)
+        assert [r["method"] for r in huge] == [r["method"] for r in plain]
+        for want, got in zip(plain, huge):
+            assert got["na_reason"] is None and math.isfinite(got["statistic"])
+            if got["method"] == "tn":
+                assert got["statistic"] == pytest.approx(want["statistic"], rel=1e-12)
+                assert got["reject"] == want["reject"]
+
+    def test_realdata_scaled_1e170_is_valid(self, tmp_path, capsys):
+        outputs = []
+        for scale in (1.0, 1e170):
+            a, b = _write_scaled_groups(tmp_path, scale)
+            assert main(["realdata", "--group-a", str(a), "--group-b", str(b),
+                         "--reps", "3", "--seed", "3"]) == 0
+            outputs.append(capsys.readouterr().out.strip().split("\n")[1:])
+        plain, huge = ([row.split(",") for row in rows] for rows in outputs)
+        assert [row[2] for row in huge] == ["tn", "tfro"]
+        for want, got in zip(plain, huge):
+            assert all(math.isfinite(float(v)) for v in got[3:8]) and got[-1] == "0"
+        assert [float(v) for v in huge[0][3:8]] == pytest.approx(
+            [float(v) for v in plain[0][3:8]], rel=1e-5)
+
+
 class TestNonFiniteStatistic:
-    """Weights scaled by 1e170 overflow every product T_ij: the CLI reports
-    NA, never a NaN statistic or a traceback."""
+    """Finite weights of opposite sign near the float64 limit overflow
+    D = G - H: the CLI reports NA, never a NaN statistic or a traceback."""
 
     @pytest.fixture
     def huge_dirs(self, tmp_path):
-        a, b = make_synthetic_groups(n=10, size_a=4, size_b=4, seed=78)
+        full = np.ones((6, 6)) - np.eye(6)
         dirs = []
-        for label, sample in (("a", a), ("b", b)):
+        for label, sign in (("a", 1.0), ("b", -1.0)):
             directory = tmp_path / label
             directory.mkdir()
-            for k, graph in enumerate(sample.graphs):
-                save_adjacency_csv(AdjacencyMatrix(graph.weights * 1e170),
+            for k in range(4):
+                save_adjacency_csv(AdjacencyMatrix(full * sign * 1e308),
                                    directory / f"s{k}.csv")
             dirs.append(directory)
         return dirs
@@ -311,3 +363,29 @@ class TestUsageAndHelp:
         for flag in ("--group-a", "--group-b", "--strategy", "--reps", "--taus",
                      "--method", "--alpha", "--seed", "--out"):
             assert flag in out
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("generate", "--threads", "1"),
+        ("test", "--threads", "1"),
+        ("theory", "--threads", "1"),
+        ("realdata", "--threads", "1"),
+        ("simulate", "--output-format", "json"),
+        ("realdata", "--output-format", "json"),
+        ("theory", "--seed", "1"),
+    ])
+    def test_removed_flags_exit_1(self, command, flag, value, capsys):
+        """Flags a subcommand never read are gone, not silently accepted."""
+        required = {
+            "generate": ["--model", "m.json", "--m", "2", "--out", "o"],
+            "test": ["--group-a", "a", "--group-b", "b"],
+            "theory": ["--config", "m.json", "--m", "2"],
+            "simulate": ["--config", "e.json", "--out", "r.csv"],
+            "realdata": ["--group-a", "a", "--group-b", "b"],
+        }[command]
+        assert main([command, *required, flag, value]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_negative_threads_exit_1(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path / "x.json"),
+                     "--out", str(tmp_path / "r.csv"), "--threads", "-1"]) == 1
+        assert "usage-error" in capsys.readouterr().err

@@ -64,7 +64,7 @@ class TestNullVariance:
     def test_monte_carlo_mean_of_denominator(self):
         """E[s_n^2] equals the formula within 3 SE (small binary model)."""
         from graphtest.models import sample_population
-        from graphtest.twosample import random_partition, statistic_tn
+        from graphtest.twosample import random_partition, run_method
 
         model = TwoBlockModel(n=10, family="bernoulli", within=0.5, between=0.5)
         m, reps = 2, 800
@@ -74,7 +74,7 @@ class TestNullVariance:
             g = sample_population(model, False, m, rng)
             h = sample_population(model, False, m, rng)
             part = random_partition(m, rng)
-            values.append(statistic_tn(g, h, part).denominator_sq)
+            values.append(run_method("tn", g, h, part, 0.05).denominator_sq)
         values = np.asarray(values)
         expected = null_variance(two_block_moments(model, m))
         se = values.std(ddof=1) / math.sqrt(reps)

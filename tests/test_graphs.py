@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,15 @@ class TestValidateAdjacency:
     def test_symmetric_input_unchanged(self):
         g = validate_adjacency([[0.0, 1.0], [1.0, 0.0]], tolerance=1e-9)
         assert g.weights.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_weights_near_float64_max_kept(self):
+        """Repairing symmetry must not overflow finite weights into inf."""
+        raw = [[0.0, 1e308, -1.5e308], [1e308, 0.0, 2.0],
+               [-1.5e308, 2.0, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = validate_adjacency(raw, tolerance=1e-9)
+        assert g.weights.tolist() == raw
 
     def test_asymmetry_beyond_tolerance(self):
         with pytest.raises(AsymmetryError) as exc:

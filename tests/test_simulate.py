@@ -117,8 +117,13 @@ class TestRunExperiment:
         serial = run_experiment(config, threads=1)
         again = run_experiment(config, threads=1)
         parallel = run_experiment(config, threads=2)
+        auto = run_experiment(config, threads=0)  # one worker per CPU
         assert serial == again
-        assert serial == parallel
+        assert serial == parallel == auto
+
+    def test_negative_threads_rejected(self):
+        with pytest.raises(ValueError):
+            run_experiment(_beta_config(replications=1), threads=-1)
 
     def test_cell_order(self):
         config = _beta_config(n_grid=(6, 10), m_grid=(2,), epsilon_grid=(0.0, 0.5),

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphtest.errors import (
     DimensionMismatchError,
@@ -19,6 +21,7 @@ from graphtest.graphs import AdjacencyMatrix, GraphSample
 from graphtest.models import TwoBlockModel, sample_population
 from graphtest.rng import substream
 from graphtest.twosample import (
+    METHODS,
     NEGATIVE_DENOMINATOR,
     NON_FINITE,
     ZERO_DENOMINATOR,
@@ -28,8 +31,7 @@ from graphtest.twosample import (
     edge_statistics,
     random_partition,
     run_method,
-    statistic_tfro,
-    statistic_tn,
+    run_methods,
 )
 
 
@@ -41,11 +43,12 @@ def _single_edge_graph(value: float) -> list:
     return [[0.0, value], [value, 0.0]]
 
 
-def brute_force_tn(gs, hs, first, second):
-    """Direct evaluation of the statistic with explicit loops.
+def brute_force(method, gs, hs, first, second):
+    """Direct evaluation of ``tn`` or ``tfro`` with explicit loops.
 
-    Materializes both half-sums per pair, squares and sums in plain Python;
-    shares no code with the library path.
+    Materializes the half-sums per pair, multiplies and sums in plain
+    Python; shares no code with the library path.  The statistic is None
+    when the squared denominator is not positive.
     """
     n = len(gs[0])
     numerator = 0.0
@@ -56,10 +59,47 @@ def brute_force_tn(gs, hs, first, second):
             s2 = sum(gs[k][i][j] - hs[k][i][j] for k in second)
             t = s1 * s2
             numerator += t
-            denom_sq += t * t
-    if denom_sq == 0.0:
+            if method == "tn":
+                denom_sq += t * t
+            else:
+                denom_sq += (sum(gs[k][i][j] + hs[k][i][j] for k in first)
+                             * sum(gs[k][i][j] + hs[k][i][j] for k in second))
+    if denom_sq <= 0.0:
         return numerator, denom_sq, None
     return numerator, denom_sq, numerator / math.sqrt(denom_sq)
+
+
+@st.composite
+def integer_groups(draw):
+    """Two groups of small graphs with integer weights in [-3, 3] and a
+    split: every sum is exact in float64, so results compare exactly."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.sampled_from((2, 4)))
+
+    def graph():
+        mat = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                mat[i][j] = mat[j][i] = float(draw(st.integers(-3, 3)))
+        return mat
+
+    gs = [graph() for _ in range(m)]
+    hs = [graph() for _ in range(m)]
+    perm = draw(st.permutations(range(m)))
+    return gs, hs, tuple(sorted(perm[: m // 2])), tuple(sorted(perm[m // 2:]))
+
+
+def _random_pair(seed, n=8, m=4):
+    model = TwoBlockModel(n=n, family="beta", within=(2.0, 3.0),
+                          between=(1.0, 3.0), epsilon=0.5)
+    g = sample_population(model, False, m, substream(seed, 0))
+    h = sample_population(model, True, m, substream(seed, 1))
+    part = random_partition(m, substream(seed, 2))
+    return g, h, part
+
+
+def _scaled(sample: GraphSample, factor) -> GraphSample:
+    return GraphSample.from_edges(sample.edges * factor)
 
 
 class TestRandomPartition:
@@ -151,7 +191,7 @@ class TestStatisticTn:
     def test_identical_samples_na(self):
         model = TwoBlockModel(n=6, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
         sample = sample_population(model, False, 2, substream(4, 0))
-        result = statistic_tn(sample, sample, Partition((0,), (1,)))
+        result = run_method("tn", sample, sample, Partition((0,), (1,)), 0.05)
         assert result.is_na
         assert result.na_reason == ZERO_DENOMINATOR
         assert result.denominator_sq == 0.0
@@ -161,13 +201,13 @@ class TestStatisticTn:
         # One nonzero T = c, rest zero -> statistic c / sqrt(c^2) = sign(c).
         g = _sample_from_arrays([_single_edge_graph(sign), _single_edge_graph(sign)])
         h = _sample_from_arrays([_single_edge_graph(0.0)] * 2)
-        result = statistic_tn(g, h, Partition((0,), (1,)))
+        result = run_method("tn", g, h, Partition((0,), (1,)), 0.05)
         assert result.statistic == 1.0  # T = sign^2 = 1 for both signs
 
     def test_negative_single_edge(self):
         g = _sample_from_arrays([_single_edge_graph(1.0), _single_edge_graph(-1.0)])
         h = _sample_from_arrays([_single_edge_graph(0.0)] * 2)
-        result = statistic_tn(g, h, Partition((0,), (1,)))
+        result = run_method("tn", g, h, Partition((0,), (1,)), 0.05)
         assert result.statistic == -1.0
         assert result.p_value == pytest.approx(2 * (1 - 0.8413447460685429), rel=1e-9)
 
@@ -186,10 +226,10 @@ class TestStatisticTn:
                 mats.append(mat)
             g = _sample_from_arrays(mats[:2])
             h = _sample_from_arrays(mats[2:])
-            want_num, want_den, want_stat = brute_force_tn(
-                [m.tolist() for m in mats[:2]], [m.tolist() for m in mats[2:]],
-                (0,), (1,))
-            got = statistic_tn(g, h, part)
+            want_num, want_den, want_stat = brute_force(
+                "tn", [m.tolist() for m in mats[:2]],
+                [m.tolist() for m in mats[2:]], (0,), (1,))
+            got = run_method("tn", g, h, part, 0.05)
             assert got.numerator == want_num
             assert got.denominator_sq == want_den
             if want_stat is None:
@@ -201,7 +241,7 @@ class TestStatisticTn:
 class TestStatisticTfro:
     def test_all_zero_graphs_na(self):
         zeros = _sample_from_arrays([np.zeros((3, 3))] * 2)
-        result = statistic_tfro(zeros, zeros, Partition((0,), (1,)))
+        result = run_method("tfro", zeros, zeros, Partition((0,), (1,)), 0.05)
         assert result.is_na and result.na_reason == ZERO_DENOMINATOR
 
     def test_identical_dense_binary(self):
@@ -209,7 +249,7 @@ class TestStatisticTfro:
         n, m = 4, 2
         full = np.ones((n, n)) - np.eye(n)
         g = _sample_from_arrays([full] * m)
-        result = statistic_tfro(g, g, Partition((0,), (1,)))
+        result = run_method("tfro", g, g, Partition((0,), (1,)), 0.05)
         assert result.denominator_sq == math.comb(n, 2) * m**2
         assert result.statistic == 0.0
         assert result.p_value == 1.0
@@ -217,7 +257,7 @@ class TestStatisticTfro:
     def test_negative_denominator_flagged(self):
         g = _sample_from_arrays([_single_edge_graph(-1.0), _single_edge_graph(1.0)])
         h = _sample_from_arrays([_single_edge_graph(0.0)] * 2)
-        result = statistic_tfro(g, h, Partition((0,), (1,)))
+        result = run_method("tfro", g, h, Partition((0,), (1,)), 0.05)
         assert result.is_na
         assert result.na_reason == NEGATIVE_DENOMINATOR
         assert result.denominator_sq == -1.0
@@ -227,7 +267,7 @@ class TestDecide:
     def _result(self, stat):
         g = _sample_from_arrays([_single_edge_graph(stat), _single_edge_graph(1.0)])
         h = _sample_from_arrays([_single_edge_graph(0.0)] * 2)
-        return statistic_tn(g, h, Partition((0,), (1,)))
+        return run_method("tn", g, h, Partition((0,), (1,)), 0.05)
 
     def test_reject_beyond_critical(self):
         from dataclasses import replace
@@ -238,7 +278,7 @@ class TestDecide:
 
     def test_na_propagates(self):
         zeros = _sample_from_arrays([np.zeros((2, 2))] * 2)
-        na = statistic_tn(zeros, zeros, Partition((0,), (1,)))
+        na = run_method("tn", zeros, zeros, Partition((0,), (1,)), 0.1)
         decided = decide(na, 0.05)
         assert decided.reject is None and decided.alpha == 0.05
 
@@ -251,66 +291,121 @@ class TestDecide:
 
 
 class TestInvariances:
-    def _random_pair(self, seed, n=8, m=4):
-        model = TwoBlockModel(n=n, family="beta", within=(2.0, 3.0),
-                              between=(1.0, 3.0), epsilon=0.5)
-        g = sample_population(model, False, m, substream(seed, 0))
-        h = sample_population(model, True, m, substream(seed, 1))
-        part = random_partition(m, substream(seed, 2))
-        return g, h, part
-
     def test_group_swap_invariance(self):
         """Swapping the groups negates every difference, so both half-sums
         negate and each product T_ij (hence the whole test) is unchanged."""
-        g, h, part = self._random_pair(31)
+        g, h, part = _random_pair(31)
         t_gh = edge_statistics(g, h, part)
         t_hg = edge_statistics(h, g, part)
         assert np.allclose(t_hg, t_gh, rtol=1e-12)
-        r_gh = decide(statistic_tn(g, h, part), 0.05)
-        r_hg = decide(statistic_tn(h, g, part), 0.05)
+        r_gh = run_method("tn", g, h, part, 0.05)
+        r_hg = run_method("tn", h, g, part, 0.05)
         assert r_hg.numerator == pytest.approx(r_gh.numerator, rel=1e-12)
         assert r_hg.denominator_sq == pytest.approx(r_gh.denominator_sq, rel=1e-12)
         assert r_hg.statistic == pytest.approx(r_gh.statistic, rel=1e-12)
         assert r_hg.reject == r_gh.reject
 
     def test_node_relabeling_invariance(self):
-        g, h, part = self._random_pair(37)
+        g, h, part = _random_pair(37)
         perm = np.random.default_rng(38).permutation(8)
         relabel = lambda s: _sample_from_arrays(
             [gr.weights[np.ix_(perm, perm)] for gr in s.graphs])
-        base = statistic_tn(g, h, part)
-        moved = statistic_tn(relabel(g), relabel(h), part)
+        base = run_method("tn", g, h, part, 0.05)
+        moved = run_method("tn", relabel(g), relabel(h), part, 0.05)
         assert moved.statistic == pytest.approx(base.statistic, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [2.5, -3.0])
     def test_scale_invariance(self, scale):
         """Multiplying all weights by c != 0 leaves the statistic unchanged."""
-        g, h, part = self._random_pair(41)
+        g, h, part = _random_pair(41)
         rescale = lambda s: _sample_from_arrays(
             [gr.weights * scale for gr in s.graphs])
-        base = statistic_tn(g, h, part)
-        scaled = statistic_tn(rescale(g), rescale(h), part)
+        base = run_method("tn", g, h, part, 0.05)
+        scaled = run_method("tn", rescale(g), rescale(h), part, 0.05)
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-10)
 
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_group_swap_leaves_results_unchanged(self, seed):
+        """Negating D negates both half sums exactly and G + H = H + G, so
+        every field of both results is unchanged, bit for bit."""
+        g, h, part = _random_pair(seed)
+        assert (run_methods(METHODS, h, g, part, 0.05)
+                == run_methods(METHODS, g, h, part, 0.05))
+
+
+class TestScaleSafety:
+    """Half sums are rescaled by a power of two before any product, so the
+    overall scale of the weights neither overflows nor underflows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1))
+    @example(k=-1000, seed=0)
+    @example(k=1000, seed=0)
+    def test_power_of_two_scaling_is_exact(self, k, seed):
+        """Scaling every weight by 2**k leaves ``tn`` bit-identical and
+        multiplies ``tfro`` by exactly 2**k; numerator and denominator are
+        reported in the input's units."""
+        g, h, part = _random_pair(seed)
+        # Scaling into the subnormal range rounds, so the reference run
+        # uses the weights the scaled run actually sees.
+        g_k, h_k = _scaled(g, 2.0 ** k), _scaled(h, 2.0 ** k)
+        base = run_methods(METHODS, _scaled(g_k, 2.0 ** -k),
+                           _scaled(h_k, 2.0 ** -k), part, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tn, tfro = run_methods(METHODS, g_k, h_k, part, 0.05)
+        assert tn.statistic == base[0].statistic
+        assert tfro.statistic == math.ldexp(base[1].statistic, k)
+        with np.errstate(over="ignore"):  # at large k these are inf
+            for got, want, den_exp in ((tn, base[0], 4 * k), (tfro, base[1], 2 * k)):
+                assert got.numerator == float(np.ldexp(want.numerator, 2 * k))
+                assert got.denominator_sq == float(
+                    np.ldexp(want.denominator_sq, den_exp))
+
+    @pytest.mark.parametrize("scale", [1e170, 1e-170])
+    def test_extreme_decimal_scale_is_valid(self, scale):
+        """Weights ×1e170 used to overflow and ×1e-170 to underflow into NA;
+        both now match the unscaled statistics."""
+        g, h, part = _random_pair(43)
+        base_tn, base_tfro = run_methods(METHODS, g, h, part, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tn, tfro = run_methods(METHODS, _scaled(g, scale), _scaled(h, scale),
+                                   part, 0.05)
+        assert tn.statistic == pytest.approx(base_tn.statistic, rel=1e-12)
+        assert tn.reject == base_tn.reject
+        assert tfro.statistic == pytest.approx(scale * base_tfro.statistic, rel=1e-12)
+
+
 class TestNonFinite:
-    """Weights scaled by 1e170 overflow every product T_ij.  The result must
-    be NA with its own reason, never a NaN statistic, and no overflow
-    warning may escape."""
+    """Weights of opposite sign near the float64 limit overflow D = G - H.
+    The result must be NA with its own reason, never a NaN statistic, and
+    no overflow warning may escape."""
 
     @pytest.mark.parametrize("method", ["tn", "tfro"])
     def test_overflow_is_na(self, method):
-        model = TwoBlockModel(n=8, family="beta", within=(2.0, 3.0),
-                              between=(1.0, 3.0), epsilon=0.5)
-        huge = lambda s: GraphSample.from_edges(s.edges * 1e170)
-        g = huge(sample_population(model, False, 4, substream(43, 0)))
-        h = huge(sample_population(model, True, 4, substream(43, 1)))
-        part = random_partition(4, substream(43, 2))
+        full = np.ones((4, 4)) - np.eye(4)
+        g = _sample_from_arrays([full * 1e308] * 2)
+        h = _sample_from_arrays([full * -1e308] * 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = run_method(method, g, h, part, 0.05)
+            result = run_method(method, g, h, Partition((0,), (1,)), 0.05)
         assert result.is_na and result.na_reason == NON_FINITE
         assert result.p_value is None and result.reject is None
+
+    def test_tfro_statistic_overflow_is_na(self):
+        """D near 2e300 over S one ulp of 1e300 wide: ``tfro`` exceeds
+        float64 and is NA, while ``tn`` (here exactly 1) stays valid."""
+        x = 1e300
+        g = _sample_from_arrays([_single_edge_graph(x)] * 2)
+        h = _sample_from_arrays([_single_edge_graph(-np.nextafter(x, 0.0))] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tn, tfro = run_methods(METHODS, g, h, Partition((0,), (1,)), 0.05)
+        assert tn.statistic == 1.0
+        assert tfro.is_na and tfro.na_reason == NON_FINITE
 
 
 class TestRunMethod:
@@ -318,3 +413,30 @@ class TestRunMethod:
         g = _sample_from_arrays([np.zeros((2, 2))] * 2)
         with pytest.raises(ValueError):
             run_method("nope", g, g, Partition((0,), (1,)), 0.05)
+
+    def test_unknown_method_rejected_before_any_work(self):
+        """A bad name fails even where the samples would fail their checks."""
+        g2 = _sample_from_arrays([np.zeros((2, 2))] * 2)
+        g3 = _sample_from_arrays([np.zeros((3, 3))] * 2)
+        with pytest.raises(ValueError, match="nope"):
+            run_methods(("tn", "nope"), g2, g3, Partition((0,), (1,)), 0.05)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_groups())
+    def test_matches_brute_force_with_negative_weights(self, case):
+        """Both methods on one split equal the loop oracle exactly, NA
+        reasons included, and equal each method run alone in either order."""
+        gs, hs, first, second = case
+        g, h = _sample_from_arrays(gs), _sample_from_arrays(hs)
+        part = Partition(first, second)
+        both = run_methods(("tn", "tfro"), g, h, part, 0.05)
+        for got in both:
+            numerator, denom_sq, stat = brute_force(got.method, gs, hs, first, second)
+            assert got.numerator == numerator
+            assert got.denominator_sq == denom_sq
+            assert got.statistic == stat
+            if stat is None:
+                assert got.na_reason == (ZERO_DENOMINATOR if denom_sq == 0.0
+                                         else NEGATIVE_DENOMINATOR)
+        assert both == tuple(run_method(m, g, h, part, 0.05) for m in ("tn", "tfro"))
+        assert run_methods(("tfro", "tn"), g, h, part, 0.05) == both[::-1]
