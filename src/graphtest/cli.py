@@ -10,8 +10,11 @@ One executable with five subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.  Errors are printed
 to stderr as one line, ``<code>: <message>``.  A subcommand takes only the
-flags it reads: ``--seed`` (omit for OS entropy) all but ``theory``,
-``--output-format`` the three that print records, ``--threads`` ``simulate``.
+flags it reads: ``--seed`` all but ``theory``, ``--output-format`` the
+three that print records, ``--threads`` ``simulate``.  Without ``--seed``,
+``generate``, ``test`` and ``realdata`` draw a seed from OS entropy and
+print it to stderr as ``graphtest: seed <N> (from OS entropy)``;
+``simulate`` uses its config's ``master_seed``.
 """
 
 from __future__ import annotations
@@ -174,6 +177,16 @@ def _print_records(records: list[dict], fmt: str) -> None:
             print("  ".join(_cell(record[k]).ljust(w) for k, w in zip(keys, widths)))
 
 
+def _master_seed(args) -> int:
+    """``--seed``, or a fresh seed from OS entropy, which is then written to
+    stderr so the run can be repeated; stdout and reports are unchanged."""
+    if args.seed is not None:
+        return args.seed
+    seed = fresh_seed()
+    print(f"graphtest: seed {seed} (from OS entropy)", file=sys.stderr)
+    return seed
+
+
 def _cell(value) -> str:
     if value is None:
         return "NA"
@@ -184,7 +197,7 @@ def _cell(value) -> str:
 
 def _cmd_generate(args) -> int:
     model = load_model_json(args.model)
-    seed = args.seed if args.seed is not None else fresh_seed()
+    seed = _master_seed(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sample = sample_population(model, args.shifted, args.m, substream(seed, 0))
@@ -214,7 +227,7 @@ def _cmd_test(args) -> int:
             )
         group_a, group_b = realdata._drop_last_pair(group_a, group_b)
 
-    seed = args.seed if args.seed is not None else fresh_seed()
+    seed = _master_seed(args)
     records = []
     for split in range(args.splits):
         partition = random_partition(group_a.m, substream(seed, split))
@@ -304,7 +317,7 @@ def _cmd_realdata(args) -> int:
                 "split-only": "split_only"}[args.strategy]
     group_a = load_group(args.group_a).sample
     group_b = load_group(args.group_b).sample
-    seed = args.seed if args.seed is not None else fresh_seed()
+    seed = _master_seed(args)
     plan = ResamplingPlan(strategy=strategy, repetitions=args.reps, seed=seed)
     methods = _methods(args.method)
 

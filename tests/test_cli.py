@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +251,27 @@ class TestRealdata:
                      "--strategy", "split-only", "--reps", "2", "--seed", "3"])
         assert code == 2
         assert "unequal-split-only" in capsys.readouterr().err
+
+
+class TestEntropySeed:
+    """Without --seed the drawn seed is written to stderr, and only there;
+    re-running with it reproduces stdout byte for byte."""
+
+    @pytest.mark.parametrize("command, extra", [("test", ["--splits", "3"]),
+                                                ("realdata", ["--reps", "4"])],
+                             ids=["test", "realdata"])
+    def test_printed_seed_reproduces_run(self, command, extra, group_dirs, capsys):
+        a, b = group_dirs
+        args = [command, "--group-a", str(a), "--group-b", str(b),
+                "--method", "both", *extra]
+        assert main(args) == 0
+        first = capsys.readouterr()
+        seed = re.fullmatch(r"graphtest: seed (\d+) \(from OS entropy\)\n", first.err)
+        assert seed is not None
+        assert main([*args, "--seed", seed[1]]) == 0
+        again = capsys.readouterr()
+        assert again.out == first.out
+        assert again.err == ""
 
 
 def _write_scaled_groups(tmp_path, scale):

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import norm
 
+import graphtest
 from graphtest.errors import (
     DimensionMismatchError,
     InvalidAlphaError,
@@ -26,6 +34,7 @@ from graphtest.twosample import (
     NON_FINITE,
     ZERO_DENOMINATOR,
     Partition,
+    _result,
     critical_value,
     decide,
     edge_statistics,
@@ -87,6 +96,54 @@ def integer_groups(draw):
     hs = [graph() for _ in range(m)]
     perm = draw(st.permutations(range(m)))
     return gs, hs, tuple(sorted(perm[: m // 2])), tuple(sorted(perm[m // 2:]))
+
+
+def whole_array_oracle(methods, sample_g, sample_h, partition, alpha):
+    """The kernel before it streamed rows, kept as a reference: whole
+    ``(m, P)`` arrays D = G - H and S = G + H, each half summed along axis
+    0, the same power-of-two rescale, then ``_result``.  Returns the decided
+    results and the ``(P,)`` vector T."""
+    def half_sums(x):
+        s1 = x[list(partition.first_half)].sum(axis=0)
+        s2 = x[list(partition.second_half)].sum(axis=0)
+        e = int(np.frexp(max(np.abs(s1).max(), np.abs(s2).max()))[1])
+        return np.ldexp(s1, -e), np.ldexp(s2, -e), e
+
+    with np.errstate(all="ignore"):
+        d1, d2, e_d = half_sums(sample_g.edges - sample_h.edges)
+        t = d1 * d2
+        numerator = float(t.sum())
+        s1, s2, e_s = half_sums(sample_g.edges + sample_h.edges)
+        results = {
+            "tn": _result("tn", numerator, float((t * t).sum()), 2 * e_d, 4 * e_d),
+            "tfro": _result("tfro", numerator, float((s1 * s2).sum()),
+                            2 * e_d, 2 * e_s),
+        }
+        edge_t = np.ldexp(t, 2 * e_d)
+    return tuple(decide(results[m], alpha) for m in methods), edge_t
+
+
+def _bits(result) -> list:
+    """Every field of a result, each float as its float64 bytes, so NaNs and
+    signed zeros compare too."""
+    values = (getattr(result, f) for f in result.__dataclass_fields__)
+    return [np.float64(v).tobytes() if isinstance(v, float) else v for v in values]
+
+
+@st.composite
+def float_groups(draw):
+    """Two groups as raw edge arrays of arbitrary finite float64 weights
+    (negative, subnormal, near the float64 limit, signed zeros), even m in
+    2..16, and a split whose halves are in arbitrary order."""
+    m = draw(st.sampled_from(range(2, 17, 2)))
+    n = draw(st.integers(2, 5))
+    shape = (m, n * (n - 1) // 2)
+    weights = st.floats(allow_nan=False, allow_infinity=False)
+    g = draw(arrays(np.float64, shape, elements=weights))
+    h = draw(arrays(np.float64, shape, elements=weights))
+    perm = draw(st.permutations(range(m)))
+    return (GraphSample.from_edges(g), GraphSample.from_edges(h),
+            Partition(tuple(perm[: m // 2]), tuple(perm[m // 2:])))
 
 
 def _random_pair(seed, n=8, m=4):
@@ -305,6 +362,24 @@ class TestInvariances:
         assert r_hg.statistic == pytest.approx(r_gh.statistic, rel=1e-12)
         assert r_hg.reject == r_gh.reject
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(8)))
+    def test_node_relabeling_leaves_statistics_unchanged(self, seed, perm):
+        """Relabelling the nodes of every graph in both groups permutes the
+        pairs, which changes only the order of the sums over pairs.  Beyond
+        rel_tol, a reordered sum of P terms may move by P * eps * sum|T_ij|
+        (its forward-error bound), which matters when the sum cancels."""
+        g, h, part = _random_pair(seed)
+        relabel = lambda s: _sample_from_arrays(
+            [gr.weights[np.ix_(perm, perm)] for gr in s.graphs])
+        base = run_methods(METHODS, g, h, part, 0.05)
+        moved = run_methods(METHODS, relabel(g), relabel(h), part, 0.05)
+        t = edge_statistics(g, h, part)
+        sum_error = t.size * np.finfo(float).eps * np.abs(t).sum()
+        for got, want in zip(moved, base):
+            assert math.isclose(got.statistic, want.statistic, rel_tol=1e-12,
+                                abs_tol=sum_error / math.sqrt(want.denominator_sq))
+
     def test_node_relabeling_invariance(self):
         g, h, part = _random_pair(37)
         perm = np.random.default_rng(38).permutation(8)
@@ -440,3 +515,63 @@ class TestRunMethod:
                                          else NEGATIVE_DENOMINATOR)
         assert both == tuple(run_method(m, g, h, part, 0.05) for m in ("tn", "tfro"))
         assert run_methods(("tfro", "tn"), g, h, part, 0.05) == both[::-1]
+
+
+class TestStreamedKernel:
+    """The row-streamed kernel against the whole-array kernel it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_groups())
+    def test_matches_whole_array_oracle_bit_for_bit(self, case):
+        """Each half sum adds the same rows in the same order as numpy's
+        axis-0 sum, so every field (NaN and signed-zero bits included) and
+        the vector T equal the oracle's exactly."""
+        g, h, part = case
+        for methods in (("tn",), ("tfro",), ("tn", "tfro")):
+            want, want_t = whole_array_oracle(methods, g, h, part, 0.05)
+            got = run_methods(methods, g, h, part, 0.05)
+            assert [_bits(r) for r in got] == [_bits(r) for r in want]
+        with np.errstate(all="ignore"):
+            got_t = edge_statistics(g, h, part)
+        assert got_t.tobytes() == want_t.tobytes()
+
+    @pytest.mark.parametrize("m", [4, 14, 70])
+    def test_peak_memory_does_not_grow_with_m(self, m):
+        """Both methods on one split allocate at most eight (P,) vectors,
+        where whole-array half sums took several (m, P) arrays."""
+        g, h, part = _random_pair(53, n=100, m=m)
+        p = g.edges.shape[1]
+        tracemalloc.start()
+        try:
+            run_methods(METHODS, g, h, part, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * p * 8
+
+
+class TestNormalTails:
+    """p-values and critical values come from ``scipy.special``; they must
+    equal what ``scipy.stats.norm`` gives with loc 0 and scale 1."""
+
+    def test_critical_value_matches_norm_ppf(self):
+        for alpha in np.linspace(0.001, 0.999, 999):
+            alpha = float(alpha)
+            assert critical_value(alpha) == float(norm.ppf(1.0 - alpha / 2.0))
+
+    @settings(max_examples=500, deadline=None)
+    @given(z=st.floats(-40.0, 40.0))
+    def test_p_value_matches_norm_sf(self, z):
+        result = _result("tn", z, 1.0, 0, 0)
+        assert result.statistic == z
+        assert result.p_value == float(2.0 * norm.sf(abs(z)))
+
+    def test_cli_import_does_not_load_scipy_stats(self):
+        """``scipy.stats`` took most of the CLI's start-up time."""
+        src = str(Path(graphtest.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import graphtest.cli, sys; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
