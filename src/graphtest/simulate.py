@@ -5,6 +5,14 @@ of node counts, group sizes, and shifts.  Every (cell, replicate) derives
 its own random stream from the master seed, so reports are bit-identical
 regardless of how many workers run the cells.
 
+Work is planned as replicate chunks ``(cell_index, start, stop)``: a
+replicate costs ``m * n * (n - 1)`` pair draws, each cell is cut into the
+fewest equal chunks that keep a chunk within a quarter of one worker's
+share, and the chunks are handed out costliest first (Graham's
+longest-processing-time rule), so no large cell starts last and leaves a
+worker idle.  Chunks return integer tallies, which are summed per cell and
+reported in cell order.
+
 Per replicate: draw the first group from the unshifted model and the second
 from the shifted one (a zero shift is the null), draw a fresh random
 partition, evaluate the requested statistics, and tally decisions.
@@ -115,34 +123,43 @@ class SimulationReport:
     cells: tuple[CellResult, ...]
 
 
-def run_cell(
-    config: ExperimentConfig, n: int, m: int, epsilon: float, cell_index: int
-) -> tuple[CellResult, ...]:
-    """Run one grid cell; returns one tally per requested method."""
+def _run_chunk(config: ExperimentConfig, cell: tuple[int, int, int, float],
+               start: int, stop: int):
+    """Replicates ``start..stop-1`` of one cell.  Returns the cell's lambda
+    (computed only when ``start == 0``, else None) and one
+    ``(rejections, nas)`` tally per requested method."""
+    cell_index, n, m, epsilon = cell
     model = config.cell_model(n, epsilon)
+    lam = None
+    if start == 0:
+        try:
+            lam = lambda_from_moments(two_block_moments(model, m))
+        except DegenerateModelError:
+            pass
+    rejects = [0] * len(config.methods)
+    nas = [0] * len(config.methods)
     try:
-        lam = lambda_from_moments(two_block_moments(model, m))
-    except DegenerateModelError:
-        lam = None
-
-    replicates = []
-    try:
-        for r in range(config.replications):
+        for r in range(start, stop):
             rng = substream(config.master_seed, cell_index, r)
             group_g = sample_population(model, False, m, rng)
             group_h = sample_population(model, True, m, rng)
             partition = random_partition(m, rng)
-            replicates.append(run_methods(config.methods, group_g, group_h,
-                                          partition, config.alpha))
+            results = run_methods(config.methods, group_g, group_h, partition,
+                                  config.alpha)
+            for i, result in enumerate(results):
+                nas[i] += result.is_na
+                rejects[i] += result.reject is True
     except GraphTestError as err:
         raise GraphTestError(
             f"cell n={n} m={m} epsilon={epsilon:g} failed: {err}"
         ) from err
+    return lam, tuple(zip(rejects, nas))
 
+
+def _cell_results(config: ExperimentConfig, n: int, m: int, epsilon: float,
+                  lam: float | None, tallies) -> tuple[CellResult, ...]:
     out = []
-    for method, results in zip(config.methods, zip(*replicates)):
-        nas = sum(result.is_na for result in results)
-        rejects = sum(result.reject is True for result in results)
+    for method, (rejects, nas) in zip(config.methods, tallies):
         valid = config.replications - nas
         out.append(CellResult(
             n=n, m=m, epsilon=epsilon, method=method,
@@ -154,28 +171,77 @@ def run_cell(
     return tuple(out)
 
 
-def _cell_task(args) -> tuple[CellResult, ...]:
-    config, idx, n, m, epsilon = args
-    return run_cell(config, n, m, epsilon, idx)
+def run_cell(
+    config: ExperimentConfig, n: int, m: int, epsilon: float, cell_index: int
+) -> tuple[CellResult, ...]:
+    """Run one grid cell; returns one tally per requested method."""
+    lam, tallies = _run_chunk(config, (cell_index, n, m, epsilon), 0,
+                              config.replications)
+    return _cell_results(config, n, m, epsilon, lam, tallies)
+
+
+def plan_chunks(config: ExperimentConfig, workers: int) -> list[tuple[int, int, int]]:
+    """Replicate chunks ``(cell_index, start, stop)`` covering every
+    (cell, replicate) exactly once, costliest first.
+
+    A replicate of cell (n, m) costs ``m * n * (n - 1)``.  Each cell is cut
+    into the fewest near-equal chunks (sizes differ by at most one) whose
+    cost stays within ``1 / (4 * workers)`` of the total work, or into
+    single replicates when one replicate alone exceeds that.  Ties in cost
+    keep ``(cell_index, start)`` order."""
+    reps = config.replications
+    unit = {idx: m * n * (n - 1) for idx, n, m, _ in config.cells()}
+    total = reps * sum(unit.values())
+    plan = []
+    for idx, cost in unit.items():
+        per_chunk = min(reps, max(1, total // (4 * workers * cost)))
+        count = -(-reps // per_chunk)
+        bounds = [reps * i // count for i in range(count + 1)]
+        plan += [(idx, a, b) for a, b in zip(bounds, bounds[1:])]
+    return sorted(plan, key=lambda c: (-(c[2] - c[1]) * unit[c[0]], c[0], c[1]))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> SimulationReport:
     """Run every grid cell on ``threads`` worker processes (0 = one per
-    CPU).  Results are identical for any thread count: each cell's streams
-    are keyed by (master seed, cell index, replicate) and reduction follows
-    the deterministic cell order."""
+    usable CPU, never more than there are chunks).
+
+    The work is the :func:`plan_chunks` plan for ``threads``, handed out
+    costliest chunk first; ``threads == 1`` runs the same plan in this
+    process.  Chunk tallies are integers summed per cell and reported in
+    :meth:`ExperimentConfig.cells` order, and every replicate's stream is
+    keyed by (master seed, cell index, replicate), so the report is
+    identical for any thread count."""
     if threads < 0:
         raise ValueError(f"threads must be non-negative, got {threads}")
-    threads = threads or os.cpu_count() or 1
-    tasks = [(config, idx, n, m, eps) for idx, n, m, eps in config.cells()]
-    if threads == 1 or len(tasks) == 1:
-        results = [_cell_task(task) for task in tasks]
+    threads = threads or _usable_cpus()
+    cells = config.cells()
+    plan = plan_chunks(config, threads)
+    tasks = [(config, cells[idx], start, stop) for idx, start, stop in plan]
+    workers = min(threads, len(plan))
+    if workers == 1:
+        results = [_run_chunk(*task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_cell_task, tasks))
-    cells = tuple(cell for group in results for cell in group)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_chunk, *zip(*tasks)))
+
+    lams = {}
+    tallies = {idx: [(0, 0)] * len(config.methods) for idx, *_ in cells}
+    for (idx, start, _), (lam, chunk) in zip(plan, results):
+        if start == 0:
+            lams[idx] = lam
+        tallies[idx] = [(r0 + r1, na0 + na1)
+                        for (r0, na0), (r1, na1) in zip(tallies[idx], chunk)]
+    report = tuple(result for idx, n, m, eps in cells
+                   for result in _cell_results(config, n, m, eps, lams[idx],
+                                               tallies[idx]))
     return SimulationReport(master_seed=config.master_seed, alpha=config.alpha,
-                            cells=cells)
+                            cells=report)
 
 
 def emit_report(report: SimulationReport, path) -> None:

@@ -130,19 +130,25 @@ def _check_samples(sample_g: GraphSample, sample_h: GraphSample, partition: Part
 
 
 def _scaled_half_sums(g_edges: np.ndarray, h_edges: np.ndarray, op,
-                      partition: Partition):
+                      partition: Partition, work: np.ndarray):
     """Per-pair sums of ``op(g_edges[k], h_edges[k])`` (``op`` is
     ``np.subtract`` or ``np.add``) over each half of the split, times
     ``2**-e``, and ``e``, chosen so the larger magnitude lies in [0.5, 1):
     exact, and safe to multiply at any scale.
 
-    Each sum starts at +0.0 and adds one row at a time in the half's order,
-    the arithmetic of numpy's axis-0 sum, while holding only ``(P,)``
-    vectors."""
-    s1, s2, tmp = np.zeros((3, g_edges.shape[1]))
+    Each sum has the arithmetic of numpy's axis-0 sum while holding only
+    ``(P,)`` vectors: it starts at +0.0 and adds one row at a time in the
+    half's order.  A single column (P = 1) numpy sums pairwise, so that
+    case sums the column itself.  The sums are the first two rows of
+    ``work``, a ``(3, P)`` block that is overwritten."""
+    work.fill(0.0)
+    s1, s2, tmp = work
     for acc, half in ((s1, partition.first_half), (s2, partition.second_half)):
-        for k in half:
-            acc += op(g_edges[k], h_edges[k], out=tmp)
+        if acc.size == 1:
+            op(g_edges[list(half)], h_edges[list(half)]).sum(axis=0, out=acc)
+        else:
+            for k in half:
+                acc += op(g_edges[k], h_edges[k], out=tmp)
     e = int(np.frexp(max(np.abs(s1, out=tmp).max(), np.abs(s2, out=tmp).max()))[1])
     return np.ldexp(s1, -e, out=s1), np.ldexp(s2, -e, out=s2), e
 
@@ -150,11 +156,17 @@ def _scaled_half_sums(g_edges: np.ndarray, h_edges: np.ndarray, op,
 def edge_statistics(
     sample_g: GraphSample, sample_h: GraphSample, partition: Partition
 ) -> np.ndarray:
-    """Per-pair products T_ij, a ``(P,)`` vector in :func:`pair_layout` order."""
+    """Per-pair products T_ij, a ``(P,)`` vector in :func:`pair_layout` order.
+
+    A pair whose product overflows float64 (half sums of opposite-sign
+    weights near the float64 limit) comes back as ±inf or nan, without a
+    floating-point warning."""
     _check_samples(sample_g, sample_h, partition)
-    d1, d2, e = _scaled_half_sums(sample_g.edges, sample_h.edges, np.subtract,
-                                  partition)
-    return np.ldexp(d1 * d2, 2 * e)
+    g, h = sample_g.edges, sample_h.edges
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2, e = _scaled_half_sums(g, h, np.subtract, partition,
+                                      np.empty((3, g.shape[1])))
+        return np.ldexp(d1 * d2, 2 * e)
 
 
 def _result(method: str, numerator: float, den_sq: float, num_exp: int,
@@ -214,9 +226,11 @@ def run_methods(
     _check_samples(sample_g, sample_h, partition)
     g, h = sample_g.edges, sample_h.edges
     results = {}
+    # One work block per split: D's half sums, then S's once T is reduced.
+    work = np.empty((3, g.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        d1, d2, e_d = _scaled_half_sums(g, h, np.subtract, partition)
-        # Products go into spent buffers: the peak stays at six (P,) vectors.
+        d1, d2, e_d = _scaled_half_sums(g, h, np.subtract, partition, work)
+        # Products go into spent buffers: the peak stays at three (P,) vectors.
         t = np.multiply(d1, d2, out=d1)
         numerator = float(t.sum())
         if "tn" in methods:
@@ -224,7 +238,7 @@ def run_methods(
                                     float(np.square(t, out=d2).sum()),
                                     2 * e_d, 4 * e_d)
         if "tfro" in methods:
-            s1, s2, e_s = _scaled_half_sums(g, h, np.add, partition)
+            s1, s2, e_s = _scaled_half_sums(g, h, np.add, partition, work)
             results["tfro"] = _result("tfro", numerator,
                                       float(np.multiply(s1, s2, out=s1).sum()),
                                       2 * e_d, 2 * e_s)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import csv
+import multiprocessing
+import os
 
 import pytest
 
-from graphtest.errors import ConfigError
+from graphtest import simulate
+from graphtest.errors import ConfigError, GraphTestError
 from graphtest.models import sample_population
 from graphtest.rng import substream
 from graphtest.simulate import (
@@ -14,6 +17,7 @@ from graphtest.simulate import (
     SimulationReport,
     emit_report,
     experiment_from_json,
+    plan_chunks,
     run_cell,
     run_experiment,
 )
@@ -135,6 +139,125 @@ class TestRunExperiment:
     def test_single_cell_report(self):
         report = run_experiment(_beta_config(replications=1, methods=("tn",)))
         assert len(report.cells) == 1
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the worker pools ``run_experiment`` starts (none: [])."""
+    sizes = []
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool(sizes, max_workers))
+    return sizes
+
+
+class TestWorkerCount:
+    def test_threads_zero_counts_usable_cpus(self, monkeypatch, pool_sizes):
+        """Two CPUs exist but the affinity mask allows one: no pool."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = _beta_config(n_grid=(6, 10), replications=3)
+        assert run_experiment(config, threads=0) == run_experiment(config)
+        assert pool_sizes == []
+
+    def test_falls_back_to_cpu_count(self, monkeypatch, pool_sizes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_experiment(_beta_config(n_grid=(6, 10, 20), replications=3),
+                       threads=0)
+        assert pool_sizes == [3]
+
+    def test_no_more_workers_than_chunks(self, pool_sizes):
+        config = _beta_config(n_grid=(6, 10), replications=1)
+        assert len(plan_chunks(config, 8)) == 2
+        run_experiment(config, threads=8)
+        run_experiment(_beta_config(replications=1), threads=8)
+        assert pool_sizes == [2]
+
+
+def _grid_config(replications):
+    return _beta_config(n_grid=(6, 10, 20), m_grid=(2, 4),
+                        epsilon_grid=(0.0, 0.5), replications=replications)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("replications", [1, 7, 500])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_plan_covers_each_replicate_once_costliest_first(self, replications,
+                                                             workers):
+        config = _grid_config(replications)
+        cells = config.cells()
+        plan = plan_chunks(config, workers)
+        covered = sorted((idx, r) for idx, start, stop in plan
+                         for r in range(start, stop))
+        assert covered == [(idx, r) for idx, *_ in cells
+                           for r in range(replications)]
+
+        def cost(chunk):
+            idx, start, stop = chunk
+            _, n, m, _ = cells[idx]
+            return (stop - start) * m * n * (n - 1)
+
+        keys = [(-cost(c), c[0], c[1]) for c in plan]
+        assert keys == sorted(keys)
+        cap = sum(map(cost, plan)) / (4 * workers)
+        for idx, start, stop in plan:
+            assert start < stop
+            assert stop - start == 1 or cost((idx, start, stop)) <= cap
+            sizes = {b - a for i, a, b in plan if i == idx}
+            assert max(sizes) - min(sizes) <= 1
+
+    def test_plan_splits_the_costliest_cell(self):
+        """Seven replicates of the n=20, m=4 cell do not fit a quarter of a
+        worker's share, so they come in uneven chunks, first in the plan."""
+        plan = plan_chunks(_grid_config(7), 2)
+        costliest = [(a, b) for idx, a, b in plan if idx == 10]
+        assert plan[0][0] == 10
+        assert len({b - a for a, b in costliest}) == 2
+
+    @pytest.mark.parametrize("replications", [1, 7])
+    def test_reports_identical_for_any_thread_count(self, replications):
+        config = _grid_config(replications)
+        serial = run_experiment(config, threads=1)
+        assert run_experiment(config, threads=2) == serial
+        assert run_experiment(config, threads=3) == serial
+        whole_cells = tuple(result for idx, n, m, eps in config.cells()
+                            for result in run_cell(config, n, m, eps, idx))
+        assert serial.cells == whole_cells
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched kernel only when forked")
+    def test_worker_error_names_its_cell(self, monkeypatch):
+        parent = os.getpid()
+
+        def failing(methods, sample_g, *args):
+            if sample_g.n == 10 and os.getpid() != parent:
+                raise GraphTestError("boom")
+            return run_methods_orig(methods, sample_g, *args)
+
+        run_methods_orig = simulate.run_methods
+        monkeypatch.setattr(simulate, "run_methods", failing)
+        config = _beta_config(n_grid=(6, 10), epsilon_grid=(0.5,),
+                              replications=3)
+        with pytest.raises(GraphTestError,
+                           match=r"cell n=10 m=2 epsilon=0.5 failed: boom"):
+            run_experiment(config, threads=2)
 
 
 class TestEmitReport:

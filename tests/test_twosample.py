@@ -470,6 +470,17 @@ class TestNonFinite:
         assert result.is_na and result.na_reason == NON_FINITE
         assert result.p_value is None and result.reject is None
 
+    def test_edge_statistics_overflow_is_quiet(self):
+        """The public per-pair products give ±inf or nan for an overflowing
+        pair, and no warning escapes either."""
+        full = np.ones((4, 4)) - np.eye(4)
+        g = _sample_from_arrays([full * 1e308] * 2)
+        h = _sample_from_arrays([full * -1e308] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = edge_statistics(g, h, Partition((0,), (1,)))
+        assert t.shape == (6,) and not np.isfinite(t).any()
+
     def test_tfro_statistic_overflow_is_na(self):
         """D near 2e300 over S one ulp of 1e300 wide: ``tfro`` exceeds
         float64 and is NA, while ``tn`` (here exactly 1) stays valid."""
@@ -534,6 +545,19 @@ class TestStreamedKernel:
         with np.errstate(all="ignore"):
             got_t = edge_statistics(g, h, part)
         assert got_t.tobytes() == want_t.tobytes()
+
+    def test_single_pair_follows_numpy_pairwise_sum(self):
+        """At n=2 numpy sums a half of eight graphs pairwise, not row by
+        row: (1 + 1e16) + (-1e16 + 1) is 0, where a running sum gives 1."""
+        rows = np.array([1.0, 1e16, -1e16, 1.0, 0.0, 0.0, 0.0, 0.0] * 2)[:, None]
+        g = GraphSample.from_edges(rows)
+        h = GraphSample.from_edges(np.zeros_like(rows))
+        part = Partition(tuple(range(8)), tuple(range(8, 16)))
+        want, want_t = whole_array_oracle(METHODS, g, h, part, 0.05)
+        got = run_methods(METHODS, g, h, part, 0.05)
+        assert [_bits(r) for r in got] == [_bits(r) for r in want]
+        assert got[0].na_reason == ZERO_DENOMINATOR
+        assert edge_statistics(g, h, part).tobytes() == want_t.tobytes()
 
     @pytest.mark.parametrize("m", [4, 14, 70])
     def test_peak_memory_does_not_grow_with_m(self, m):
