@@ -1,8 +1,8 @@
 """Byte-level regression guard: fixed-seed outputs must keep their digests.
 
 Each case produces the exact bytes a user would see (a report file, the
-CSVs written by ``generate``, stdout of ``test``, or a sampled weight
-matrix) and compares their SHA-256 with a digest recorded from an earlier
+CSVs written by ``generate``, stdout of ``test`` or ``theory``, or a
+sampled weight matrix) and compares their SHA-256 with a digest recorded from an earlier
 version of the package.  A refactor that changes any number, any summation
 order, or any random-stream use shows up here as a digest mismatch.
 
@@ -39,6 +39,10 @@ DIGESTS = {
         "b080fec1f6b2d4ed8196cef9e1ce028eb2174086a90b6cf94b537710307a61e1",
     "means-bernoulli":
         "37b63ea731e88103bb6d1250d8b4d0626ce53c4dcb48a0f3111649e85a571dcc",
+    "theory-beta":
+        "5ad8210c355a8e83ae392b847f0a9d605a293c4bd3d5fc9ec982fd6b706e00b6",
+    "theory-bernoulli":
+        "993f8d54d94c368b4bcade1dce719b5673c0efc243b84df997f364377a84a658",
 }
 
 DESIGNS = {
@@ -105,6 +109,18 @@ def _test_stdout(tmp_path, capsys) -> bytes:
     return capsys.readouterr().out.encode()
 
 
+def _theory(tmp_path, capsys, family) -> bytes:
+    """``theory`` JSON for a shifted model; the Bernoulli one also carries
+    the ``bernoulli_condition`` block."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"schema": 1, "n": 20, "epsilon": 0.2,
+                                 **DESIGNS[family]}))
+    capsys.readouterr()
+    assert main(["theory", "--config", str(model), "--m", "6",
+                 "--output-format", "json"]) == 0
+    return capsys.readouterr().out.encode()
+
+
 def _means(family) -> bytes:
     """One draw from an inhomogeneous mean matrix (distinct Beta shapes on
     every pair)."""
@@ -127,6 +143,8 @@ def test_digest_unchanged(name, tmp_path, capsys):
         data = _generate(tmp_path)
     elif name == "test-stdout":
         data = _test_stdout(tmp_path, capsys)
+    elif name.startswith("theory-"):
+        data = _theory(tmp_path, capsys, name.split("-", 1)[1])
     else:
         data = _means(name.split("-", 1)[1])
     assert _sha(data) == DIGESTS[name]
