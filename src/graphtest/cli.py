@@ -30,7 +30,7 @@ from pathlib import Path
 from . import diagnostics, realdata, simulate
 from .errors import GraphTestError, InvalidAlphaError, OddSampleSizeError
 from .graphs import save_adjacency_csv
-from .models import load_model_json, sample_population
+from .models import load_model_json, model_mean_matrix, sample_population
 from .realdata import ResamplingPlan, load_group
 from .rng import check_seed, fresh_seed, substream
 from .twosample import METHODS, random_partition, run_methods
@@ -240,9 +240,8 @@ def _cmd_test(args) -> int:
 def _cmd_theory(args) -> int:
     model = load_model_json(args.config)
     moments = diagnostics.two_block_moments(model, args.m)
-    null_model = (model if model.epsilon == 0.0
-                  else dataclasses.replace(model, epsilon=0.0))
-    null_moments = diagnostics.two_block_moments(null_model, args.m)
+    null_moments = dataclasses.replace(moments, mu2=moments.mu1,
+                                       sigma2_sq=moments.sigma1_sq)
 
     try:
         lam = diagnostics.lambda_from_moments(moments)
@@ -272,7 +271,7 @@ def _cmd_theory(args) -> int:
         "power_condition_ratios": power_side,
     }
     if model.family == "bernoulli":
-        cond = diagnostics.bernoulli_condition(null_moments.mu1, args.delta)
+        cond = diagnostics.bernoulli_condition(model_mean_matrix(model).mu, args.delta)
         report["bernoulli_condition"] = {
             "n": cond.n,
             "mu_fro_sq": cond.mu_fro_sq,

@@ -28,16 +28,18 @@ import numpy as np
 
 from .errors import (
     DegenerateModelError,
+    DimensionMismatchError,
     InvalidScenarioParamsError,
     OddSampleSizeError,
 )
 from .graphs import pair_layout
-from .models import MeanMatrix, TwoBlockModel, _block_matrix, model_mean_matrix
+from .models import MeanMatrix, TwoBlockModel, _blocks, _pair_moments
 
 
 @dataclass(frozen=True, eq=False)
 class ModelMoments:
-    """Per-pair moments of a model pair (population 1 vs population 2).
+    """Per-pair moments of a model pair (population 1 vs population 2), each
+    a ``(P,)`` vector in :func:`~graphtest.graphs.pair_layout` order.
 
     Under the null the two mean/variance sets coincide and ``eta`` holds the
     per-pair fourth moment of a weight difference between two independent
@@ -51,6 +53,15 @@ class ModelMoments:
     sigma1_sq: np.ndarray
     sigma2_sq: np.ndarray
     eta: np.ndarray | None = None
+
+    def __post_init__(self):
+        # A dense n x n field would be summed over both triangles.
+        pairs = self.n * (self.n - 1) // 2
+        for name in ("mu1", "mu2", "sigma1_sq", "sigma2_sq", "eta"):
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != (pairs,):
+                raise DimensionMismatchError(
+                    f"{name} must have shape ({pairs},), got {np.shape(value)}")
 
     @property
     def is_null(self) -> bool:
@@ -104,42 +115,31 @@ def two_block_moments(model: TwoBlockModel, m: int) -> ModelMoments:
     With ``epsilon = 0`` this is a null configuration.  ``eta`` is always
     computed from the unshifted distributions, matching its null-only role.
     """
-    base = model_mean_matrix(model, shifted=False)
-    shifted = model_mean_matrix(model, shifted=True)
+    mu1, sigma1_sq = _pair_moments(model, shifted=False)
+    mu2, sigma2_sq = _pair_moments(model, shifted=True)
 
+    (within, _), _ = _blocks(model.n)
     p_within, p_between = model.params(shifted=False)
-    eta_w = paired_difference_fourth_moment(model.family, p_within)
-    eta_b = paired_difference_fourth_moment(model.family, p_between)
-    eta = _block_matrix(model.n, eta_w, eta_b)
+    eta = np.where(within,
+                   paired_difference_fourth_moment(model.family, p_within),
+                   paired_difference_fourth_moment(model.family, p_between))
 
-    return ModelMoments(
-        n=model.n,
-        m=m,
-        mu1=base.mu,
-        mu2=shifted.mu,
-        sigma1_sq=base.sigma2,
-        sigma2_sq=shifted.sigma2,
-        eta=eta,
-    )
+    return ModelMoments(n=model.n, m=m, mu1=mu1, mu2=mu2,
+                        sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, eta=eta)
 
 
 def mean_matrix_moments(mean: MeanMatrix, m: int) -> ModelMoments:
     """Null moments from a user-supplied mean/variance matrix (no eta)."""
-    return ModelMoments(
-        n=mean.n,
-        m=m,
-        mu1=mean.mu,
-        mu2=mean.mu,
-        sigma1_sq=mean.sigma2,
-        sigma2_sq=mean.sigma2,
-        eta=None,
-    )
+    pairs = pair_layout(mean.n)
+    mu, sigma2 = mean.mu[pairs], mean.sigma2[pairs]
+    return ModelMoments(n=mean.n, m=m, mu1=mu, mu2=mu,
+                        sigma1_sq=sigma2, sigma2_sq=sigma2)
 
 
 def null_variance(moments: ModelMoments) -> float:
     """True variance of the numerator under the null: sum of m^2 sigma^4."""
     moments._require_null("null_variance")
-    s4 = moments.sigma1_sq[pair_layout(moments.n)] ** 2
+    s4 = moments.sigma1_sq ** 2
     return float(moments.m**2 * s4.sum())
 
 
@@ -171,9 +171,8 @@ def condition_ratios(moments: ModelMoments) -> ConditionRatios:
     moments._require_null("condition_ratios")
     if moments.eta is None:
         raise ValueError("condition_ratios needs fourth moments (eta)")
-    pairs = pair_layout(moments.n)
-    s4 = moments.sigma1_sq[pairs] ** 2
-    eta = moments.eta[pairs]
+    s4 = moments.sigma1_sq ** 2
+    eta = moments.eta
     total_s4 = float(s4.sum())
     if total_s4 == 0.0:
         raise DegenerateModelError("all edge variances are zero")
@@ -234,20 +233,29 @@ def lambda_n(
     m: int,
 ) -> float:
     """Noncentrality ``m * sum((mu1-mu2)^2) / (2 * sqrt(sum(V^2)))`` with
-    ``V = sigma1^2 + sigma2^2 + (mu1-mu2)^2`` per pair."""
-    pairs = pair_layout(np.shape(mu1)[0])
-    d = (np.asarray(mu1) - np.asarray(mu2))[pairs]
-    v = (np.asarray(sigma1_sq) + np.asarray(sigma2_sq))[pairs] + d * d
-    total_v_sq = float((v * v).sum())
-    if total_v_sq == 0.0:
-        raise DegenerateModelError("all V_ij are zero; noncentrality undefined")
-    return float(m * (d * d).sum() / (2.0 * sqrt(total_v_sq)))
+    ``V = sigma1^2 + sigma2^2 + (mu1-mu2)^2`` per pair, from ``n x n``
+    mean and variance matrices."""
+    n = np.shape(mu1)[0]
+    pairs = pair_layout(n)
+    vectors = (np.asarray(a)[pairs] for a in (mu1, mu2, sigma1_sq, sigma2_sq))
+    return lambda_from_moments(ModelMoments(n, m, *vectors))
 
 
 def lambda_from_moments(moments: ModelMoments) -> float:
-    return lambda_n(
-        moments.mu1, moments.mu2, moments.sigma1_sq, moments.sigma2_sq, moments.m
-    )
+    """:func:`lambda_n` on pair-vector moments."""
+    d, total_v_sq = _gap_and_v_sq(moments)
+    return float(moments.m * (d * d).sum() / (2.0 * sqrt(total_v_sq)))
+
+
+def _gap_and_v_sq(moments: ModelMoments) -> tuple[np.ndarray, float]:
+    """Mean gaps ``d = mu1 - mu2`` and ``sum(V^2)``; raises if every V is 0."""
+    d = moments.mu1 - moments.mu2
+    v = moments.sigma1_sq + moments.sigma2_sq
+    v += d * d  # in place: one pair vector fewer alive at the peak
+    total_v_sq = float((v * v).sum())
+    if total_v_sq == 0.0:
+        raise DegenerateModelError("all V_ij are zero; noncentrality undefined")
+    return d, total_v_sq
 
 
 def lambda_sparse_bernoulli(
@@ -285,9 +293,8 @@ def tfro_consistency_ratio(moments: ModelMoments) -> float:
     variance: ``sum(mu^2) / sum(sigma^4)``.  Far from 1 means the baseline's
     normalizer estimates the wrong scale and the test fails."""
     moments._require_null("tfro_consistency_ratio")
-    pairs = pair_layout(moments.n)
-    mu_sq = moments.mu1[pairs] ** 2
-    s4 = moments.sigma1_sq[pairs] ** 2
+    mu_sq = moments.mu1 ** 2
+    s4 = moments.sigma1_sq ** 2
     total_s4 = float(s4.sum())
     if total_s4 == 0.0:
         raise DegenerateModelError("all edge variances are zero")
@@ -322,12 +329,7 @@ def power_condition_ratios(moments: ModelMoments) -> dict[str, float]:
     Two normalizations are in circulation, ``n / (m * sum(V^2))`` and
     ``n * m / (m^4 * sum(V^2))``; both are reported rather than adjudicated.
     """
-    pairs = pair_layout(moments.n)
-    d = (moments.mu1 - moments.mu2)[pairs]
-    v = (moments.sigma1_sq + moments.sigma2_sq)[pairs] + d * d
-    total_v_sq = float((v * v).sum())
-    if total_v_sq == 0.0:
-        raise DegenerateModelError("all V_ij are zero")
+    _, total_v_sq = _gap_and_v_sq(moments)
     return {
         "statement": moments.n / (moments.m * total_v_sq),
         "proof": (moments.n * moments.m) / (moments.m**4 * total_v_sq),

@@ -7,8 +7,8 @@ between-block pairs.  A non-negative shift ``epsilon`` defines the second
 population (``Beta(a+eps, b+eps)`` / ``Bern(p+eps)``), so ``epsilon = 0``
 is the null configuration.
 
-Arbitrary inhomogeneous means enter through :class:`MeanMatrix`, which the
-diagnostics consume directly.
+Arbitrary inhomogeneous means enter through :class:`MeanMatrix`, from
+which :func:`~graphtest.diagnostics.mean_matrix_moments` takes the pairs.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class TwoBlockModel:
 
 @dataclass(frozen=True, eq=False)
 class MeanMatrix:
-    """Per-pair edge-weight means and variances (symmetric, zero diagonal)."""
+    """Per-pair edge-weight means and variances: n x n, symmetric, zero diagonal."""
 
     mu: np.ndarray
     sigma2: np.ndarray
@@ -127,15 +127,6 @@ def _blocks(n: int) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
     return tuple((mask, int(mask.sum())) for mask in (within, ~within))
 
 
-def _block_matrix(n: int, within_value: float, between_value: float) -> np.ndarray:
-    """Symmetric ``n x n`` matrix, zero diagonal, holding one value on the
-    within-block pairs and another on the between-block pairs."""
-    (within, _), _ = _blocks(n)
-    out = np.zeros((n, n))
-    out[pair_layout(n)] = np.where(within, within_value, between_value)
-    return out + out.T
-
-
 def beta_moments(alpha: float, beta: float) -> tuple[float, float]:
     """Mean and variance of Beta(alpha, beta)."""
     if alpha <= 0 or beta <= 0:
@@ -161,12 +152,19 @@ def _family_moments(family: str, params) -> tuple[float, float]:
     return bernoulli_moments(params)
 
 
-def model_mean_matrix(model: TwoBlockModel, shifted: bool = False) -> MeanMatrix:
-    """Per-pair mean/variance matrices implied by the model (shift optional)."""
+def _pair_moments(model: TwoBlockModel, shifted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair ``(mean, variance)`` vectors in :func:`pair_layout` order."""
+    (within, _), _ = _blocks(model.n)
     p_within, p_between = model.params(shifted)
     mw, vw = _family_moments(model.family, p_within)
     mb, vb = _family_moments(model.family, p_between)
-    return MeanMatrix(_block_matrix(model.n, mw, mb), _block_matrix(model.n, vw, vb))
+    return np.where(within, mw, mb), np.where(within, vw, vb)
+
+
+def model_mean_matrix(model: TwoBlockModel, shifted: bool = False) -> MeanMatrix:
+    """Per-pair mean/variance matrices implied by the model (shift optional)."""
+    mu, sigma2 = GraphSample.from_edges(np.stack(_pair_moments(model, shifted))).graphs
+    return MeanMatrix(mu.weights, sigma2.weights)
 
 
 def _draw_pairs(family: str, params, size: int, rng: np.random.Generator) -> np.ndarray:

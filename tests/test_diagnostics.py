@@ -3,7 +3,9 @@ Monte Carlo oracles."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,16 +27,18 @@ from graphtest.diagnostics import (
 )
 from graphtest.errors import (
     DegenerateModelError,
+    DimensionMismatchError,
     InvalidScenarioParamsError,
     OddSampleSizeError,
 )
+from graphtest.graphs import GraphSample, pair_layout
 from graphtest.models import TwoBlockModel, model_mean_matrix
 from graphtest.rng import substream
 
 
 def _constant_moments(n, m, mu, sigma2, eta=None):
-    """Homogeneous null moments with constant off-diagonal entries."""
-    shape = np.ones((n, n)) - np.eye(n)
+    """Homogeneous null moments with constant per-pair entries."""
+    shape = np.ones(n * (n - 1) // 2)
     eta_matrix = None if eta is None else eta * shape
     return ModelMoments(n=n, m=m, mu1=mu * shape, mu2=mu * shape,
                         sigma1_sq=sigma2 * shape, sigma2_sq=sigma2 * shape,
@@ -121,12 +125,13 @@ class TestConditionRatios:
         model = TwoBlockModel(n=8, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
         moments = two_block_moments(model, 4)
         perm = np.random.default_rng(1).permutation(8)
-        shuffled = ModelMoments(
-            n=8, m=4,
-            mu1=moments.mu1[np.ix_(perm, perm)], mu2=moments.mu2[np.ix_(perm, perm)],
-            sigma1_sq=moments.sigma1_sq[np.ix_(perm, perm)],
-            sigma2_sq=moments.sigma2_sq[np.ix_(perm, perm)],
-            eta=moments.eta[np.ix_(perm, perm)])
+        fields = ("mu1", "mu2", "sigma1_sq", "sigma2_sq", "eta")
+        dense = GraphSample.from_edges(
+            np.stack([getattr(moments, f) for f in fields])).graphs
+        rows, cols = pair_layout(8)
+        shuffled = ModelMoments(n=8, m=4, **{
+            f: g.weights[np.ix_(perm, perm)][rows, cols]
+            for f, g in zip(fields, dense)})
         assert condition_ratios(shuffled).as_tuple() == pytest.approx(
             condition_ratios(moments).as_tuple(), rel=1e-12)
 
@@ -174,7 +179,8 @@ class TestLambdaN:
         model = TwoBlockModel(n=8, family="beta", within=(2.0, 3.0),
                               between=(1.0, 3.0), epsilon=0.5)
         mm = two_block_moments(model, 4)
-        swapped = lambda_n(mm.mu2, mm.mu1, mm.sigma2_sq, mm.sigma1_sq, 4)
+        swapped = lambda_from_moments(dataclasses.replace(
+            mm, mu1=mm.mu2, mu2=mm.mu1, sigma1_sq=mm.sigma2_sq, sigma2_sq=mm.sigma1_sq))
         assert swapped == pytest.approx(lambda_from_moments(mm), rel=1e-12)
 
     def test_degenerate(self):
@@ -319,8 +325,33 @@ class TestMomentFactories:
         moments = two_block_moments(model, 2)
         want_within = paired_difference_fourth_moment("bernoulli", 0.5)
         want_between = paired_difference_fourth_moment("bernoulli", 0.1)
-        assert moments.eta[0, 1] == pytest.approx(want_within)
-        assert moments.eta[0, 4] == pytest.approx(want_between)
+        assert moments.eta[0] == pytest.approx(want_within)  # pair (0, 1)
+        assert moments.eta[3] == pytest.approx(want_between)  # pair (0, 4)
+
+    @pytest.mark.parametrize("field", ["mu1", "mu2", "sigma1_sq", "sigma2_sq", "eta"])
+    def test_dense_field_rejected(self, field):
+        """A dense n x n matrix would be summed over both triangles."""
+        moments = two_block_moments(TwoBlockModel(
+            n=6, family="beta", within=(2.0, 3.0), between=(1.0, 3.0)), 2)
+        dense = GraphSample.from_edges(getattr(moments, field)[np.newaxis])
+        with pytest.raises(DimensionMismatchError, match=field):
+            dataclasses.replace(moments, **{field: dense.graphs[0].weights})
+
+    def test_lambda_memory_is_a_few_pair_vectors(self):
+        """At n=1000 the moments and lambda take at most 9 (P,) float64
+        vectors at once; seven dense n x n matrices would take 56 MB.  The
+        cached pair layout is built before tracing starts."""
+        model = TwoBlockModel(n=1000, family="beta", within=(2.0, 3.0),
+                              between=(1.0, 3.0), epsilon=0.3)
+        expected = lambda_from_moments(two_block_moments(model, 14))
+        tracemalloc.start()
+        try:
+            got = lambda_from_moments(two_block_moments(model, 14))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak <= 9 * 8 * (1000 * 999 // 2)
 
     def test_mean_matrix_moments_roundtrip(self):
         model = TwoBlockModel(n=6, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
@@ -333,7 +364,7 @@ class TestMomentFactories:
 
 class TestPowerConditionRatios:
     def test_hand_values(self):
-        shape = np.ones((3, 3)) - np.eye(3)
+        shape = np.ones(3)
         moments = ModelMoments(
             n=3, m=2, mu1=0.2 * shape, mu2=0.1 * shape,
             sigma1_sq=0.16 * shape, sigma2_sq=0.09 * shape)
