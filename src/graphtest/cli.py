@@ -47,11 +47,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _alpha(value: str) -> float:
-    alpha = float(value)
-    if not 0.0 < alpha < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {value}")
-    return alpha
+def _open_unit(name: str):
+    def fraction(value: str) -> float:
+        number = float(value)
+        if not 0.0 < number < 1.0:
+            raise argparse.ArgumentTypeError(f"{name} must lie in (0, 1), got {value}")
+        return number
+    return fraction
 
 
 def _seed(value: str) -> int:
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-a", required=True)
     p.add_argument("--group-b", required=True)
     p.add_argument("--method", choices=("tn", "tfro", "both"), default="tn")
-    p.add_argument("--alpha", type=_alpha, default=0.05)
+    p.add_argument("--alpha", type=_open_unit("alpha"), default=0.05)
     p.add_argument("--splits", type=_int_at_least(1), default=1,
                    help="number of random-split repetitions")
     p.add_argument("--drop-last", action="store_true",
@@ -116,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="model JSON document")
     p.add_argument("--m", type=_int_at_least(1), required=True,
                    help="group size the diagnostics assume")
-    p.add_argument("--delta", type=float, default=0.05,
+    p.add_argument("--delta", type=_open_unit("delta"), default=0.05,
                    help="margin for the binary-mean bound (means above 1-delta flag)")
 
     p = sub.add_parser("simulate", parents=[seeded],
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment JSON document")
     p.add_argument("--out", required=True, help="CSV report path")
     p.add_argument("--threads", type=_int_at_least(0), default=1,
-                   help="worker processes for the grid cells (0 = one per CPU)")
+                   help="worker processes for replicate chunks (0 = one per usable CPU)")
 
     p = sub.add_parser("realdata", parents=[seeded],
                        help="resampling pipeline for unequal-size groups")
@@ -136,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taus", type=_tau_list, default=None,
                    help="comma-separated thresholds; adds a binarized sweep")
     p.add_argument("--method", choices=("tn", "tfro", "both"), default="both")
-    p.add_argument("--alpha", type=_alpha, default=0.05)
+    p.add_argument("--alpha", type=_open_unit("alpha"), default=0.05)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--drop-last", action="store_true")
 

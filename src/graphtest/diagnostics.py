@@ -201,8 +201,11 @@ def bernoulli_condition(mu: np.ndarray, delta: float) -> BernoulliCondition:
     """Report ``n`` versus the squared Frobenius norm of the mean matrix.
 
     Pairs with mean above ``1 - delta`` are flagged; they break the
-    variance-vs-mean bound the simplification relies on.
+    variance-vs-mean bound the simplification relies on.  ``delta`` must lie
+    in (0, 1).
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     mu = np.asarray(mu, dtype=np.float64)
     n = mu.shape[0]
     rows, cols = pair_layout(n)

@@ -127,6 +127,15 @@ class FiveNumberSummary:
         return (self.min, self.q1, self.median, self.q3, self.max)
 
 
+def require_finite(matrix: np.ndarray) -> None:
+    """Raise :class:`NonFiniteEntryError` naming the first NaN or infinite
+    entry of a 2-D array."""
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NonFiniteEntryError(int(i), int(j), float(matrix[i, j]))
+
+
 def validate_adjacency(raw, tolerance: float = 1e-9) -> AdjacencyMatrix:
     """Validate a raw square array and repair benign asymmetry.
 
@@ -136,10 +145,7 @@ def validate_adjacency(raw, tolerance: float = 1e-9) -> AdjacencyMatrix:
     is forced to exactly zero.
     """
     w = AdjacencyMatrix(raw).weights  # square float64, at least 2 nodes
-    bad = ~np.isfinite(w)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NonFiniteEntryError(int(i), int(j), float(w[i, j]))
+    require_finite(w)
 
     gap = np.abs(w - w.T)
     worst = float(gap.max())

@@ -25,7 +25,7 @@ from .errors import (
     OddNodeCountError,
     ProbabilityRangeError,
 )
-from .graphs import AdjacencyMatrix, GraphSample, pair_layout
+from .graphs import AdjacencyMatrix, GraphSample, pair_layout, require_finite
 
 FAMILIES = ("beta", "bernoulli")
 
@@ -62,9 +62,11 @@ class TwoBlockModel:
                 raise ConfigError(f"beta parameters must be an (a, b) pair, got {params!r}")
             a, b = params
             for shift in (0.0, self.epsilon):
-                if a + shift <= 0 or b + shift <= 0:
+                # Chained comparisons are false for NaN as well as out of range.
+                if not (0.0 < a + shift < np.inf and 0.0 < b + shift < np.inf):
                     raise NonPositiveParameterError(
-                        f"beta shapes must stay positive, got ({a}, {b}) with shift {shift}"
+                        f"beta shapes must be finite and positive, got ({a}, {b}) "
+                        f"with shift {shift}"
                     )
         else:
             if not isinstance(params, (int, float)):
@@ -89,7 +91,8 @@ class TwoBlockModel:
 
 @dataclass(frozen=True, eq=False)
 class MeanMatrix:
-    """Per-pair edge-weight means and variances: n x n, symmetric, zero diagonal."""
+    """Per-pair edge-weight means and variances: n x n, finite, symmetric,
+    zero diagonal."""
 
     mu: np.ndarray
     sigma2: np.ndarray
@@ -100,6 +103,7 @@ class MeanMatrix:
         for name, arr in (("mu", mu), ("sigma2", s2)):
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ConfigError(f"{name} must be square, got shape {arr.shape}")
+            require_finite(arr)
             if not np.array_equal(arr, arr.T):
                 raise ConfigError(f"{name} must be symmetric")
             if np.diagonal(arr).any():

@@ -86,6 +86,18 @@ class TestGenerate:
         assert code == 2
         assert "io-error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", [math.nan, math.inf])
+    def test_non_finite_beta_shape_exit_2(self, tmp_path, shape, capsys):
+        """Python's json reads NaN and Infinity; they must not reach the sampler."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**MODEL_DOC, "within": [shape, 3]}))
+        out = tmp_path / "out"
+        assert main(["generate", "--model", str(path), "--m", "2", "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert "non-positive-parameter: beta shapes must be finite and positive" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTest:
     def test_json_lines_output(self, group_dirs, capsys):
@@ -170,6 +182,12 @@ class TestTheory:
         main(["theory", "--config", str(path), "--m", "2"])
         report = json.loads(capsys.readouterr().out)
         assert report["bernoulli_condition"]["mu_fro_sq"] > 0
+
+    @pytest.mark.parametrize("delta", ["-5", "nan", "0", "1"])
+    def test_delta_outside_unit_interval_exit_1(self, model_path, delta, capsys):
+        assert main(["theory", "--config", str(model_path), "--m", "2",
+                     "--delta", delta]) == 1
+        assert "delta must lie in (0, 1)" in capsys.readouterr().err
 
     def test_table_format(self, model_path, capsys):
         code = main(["theory", "--config", str(model_path), "--m", "2",

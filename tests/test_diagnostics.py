@@ -155,6 +155,12 @@ class TestBernoulliCondition:
         assert not report.bounded
         assert len(report.violations) == 15
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -5.0, 1.5, float("nan")])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        mu = 0.5 * (np.ones((4, 4)) - np.eye(4))
+        with pytest.raises(ValueError, match="delta"):
+            bernoulli_condition(mu, delta=delta)
+
 
 class TestLambdaN:
     def test_null_is_zero(self):

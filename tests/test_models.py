@@ -9,6 +9,7 @@ import pytest
 
 from graphtest.errors import (
     ConfigError,
+    NonFiniteEntryError,
     NonPositiveParameterError,
     OddNodeCountError,
     ProbabilityRangeError,
@@ -118,6 +119,24 @@ class TestModelValidation:
             TwoBlockModel(n=4, family="beta", within=(2.0, 3.0),
                           between=(1.0, 3.0), epsilon=-0.1)
 
+    @pytest.mark.parametrize("family, within, error", [
+        ("beta", (math.nan, 3.0), NonPositiveParameterError),
+        ("beta", (2.0, math.inf), NonPositiveParameterError),
+        ("beta", (-math.inf, 3.0), NonPositiveParameterError),
+        ("bernoulli", math.nan, ProbabilityRangeError),
+        ("bernoulli", math.inf, ProbabilityRangeError),
+    ])
+    def test_non_finite_parameter_rejected(self, family, within, error):
+        between = (1.0, 3.0) if family == "beta" else 0.5
+        with pytest.raises(error):
+            TwoBlockModel(n=4, family=family, within=within, between=between)
+
+    def test_non_finite_beta_message(self):
+        with pytest.raises(NonPositiveParameterError,
+                           match="beta shapes must be finite and positive"):
+            TwoBlockModel(n=4, family="beta", within=(math.nan, 3.0),
+                          between=(1.0, 3.0), epsilon=0.5)
+
     def test_shifted_params(self):
         model = TwoBlockModel(n=4, family="beta", within=(2.0, 3.0),
                               between=(1.0, 3.0), epsilon=0.5)
@@ -154,6 +173,20 @@ class TestModelMeanMatrix:
         mm = model_mean_matrix(model, shifted=True)
         assert mm.mu[0, 1] == pytest.approx(0.6)
         assert mm.mu[0, 2] == pytest.approx(0.5)
+
+
+class TestMeanMatrixValidation:
+    @pytest.mark.parametrize("field", ["mu", "sigma2"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_named(self, field, value):
+        """Checked before symmetry, so a NaN is not misreported as asymmetry."""
+        off_diagonal = np.ones((4, 4)) - np.eye(4)
+        arrays = {"mu": 0.5 * off_diagonal, "sigma2": 0.25 * off_diagonal}
+        arrays[field][1, 2] = arrays[field][2, 1] = value
+        with pytest.raises(NonFiniteEntryError) as err:
+            MeanMatrix(**arrays)
+        assert (err.value.i, err.value.j) == (1, 2)
+        assert err.value.value == value or math.isnan(value)
 
 
 class TestSampling:
