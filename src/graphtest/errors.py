@@ -27,7 +27,7 @@ class NonSquareError(GraphTestError):
 
 
 class NonFiniteEntryError(GraphTestError):
-    """Adjacency input contains NaN or infinity."""
+    """An adjacency or mean/variance matrix contains NaN or infinity."""
 
     code = "non-finite-entry"
 
