@@ -9,6 +9,7 @@ Library layout:
 * :mod:`graphtest.diagnostics` - closed-form calibration/power diagnostics
 * :mod:`graphtest.simulate` - replicated Monte Carlo experiment grids
 * :mod:`graphtest.realdata` - resampling pipeline for unequal groups
+* :mod:`graphtest.pool` - the worker pool behind simulate and realdata
 * :mod:`graphtest.cli` - the ``graphtest`` executable
 """
 

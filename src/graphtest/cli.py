@@ -14,7 +14,9 @@ flags it reads: ``--seed`` all but ``theory``, ``--output-format`` the
 three that print records, ``--threads`` ``simulate``.  Without ``--seed``,
 ``generate``, ``test`` and ``realdata`` draw a seed from OS entropy and
 print it to stderr as ``graphtest: seed <N> (from OS entropy)``;
-``simulate`` uses its config's ``master_seed``.
+``simulate`` uses its config's ``master_seed``.  ``test`` and ``realdata``
+read the group files, and ``realdata`` runs its passes, on one worker
+process per usable CPU (the affinity mask); output does not depend on it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,7 +34,8 @@ from . import diagnostics, realdata, simulate
 from .errors import GraphTestError, InvalidAlphaError, OddSampleSizeError
 from .graphs import save_adjacency_csv
 from .models import load_model_json, model_mean_matrix, sample_population
-from .realdata import ResamplingPlan, load_group
+from .pool import usable_cpus
+from .realdata import ResamplingPlan, load_groups
 from .rng import check_seed, fresh_seed, substream
 from .twosample import METHODS, random_partition, run_methods
 
@@ -77,8 +81,9 @@ def _tau_list(value: str) -> tuple[float, ...]:
         taus = tuple(float(part) for part in value.split(",") if part.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"thresholds must be comma-separated reals: {value!r}")
-    if not taus or any(t < 0 for t in taus):
-        raise argparse.ArgumentTypeError("thresholds must be non-negative reals")
+    if not taus or not all(math.isfinite(t) and t >= 0 for t in taus):
+        raise argparse.ArgumentTypeError(
+            f"thresholds must be finite non-negative reals: {value!r}")
     return taus
 
 
@@ -213,9 +218,14 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _load_samples(args):
+    """Both groups' samples, read on one worker per usable CPU."""
+    return tuple(dataset.sample for dataset in load_groups(
+        (args.group_a, args.group_b), workers=usable_cpus()))
+
+
 def _cmd_test(args) -> int:
-    group_a = load_group(args.group_a).sample
-    group_b = load_group(args.group_b).sample
+    group_a, group_b = _load_samples(args)
     if group_a.m != group_b.m:
         raise GraphTestError(
             f"groups have {group_a.m} and {group_b.m} graphs; equalize them "
@@ -316,21 +326,15 @@ def _cmd_realdata(args) -> int:
     strategy = {"oversample": "oversample_smaller",
                 "subsample": "subsample_larger",
                 "split-only": "split_only"}[args.strategy]
-    group_a = load_group(args.group_a).sample
-    group_b = load_group(args.group_b).sample
+    group_a, group_b = _load_samples(args)
     seed = _master_seed(args)
     plan = ResamplingPlan(strategy=strategy, repetitions=args.reps, seed=seed)
     methods = _methods(args.method)
 
-    rows = []
-    runs = realdata.repeated_tests(group_a, group_b, plan, methods, args.alpha,
-                                   args.drop_last)
-    for method in methods:
-        rows.append(_summary_row(strategy, "", runs[method]))
-    if args.taus:
-        for sweep in realdata.threshold_sweep(group_a, group_b, args.taus, plan,
-                                              methods, args.alpha, args.drop_last):
-            rows.append(_summary_row(strategy, f"{sweep.tau:g}", sweep))
+    runs, sweep = realdata.run_passes(group_a, group_b, plan, methods, args.alpha,
+                                      args.drop_last, args.taus or (), usable_cpus())
+    rows = [_summary_row(strategy, "", runs[method]) for method in methods]
+    rows += [_summary_row(strategy, f"{row.tau:g}", row) for row in sweep]
 
     text = _rows_to_csv(rows)
     if args.out:

@@ -37,6 +37,9 @@ class NonFiniteEntryError(GraphTestError):
         self.j = j
         self.value = value
 
+    def __reduce__(self):
+        return type(self), (self.i, self.j, self.value)
+
 
 class AsymmetryError(GraphTestError):
     """Adjacency input differs from its transpose beyond the repair tolerance."""
@@ -51,6 +54,9 @@ class AsymmetryError(GraphTestError):
         self.i = i
         self.j = j
         self.difference = difference
+
+    def __reduce__(self):
+        return type(self), (self.i, self.j, self.difference)
 
 
 class EmptyInputError(GraphTestError):

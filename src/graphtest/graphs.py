@@ -155,8 +155,9 @@ def validate_adjacency(raw, tolerance: float = 1e-9) -> AdjacencyMatrix:
             i, j = j, i
         raise AsymmetryError(int(i), int(j), worst)
 
-    # Pair midpoints; (w + w.T) / 2 would overflow above half the float64 max.
-    w = np.minimum(w, w.T) + gap / 2.0
+    # Pair midpoints where the triangles differ: (w + w.T) / 2 would overflow
+    # above half the float64 max, and adding a zero gap turns -0.0 into +0.0.
+    w = np.where(gap > 0, np.minimum(w, w.T) + gap / 2.0, w)
     np.fill_diagonal(w, 0.0)
     return AdjacencyMatrix(w)
 

@@ -133,9 +133,10 @@ def _blocks(n: int) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]]:
 
 def beta_moments(alpha: float, beta: float) -> tuple[float, float]:
     """Mean and variance of Beta(alpha, beta)."""
-    if alpha <= 0 or beta <= 0:
+    # Chained comparisons are false for NaN as well as out of range.
+    if not (0.0 < alpha < np.inf and 0.0 < beta < np.inf):
         raise NonPositiveParameterError(
-            f"beta shapes must be positive, got ({alpha}, {beta})"
+            f"beta shapes must be finite and positive, got ({alpha}, {beta})"
         )
     s = alpha + beta
     mean = alpha / s

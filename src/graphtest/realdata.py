@@ -7,11 +7,17 @@ then draws a fresh random split, computes the requested statistics, and the
 batch of statistics is reduced to a five-number summary (NA repetitions are
 excluded and counted).  A threshold sweep repeats the whole procedure on
 absolute-value binarized copies of the graphs for each threshold.
+
+Loading and the passes (weighted, then one per threshold) can run on worker
+processes through :func:`graphtest.pool.map_tasks`.  Files are read in
+name-order chunks and passes are reduced in order, so samples, results and
+errors are the same for any worker count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +34,11 @@ from .graphs import (
     GraphSample,
     five_number_summary,
     load_adjacency_csv,
+    pair_layout,
     threshold_binarize,
 )
 from .models import TwoBlockModel, sample_population
+from .pool import map_tasks
 from .rng import substream
 from .twosample import TestResult, random_partition, run_methods
 
@@ -88,31 +96,94 @@ class SweepRow:
     repetitions: int
 
 
-def load_group(directory, label: str | None = None, tolerance: float = 1e-9) -> GroupDataset:
-    """Load every ``*.csv`` adjacency file in a directory, in name order."""
-    directory = Path(directory)
+def _csv_paths(directory: Path) -> list[Path]:
     if not directory.is_dir():
         raise DataLoadError(f"{directory} is not a directory")
     paths = sorted(p for p in directory.iterdir() if p.suffix == ".csv")
     if not paths:
         raise DataLoadError(f"no .csv files in {directory}")
+    return paths
 
-    graphs = []
+
+def _mixed(path: Path, n: int, n0: int, first: Path) -> MixedDimensionsError:
+    return MixedDimensionsError(
+        f"{path.name} has {n} nodes, expected {n0} (from {first.name})"
+    )
+
+
+def _read_chunk(paths, first: Path, tolerance: float):
+    """Read consecutive files of the group whose first file is ``first``
+    into a ``(k, P)`` block of pair vectors, or None when k = 0.
+
+    Reading stops at the first file that fails to load or whose node count
+    differs from the block's.  That file's error is returned with the block,
+    worded as a file-by-file load words it when the block's node count is
+    the group's."""
+    rows, error = [], None
     for path in paths:
         try:
-            graphs.append(load_adjacency_csv(path, tolerance))
+            graph = load_adjacency_csv(path, tolerance)
         except (GraphTestError, OSError, ValueError) as err:
-            raise DataLoadError(f"{path.name}: {err}") from err
-        if graphs[-1].n != graphs[0].n:
-            raise MixedDimensionsError(
-                f"{path.name} has {graphs[-1].n} nodes, expected {graphs[0].n} "
-                f"(from {paths[0].name})"
-            )
-    return GroupDataset(
-        label=label or directory.name,
-        sample=GraphSample(tuple(graphs)),
-        source_paths=tuple(paths),
-    )
+            error = DataLoadError(f"{path.name}: {err}")
+            break
+        if rows and graph.n != n:
+            error = _mixed(path, graph.n, n, first)
+            break
+        n = graph.n
+        rows.append(graph.weights[pair_layout(n)])
+    return (np.stack(rows) if rows else None), error
+
+
+def load_groups(directories, tolerance: float = 1e-9,
+                workers: int = 1) -> tuple[GroupDataset, ...]:
+    """:func:`load_group` for each directory, reading the files on up to
+    ``workers`` processes.
+
+    Each group's files are cut into ``workers`` near-equal runs in name
+    order, one task each.  Whatever the worker count, the error raised is
+    the first one a file-by-file load of the directories in order meets:
+    an unreadable file, a file whose node count differs from its group's
+    first file, or a directory without ``.csv`` files."""
+    listed, late = [], None
+    for directory in map(Path, directories):
+        try:
+            listed.append((directory, _csv_paths(directory)))
+        except (DataLoadError, OSError) as err:
+            late = err
+            break
+    tasks, counts = [], []
+    for _, paths in listed:
+        count = max(1, min(workers, len(paths)))
+        bounds = [len(paths) * i // count for i in range(count + 1)]
+        tasks += [(paths[a:b], paths[0], tolerance)
+                  for a, b in zip(bounds, bounds[1:])]
+        counts.append(count)
+    chunks = iter(zip(tasks, map_tasks(_read_chunk, tasks, workers)))
+
+    datasets = []
+    for (directory, paths), count in zip(listed, counts):
+        blocks = []
+        for (chunk, _, _), (block, error) in islice(chunks, count):
+            if block is not None:
+                sample = GraphSample.from_edges(block)
+                if blocks and sample.n != blocks[0].n:
+                    raise _mixed(chunk[0], sample.n, blocks[0].n, paths[0])
+                blocks.append(sample)
+            if error is not None:
+                raise error
+        sample = blocks[0] if count == 1 else GraphSample.from_edges(
+            np.concatenate([block.edges for block in blocks]))
+        datasets.append(GroupDataset(directory.name, sample, tuple(paths)))
+    if late is not None:
+        raise late
+    return tuple(datasets)
+
+
+def load_group(directory, label: str | None = None, tolerance: float = 1e-9,
+               workers: int = 1) -> GroupDataset:
+    """Load every ``*.csv`` adjacency file in a directory, in name order."""
+    (dataset,) = load_groups([directory], tolerance, workers)
+    return replace(dataset, label=label) if label else dataset
 
 
 def equalize(
@@ -201,6 +272,35 @@ def repeated_tests(
     return runs
 
 
+def _run_pass(groups, tau: float | None):
+    """:func:`repeated_tests` on ``groups`` (both samples and the test
+    settings), binarized at ``tau`` unless it is None.  An all-NA pass
+    returns its :class:`AllNAError`."""
+    sample_a, sample_b, plan, methods, alpha, drop_last = groups
+    if tau is not None:
+        sample_a = threshold_binarize(sample_a, tau)
+        sample_b = threshold_binarize(sample_b, tau)
+    try:
+        return repeated_tests(sample_a, sample_b, plan, methods, alpha, drop_last)
+    except AllNAError as err:
+        return err
+
+
+def _sweep_rows(passes, plan: ResamplingPlan, methods) -> list[SweepRow]:
+    """Rows for ``(tau, pass result)`` pairs, NA rows for all-NA passes."""
+    rows = []
+    for tau, runs in passes:
+        for method in methods:
+            if isinstance(runs, AllNAError):
+                rows.append(SweepRow(tau, method, None, plan.repetitions,
+                                     plan.repetitions))
+            else:
+                run = runs[method]
+                rows.append(SweepRow(tau, method, run.summary, run.na_count,
+                                     run.repetitions))
+    return rows
+
+
 def threshold_sweep(
     sample_a: GraphSample,
     sample_b: GraphSample,
@@ -216,21 +316,33 @@ def threshold_sweep(
     tau above all absolute weights) yield rows with a None summary rather
     than aborting the sweep.
     """
-    rows: list[SweepRow] = []
-    for tau in taus:
-        bin_a, bin_b = threshold_binarize(sample_a, tau), threshold_binarize(sample_b, tau)
-        try:
-            runs = repeated_tests(bin_a, bin_b, plan, methods, alpha, drop_last)
-        except AllNAError:
-            for method in methods:
-                rows.append(SweepRow(tau, method, None, plan.repetitions,
-                                     plan.repetitions))
-            continue
-        for method in methods:
-            run = runs[method]
-            rows.append(SweepRow(tau, method, run.summary, run.na_count,
-                                 run.repetitions))
-    return rows
+    groups = (sample_a, sample_b, plan, methods, alpha, drop_last)
+    return _sweep_rows([(tau, _run_pass(groups, tau)) for tau in taus], plan,
+                       methods)
+
+
+def run_passes(
+    sample_a: GraphSample,
+    sample_b: GraphSample,
+    plan: ResamplingPlan,
+    methods: tuple[str, ...] = ("tn", "tfro"),
+    alpha: float = 0.05,
+    drop_last: bool = False,
+    taus=(),
+    workers: int = 1,
+) -> tuple[dict[str, RepeatedRun], list[SweepRow]]:
+    """:func:`repeated_tests` on the weighted groups and
+    :func:`threshold_sweep` over ``taus``, as one list of passes on up to
+    ``workers`` processes, which receive the groups once.  The results do
+    not depend on ``workers``; an all-NA weighted pass raises
+    :class:`AllNAError`."""
+    taus = tuple(taus)
+    groups = (sample_a, sample_b, plan, methods, alpha, drop_last)
+    weighted, *swept = map_tasks(_run_pass, [(tau,) for tau in (None, *taus)],
+                                 workers, shared=groups)
+    if isinstance(weighted, AllNAError):
+        raise weighted
+    return weighted, _sweep_rows(zip(taus, swept), plan, methods)
 
 
 def make_synthetic_groups(

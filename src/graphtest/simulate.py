@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .diagnostics import lambda_from_moments, two_block_moments
 from .errors import ConfigError, DegenerateModelError, GraphTestError
 from .models import FAMILIES, TwoBlockModel, model_from_json, sample_population
+from .pool import map_tasks, usable_cpus
 from .rng import check_seed, substream
 from .twosample import METHODS, random_partition, run_methods
 
@@ -201,12 +200,6 @@ def plan_chunks(config: ExperimentConfig, workers: int) -> list[tuple[int, int, 
     return sorted(plan, key=lambda c: (-(c[2] - c[1]) * unit[c[0]], c[0], c[1]))
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> SimulationReport:
     """Run every grid cell on ``threads`` worker processes (0 = one per
     usable CPU, never more than there are chunks).
@@ -219,16 +212,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> SimulationRepo
     identical for any thread count."""
     if threads < 0:
         raise ValueError(f"threads must be non-negative, got {threads}")
-    threads = threads or _usable_cpus()
+    threads = threads or usable_cpus()
     cells = config.cells()
     plan = plan_chunks(config, threads)
-    tasks = [(config, cells[idx], start, stop) for idx, start, stop in plan]
-    workers = min(threads, len(plan))
-    if workers == 1:
-        results = [_run_chunk(*task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk, *zip(*tasks)))
+    results = map_tasks(_run_chunk, [(config, cells[idx], start, stop)
+                                     for idx, start, stop in plan], threads)
 
     lams = {}
     tallies = {idx: [(0, 0)] * len(config.methods) for idx, *_ in cells}

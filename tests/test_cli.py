@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -271,6 +273,74 @@ class TestRealdata:
         assert "unequal-split-only" in capsys.readouterr().err
 
 
+class TestWorkerCount:
+    """`test` and `realdata` read files, and `realdata` runs its passes, on
+    one worker per usable CPU; the output does not depend on that count."""
+
+    @pytest.fixture
+    def group_files(self, tmp_path):
+        a, b = make_synthetic_groups(n=8, size_a=6, size_b=6, epsilon=0.7,
+                                     seed=78)
+        dirs = []
+        for label, sample in (("a", a), ("b", b)):
+            directory = tmp_path / label
+            directory.mkdir()
+            for k, graph in enumerate(sample.graphs):
+                save_adjacency_csv(graph, directory / f"s{k}.csv")
+            dirs.append(directory)
+        return dirs
+
+    @staticmethod
+    def _run(monkeypatch, capsys, cpus, argv):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert multiprocessing.active_children() == []
+        return code, captured.out, captured.err
+
+    def _commands(self, a, b, out):
+        return (["realdata", "--group-a", str(a), "--group-b", str(b),
+                 "--reps", "4", "--seed", "3", "--taus", "0.2,0.5,9",
+                 "--out", str(out)],
+                ["test", "--group-a", str(a), "--group-b", str(b),
+                 "--method", "both", "--splits", "3", "--seed", "4"])
+
+    def test_output_identical_for_1_2_3_workers(self, group_files, tmp_path,
+                                                monkeypatch, capsys):
+        a, b = group_files
+        out = tmp_path / "summary.csv"
+        for argv in self._commands(a, b, out):
+            results = []
+            for cpus in (1, 2, 3):
+                out.unlink(missing_ok=True)
+                code, stdout, stderr = self._run(monkeypatch, capsys, cpus, argv)
+                report = out.read_bytes() if argv[0] == "realdata" else b""
+                results.append((code, stdout, stderr, report))
+            assert results[0][0] == 0
+            assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("mismatch", [None, 1, 2])
+    def test_error_line_identical_for_1_2_3_workers(self, group_files, tmp_path,
+                                                    mismatch, monkeypatch, capsys):
+        """A corrupt file, alone or behind a file with another node count."""
+        a, b = group_files
+        (a / "s3.csv").write_text("0,1\n2,0\n")
+        if mismatch is not None:
+            save_adjacency_csv(make_synthetic_groups(n=4, size_a=1, size_b=1)[0]
+                               .graphs[0], a / f"s{mismatch}.csv")
+        for argv in self._commands(a, b, tmp_path / "summary.csv"):
+            results = {self._run(monkeypatch, capsys, cpus, argv)
+                       for cpus in (1, 2, 3)}
+            assert len(results) == 1
+            ((code, stdout, stderr),) = results
+            assert code == 2 and stdout == ""
+            expected = ("data-load: s3.csv:" if mismatch is None else
+                        f"mixed-dimensions: s{mismatch}.csv has 4 nodes, "
+                        "expected 8 (from s0.csv)")
+            assert stderr.startswith(expected) and stderr.count("\n") == 1
+
+
 class TestEntropySeed:
     """Without --seed the drawn seed is written to stderr, and only there;
     re-running with it reproduces stdout byte for byte."""
@@ -380,6 +450,14 @@ class TestNonFiniteStatistic:
 
 
 class TestUsageAndHelp:
+    @pytest.mark.parametrize("taus", ["nan", "inf", "0.2,nan", "0.2,-inf", "0.1,-0.5"])
+    def test_bad_taus_exit_1(self, taus, capsys):
+        assert main(["realdata", "--group-a", "a", "--group-b", "b",
+                     "--taus", taus]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage-error: ") and err.count("\n") == 1
+        assert "thresholds must be finite non-negative reals" in err
+
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["test", "--bogus"]) == 1
         assert "usage-error" in capsys.readouterr().err

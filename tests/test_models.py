@@ -80,6 +80,14 @@ class TestBetaMoments:
         with pytest.raises(NonPositiveParameterError):
             beta_moments(0.0, 1.0)
 
+    @pytest.mark.parametrize("a,b", [(math.nan, 3.0), (2.0, math.nan),
+                                     (math.inf, 3.0), (2.0, math.inf),
+                                     (-math.inf, 3.0)])
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(NonPositiveParameterError,
+                           match="beta shapes must be finite and positive"):
+            beta_moments(a, b)
+
     @pytest.mark.parametrize("a,b", [(2.0, 3.0), (9.0, 3.0)])
     def test_monte_carlo_cross_check(self, a, b):
         """Formula mean/variance within 3 standard errors of 1e6 draws."""

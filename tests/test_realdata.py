@@ -3,26 +3,38 @@ threshold sweeps."""
 
 from __future__ import annotations
 
+import multiprocessing
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtest.errors import (
     AllNAError,
     DataLoadError,
+    GraphTestError,
     MixedDimensionsError,
     UnequalWithSplitOnlyError,
 )
-from graphtest.graphs import save_adjacency_csv
+from graphtest.graphs import AdjacencyMatrix, GraphSample, save_adjacency_csv
 from graphtest.models import TwoBlockModel, sample_population
 from graphtest.realdata import (
+    STRATEGIES,
     ResamplingPlan,
     equalize,
     load_group,
+    load_groups,
     make_synthetic_groups,
     repeated_tests,
+    run_passes,
     threshold_sweep,
 )
 from graphtest.rng import substream
+
+FLOAT_MAX = np.finfo(np.float64).max
 
 
 def _population(seed, size, n=8, epsilon=0.0):
@@ -78,6 +90,132 @@ class TestLoadGroup:
         with pytest.raises(DataLoadError) as exc:
             load_group(grp)
         assert "subject_bad.csv" in str(exc.value)
+
+
+def _error(fn, *args, **kwargs):
+    """(class, code, message) of the error ``fn`` raises."""
+    with pytest.raises(GraphTestError) as exc:
+        fn(*args, **kwargs)
+    return type(exc.value), exc.value.code, str(exc.value)
+
+
+class TestParallelLoad:
+    """Files are read in chunks on worker processes; the samples and the
+    errors are those of a file-by-file load in name order."""
+
+    @pytest.fixture
+    def groups(self, tmp_path):
+        _write_group(tmp_path / "a", _population(60, 5, n=6))
+        _write_group(tmp_path / "b", _population(61, 7, n=6, epsilon=0.5))
+        return tmp_path / "a", tmp_path / "b"
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_samples_match_serial_load(self, groups, workers):
+        serial = [load_group(d) for d in groups]
+        loaded = load_groups(groups, workers=workers)
+        for got, want in zip(loaded, serial):
+            assert got.sample.edges.tobytes() == want.sample.edges.tobytes()
+            assert got.source_paths == want.source_paths
+            assert got.label == want.label
+
+    @pytest.mark.parametrize("mismatch, corrupt", [
+        (None, 3),   # corrupt file alone
+        (2, 4),      # node-count mismatch ahead of a corrupt file
+        (3, 4),
+        (1, None),
+        (4, 0),      # the corrupt file comes first
+    ])
+    def test_first_error_in_name_order_for_any_worker_count(
+            self, groups, mismatch, corrupt):
+        a, _ = groups
+        if mismatch is not None:
+            save_adjacency_csv(_population(62, 1, n=4).graphs[0],
+                               a / f"subject_{mismatch:03d}.csv")
+        if corrupt is not None:
+            (a / f"subject_{corrupt:03d}.csv").write_text("0,1\nx,0\n")
+        serial = _error(load_groups, groups, workers=1)
+        assert serial[0] is (MixedDimensionsError if mismatch is not None
+                             and (corrupt is None or mismatch < corrupt)
+                             else DataLoadError)
+        for workers in (2, 3, 5):
+            assert _error(load_groups, groups, workers=workers) == serial
+        assert multiprocessing.active_children() == []
+
+    def test_mismatch_message_names_both_files(self, groups):
+        a, _ = groups
+        save_adjacency_csv(_population(63, 1, n=4).graphs[0], a / "subject_003.csv")
+        assert _error(load_groups, groups, workers=3)[2] == (
+            "subject_003.csv has 4 nodes, expected 6 (from subject_000.csv)")
+
+    def test_earlier_group_error_wins(self, groups, tmp_path):
+        a, b = groups
+        (b / "subject_001.csv").write_text("0,1\nx,0\n")
+        (a / "subject_004.csv").write_text("0,1\n2,0\n")
+        for workers in (1, 2, 3):
+            message = _error(load_groups, groups, workers=workers)[2]
+            assert message.startswith("subject_004.csv:")
+            message = _error(load_groups, (a, tmp_path / "nowhere"), workers=workers)[2]
+            assert message.startswith("subject_004.csv:")
+
+    def test_fewer_than_one_worker_rejected(self, groups):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            load_groups(groups, workers=0)
+
+    def test_groups_may_differ_in_node_count(self, groups, tmp_path):
+        _write_group(tmp_path / "c", _population(64, 3, n=4))
+        _, c = load_groups((groups[0], tmp_path / "c"), workers=2)
+        assert (c.sample.m, c.sample.n) == (3, 4)
+
+
+_EDGE_WEIGHTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-308,
+                     FLOAT_MAX, -FLOAT_MAX, np.nextafter(-FLOAT_MAX, 0)]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(2, 5), m=st.integers(1, 4))
+def test_csv_round_trip_is_bit_exact(data, n, m):
+    """save_adjacency_csv then load_group gives back every pair weight bit
+    for bit, at one and two workers; any diagonal comes back +0.0."""
+    pairs = n * (n - 1) // 2
+    edges = np.array(data.draw(st.lists(_EDGE_WEIGHTS, min_size=m * pairs,
+                                        max_size=m * pairs)),
+                     dtype=np.float64).reshape(m, pairs)
+    diagonal = data.draw(st.sampled_from([-0.0, 0.0, 1.5, -FLOAT_MAX]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, graph in enumerate(GraphSample.from_edges(edges).graphs):
+            weights = graph.weights.copy()
+            np.fill_diagonal(weights, diagonal)
+            save_adjacency_csv(AdjacencyMatrix(weights), Path(tmp) / f"g{k}.csv")
+        for workers in (1, 2):
+            sample = load_group(tmp, workers=workers).sample
+            assert sample.edges.tobytes() == edges.tobytes()
+            for graph in sample.graphs:
+                assert np.diagonal(graph.weights).tobytes() == np.zeros(n).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(m_a=st.integers(1, 8), m_b=st.integers(1, 8),
+       strategy=st.sampled_from(STRATEGIES), seed=st.integers(0, 2**32 - 1))
+def test_equalize_returns_input_rows_at_target_size(m_a, m_b, strategy, seed):
+    rng = np.random.default_rng(seed)
+    a = GraphSample.from_edges(rng.random((m_a, 6)))
+    b = GraphSample.from_edges(rng.random((m_b, 6)))
+    if strategy == "split_only" and m_a != m_b:
+        with pytest.raises(UnequalWithSplitOnlyError):
+            equalize(a, b, strategy, substream(seed, 0))
+        return
+    out_a, out_b = equalize(a, b, strategy, substream(seed, 0))
+    target = min(m_a, m_b) if strategy == "subsample_larger" else max(m_a, m_b)
+    assert out_a.m == out_b.m == target
+    for out, source in ((out_a, a), (out_b, b)):
+        rows = {row.tobytes() for row in source.edges}
+        assert all(row.tobytes() in rows for row in out.edges)
+    if strategy == "subsample_larger":
+        for out in (out_a, out_b):
+            assert len({row.tobytes() for row in out.edges}) == target
 
 
 class TestEqualize:
@@ -202,6 +340,40 @@ class TestThresholdSweep:
         plan = ResamplingPlan("split_only", repetitions=3, seed=58)
         rows = threshold_sweep(a, b, [0.2, 0.4], plan, methods=("tn",))
         assert [(r.tau, r.method) for r in rows] == [(0.2, "tn"), (0.4, "tn")]
+
+
+class TestParallelPasses:
+    """Each pass runs as one task; results do not depend on the worker
+    count and equal the serial functions'."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_passes_match_serial_functions(self, workers):
+        a, b = _population(70, 4), _population(71, 6, epsilon=0.7)
+        plan = ResamplingPlan("oversample_smaller", repetitions=4, seed=72)
+        taus = (0.2, 0.5, 5.0)
+        runs, rows = run_passes(a, b, plan, ("tn", "tfro"), 0.05, False, taus,
+                                workers)
+        serial = repeated_tests(a, b, plan, ("tn", "tfro"))
+        assert {k: v.results for k, v in runs.items()} == \
+            {k: v.results for k, v in serial.items()}
+        swept = threshold_sweep(a, b, taus, plan)
+        assert [vars(r) for r in rows] == [vars(r) for r in swept]
+        assert [r.summary for r in rows[-2:]] == [None, None]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_all_na_weighted_pass_aborts(self, workers):
+        sample = _population(73, 4)
+        plan = ResamplingPlan("split_only", repetitions=3, seed=74)
+        with pytest.raises(AllNAError, match="all 3 repetitions produced "
+                                             "undefined statistics"):
+            run_passes(sample, sample, plan, ("tn",), taus=(0.1,), workers=workers)
+
+    def test_worker_error_is_the_serial_error(self):
+        a, b = _population(75, 4), _population(76, 6)
+        plan = ResamplingPlan("split_only", repetitions=2, seed=77)
+        serial = _error(run_passes, a, b, plan, taus=(0.1, 0.2))
+        assert _error(run_passes, a, b, plan, taus=(0.1, 0.2), workers=3) == serial
+        assert serial[0] is UnequalWithSplitOnlyError
 
 
 class TestSyntheticGroups:

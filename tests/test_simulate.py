@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from graphtest import simulate
+from graphtest import pool, simulate
 from graphtest.errors import ConfigError, GraphTestError
 from graphtest.models import sample_population
 from graphtest.rng import substream
@@ -161,7 +161,7 @@ class _InlinePool:
 def pool_sizes(monkeypatch):
     """Sizes of the worker pools ``run_experiment`` starts (none: [])."""
     sizes = []
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor",
+    monkeypatch.setattr(pool, "ProcessPoolExecutor",
                         lambda max_workers: _InlinePool(sizes, max_workers))
     return sizes
 
