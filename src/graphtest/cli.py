@@ -31,7 +31,12 @@ import sys
 from pathlib import Path
 
 from . import diagnostics, realdata, simulate
-from .errors import GraphTestError, InvalidAlphaError, OddSampleSizeError
+from .errors import (
+    GraphTestError,
+    InvalidAlphaError,
+    OddSampleSizeError,
+    SampleSizeMismatchError,
+)
 from .graphs import save_adjacency_csv
 from .models import load_model_json, model_mean_matrix, sample_population
 from .pool import usable_cpus
@@ -227,7 +232,7 @@ def _load_samples(args):
 def _cmd_test(args) -> int:
     group_a, group_b = _load_samples(args)
     if group_a.m != group_b.m:
-        raise GraphTestError(
+        raise SampleSizeMismatchError(
             f"groups have {group_a.m} and {group_b.m} graphs; equalize them "
             "first (see the realdata subcommand)"
         )

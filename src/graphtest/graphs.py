@@ -10,6 +10,7 @@ graphs, five-number summaries, and the adjacency CSV format (dense).
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -192,7 +193,13 @@ def five_number_summary(values) -> FiveNumberSummary:
 
 def load_adjacency_csv(path, tolerance: float = 1e-9) -> AdjacencyMatrix:
     """Read one adjacency CSV: n lines of n comma-separated floats, no header."""
-    raw = np.loadtxt(os.fspath(path), delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # An empty file is reported below as EmptyInputError.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        raw = np.loadtxt(os.fspath(path), delimiter=",", ndmin=2)
+    if raw.size == 0:
+        raise EmptyInputError("the file contains no data")
     return validate_adjacency(raw, tolerance)
 
 

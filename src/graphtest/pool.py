@@ -3,9 +3,10 @@
 :func:`map_tasks` maps a function over argument tuples on worker processes
 and returns the results in task order, so a caller that reduces them in
 that order gets the same output for any worker count.  With one worker or
-one task it runs in this process.  A ``shared`` value reaches each worker
-once, through the pool initializer (inherited, not pickled, where the pool
-forks), instead of being pickled with every task.
+one task it runs in this process.  The ``shared`` value, the function's
+first argument in every task, reaches each worker once, through the pool
+initializer (inherited, not pickled, where the pool forks), instead of
+being pickled with every task.
 """
 
 from __future__ import annotations
@@ -33,22 +34,17 @@ def _call_shared(fn, *task):
     return fn(_worker_shared, *task)
 
 
-def map_tasks(fn, tasks, workers: int = 1, shared=None) -> list:
-    """``[fn(*task) for task in tasks]``, or ``fn(shared, *task)`` when
-    ``shared`` is not None, on at most ``workers`` processes (never more
-    than there are tasks).  Every worker is joined before this returns,
-    also when a task raises; the first task in order that raised re-raises
-    here."""
+def map_tasks(fn, shared, tasks, workers: int = 1) -> list:
+    """``[fn(shared, *task) for task in tasks]`` on at most ``workers``
+    processes (never more than there are tasks).  Every worker is joined
+    before this returns, also when a task raises; the first task in order
+    that raised re-raises here."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = list(tasks)
     workers = min(workers, len(tasks))
     if workers <= 1:
-        first = () if shared is None else (shared,)
-        return [fn(*first, *task) for task in tasks]
-    if shared is None:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*tasks)))
+        return [fn(shared, *task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers, initializer=_set_shared,
                              initargs=(shared,)) as pool:
         return list(pool.map(_call_shared, repeat(fn), *zip(*tasks)))

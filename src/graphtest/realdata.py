@@ -9,15 +9,17 @@ excluded and counted).  A threshold sweep repeats the whole procedure on
 absolute-value binarized copies of the graphs for each threshold.
 
 Loading and the passes (weighted, then one per threshold) can run on worker
-processes through :func:`graphtest.pool.map_tasks`.  Files are read in
-name-order chunks and passes are reduced in order, so samples, results and
+processes through :func:`graphtest.pool.map_tasks`.  The files of all
+groups are read in name-order runs, one per worker, and checked file by
+file in that order; passes are reduced in order.  So samples, results and
 errors are the same for any worker count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import islice
+from collections import deque
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -105,33 +107,18 @@ def _csv_paths(directory: Path) -> list[Path]:
     return paths
 
 
-def _mixed(path: Path, n: int, n0: int, first: Path) -> MixedDimensionsError:
-    return MixedDimensionsError(
-        f"{path.name} has {n} nodes, expected {n0} (from {first.name})"
-    )
-
-
-def _read_chunk(paths, first: Path, tolerance: float):
-    """Read consecutive files of the group whose first file is ``first``
-    into a ``(k, P)`` block of pair vectors, or None when k = 0.
-
-    Reading stops at the first file that fails to load or whose node count
-    differs from the block's.  That file's error is returned with the block,
-    worded as a file-by-file load words it when the block's node count is
-    the group's."""
-    rows, error = [], None
+def _read_files(tolerance: float, paths):
+    """``(n, pair vector)`` for each file in ``paths``, or that file's
+    :class:`DataLoadError` in its place; reading goes on past an error."""
+    entries = []
     for path in paths:
         try:
             graph = load_adjacency_csv(path, tolerance)
         except (GraphTestError, OSError, ValueError) as err:
-            error = DataLoadError(f"{path.name}: {err}")
-            break
-        if rows and graph.n != n:
-            error = _mixed(path, graph.n, n, first)
-            break
-        n = graph.n
-        rows.append(graph.weights[pair_layout(n)])
-    return (np.stack(rows) if rows else None), error
+            entries.append(DataLoadError(f"{path.name}: {err}"))
+        else:
+            entries.append((graph.n, graph.weights[pair_layout(graph.n)]))
+    return entries
 
 
 def load_groups(directories, tolerance: float = 1e-9,
@@ -139,11 +126,11 @@ def load_groups(directories, tolerance: float = 1e-9,
     """:func:`load_group` for each directory, reading the files on up to
     ``workers`` processes.
 
-    Each group's files are cut into ``workers`` near-equal runs in name
-    order, one task each.  Whatever the worker count, the error raised is
-    the first one a file-by-file load of the directories in order meets:
-    an unreadable file, a file whose node count differs from its group's
-    first file, or a directory without ``.csv`` files."""
+    The files of all groups, in name order, are cut into ``workers``
+    near-equal runs, one task each.  Whatever the worker count, the error
+    raised is the first one a file-by-file load of the directories in
+    order meets: an unreadable file, a file whose node count differs from
+    its group's first file, or a directory without ``.csv`` files."""
     listed, late = [], None
     for directory in map(Path, directories):
         try:
@@ -151,39 +138,40 @@ def load_groups(directories, tolerance: float = 1e-9,
         except (DataLoadError, OSError) as err:
             late = err
             break
-    tasks, counts = [], []
-    for _, paths in listed:
-        count = max(1, min(workers, len(paths)))
-        bounds = [len(paths) * i // count for i in range(count + 1)]
-        tasks += [(paths[a:b], paths[0], tolerance)
-                  for a, b in zip(bounds, bounds[1:])]
-        counts.append(count)
-    chunks = iter(zip(tasks, map_tasks(_read_chunk, tasks, workers)))
+    paths = [path for _, group in listed for path in group]
+    count = max(1, min(workers, len(paths)))
+    bounds = [len(paths) * i // count for i in range(count + 1)]
+    runs = [(paths[a:b],) for a, b in zip(bounds, bounds[1:])]
+    # Popped as used, so each group's vectors are freed once it is stacked.
+    entries = deque(chain.from_iterable(
+        map_tasks(_read_files, tolerance, runs, workers)))
 
     datasets = []
-    for (directory, paths), count in zip(listed, counts):
-        blocks = []
-        for (chunk, _, _), (block, error) in islice(chunks, count):
-            if block is not None:
-                sample = GraphSample.from_edges(block)
-                if blocks and sample.n != blocks[0].n:
-                    raise _mixed(chunk[0], sample.n, blocks[0].n, paths[0])
-                blocks.append(sample)
-            if error is not None:
-                raise error
-        sample = blocks[0] if count == 1 else GraphSample.from_edges(
-            np.concatenate([block.edges for block in blocks]))
-        datasets.append(GroupDataset(directory.name, sample, tuple(paths)))
+    for directory, group in listed:
+        rows = []
+        for path in group:
+            entry = entries.popleft()
+            if isinstance(entry, DataLoadError):
+                raise entry
+            n, row = entry
+            if rows and n != n0:
+                raise MixedDimensionsError(f"{path.name} has {n} nodes, expected "
+                                           f"{n0} (from {group[0].name})")
+            n0 = n
+            rows.append(row)
+        datasets.append(GroupDataset(directory.name,
+                                     GraphSample.from_edges(np.stack(rows)),
+                                     tuple(group)))
     if late is not None:
         raise late
     return tuple(datasets)
 
 
-def load_group(directory, label: str | None = None, tolerance: float = 1e-9,
+def load_group(directory, tolerance: float = 1e-9,
                workers: int = 1) -> GroupDataset:
     """Load every ``*.csv`` adjacency file in a directory, in name order."""
     (dataset,) = load_groups([directory], tolerance, workers)
-    return replace(dataset, label=label) if label else dataset
+    return dataset
 
 
 def equalize(
@@ -338,8 +326,8 @@ def run_passes(
     :class:`AllNAError`."""
     taus = tuple(taus)
     groups = (sample_a, sample_b, plan, methods, alpha, drop_last)
-    weighted, *swept = map_tasks(_run_pass, [(tau,) for tau in (None, *taus)],
-                                 workers, shared=groups)
+    weighted, *swept = map_tasks(_run_pass, groups,
+                                 [(tau,) for tau in (None, *taus)], workers)
     if isinstance(weighted, AllNAError):
         raise weighted
     return weighted, _sweep_rows(zip(taus, swept), plan, methods)

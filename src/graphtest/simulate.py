@@ -215,8 +215,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> SimulationRepo
     threads = threads or usable_cpus()
     cells = config.cells()
     plan = plan_chunks(config, threads)
-    results = map_tasks(_run_chunk, [(config, cells[idx], start, stop)
-                                     for idx, start, stop in plan], threads)
+    tasks = [(cells[idx], start, stop) for idx, start, stop in plan]
+    results = map_tasks(_run_chunk, config, tasks, threads)
 
     lams = {}
     tallies = {idx: [(0, 0)] * len(config.methods) for idx, *_ in cells}

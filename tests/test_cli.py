@@ -3,6 +3,8 @@ and seed reproducibility."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import multiprocessing
@@ -11,12 +13,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtest.cli import main
-from graphtest.graphs import AdjacencyMatrix, load_adjacency_csv
+from graphtest.graphs import AdjacencyMatrix, GraphSample, load_adjacency_csv
 from graphtest.models import TwoBlockModel, sample_population
-from graphtest.realdata import make_synthetic_groups
+from graphtest.realdata import load_groups, make_synthetic_groups
 from graphtest.rng import substream
+from graphtest.twosample import METHODS, random_partition, run_methods
 from graphtest.graphs import save_adjacency_csv
 
 
@@ -137,6 +142,19 @@ class TestTest:
             save_adjacency_csv(graph, small / f"g{k}.csv")
         code = main(["test", "--group-a", str(a), "--group-b", str(small)])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "sample-size-mismatch: groups have 4 and 2 graphs; equalize them "
+            "first (see the realdata subcommand)\n")
+
+    def test_empty_file_one_error_line(self, group_dirs, capfd):
+        """capfd also captures what worker processes write to stderr."""
+        a, b = group_dirs
+        (b / "g2.csv").write_text("")
+        code = main(["test", "--group-a", str(a), "--group-b", str(b),
+                     "--seed", "7"])
+        assert code == 2
+        assert capfd.readouterr() == (
+            "", "data-load: g2.csv: the file contains no data\n")
 
     def test_table_format(self, group_dirs, capsys):
         a, b = group_dirs
@@ -152,6 +170,48 @@ class TestTest:
               "--output-format", "csv"])
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "split,method,statistic,p_value,reject,na_reason"
+
+
+@pytest.fixture(scope="module")
+def split_groups(tmp_path_factory):
+    """Two differing groups and two all-zero groups (every result NA)."""
+    root = tmp_path_factory.mktemp("split_groups")
+    a, b = make_synthetic_groups(n=8, size_a=6, size_b=6, epsilon=0.7, seed=91)
+    zero = GraphSample.from_edges(np.zeros_like(a.edges))
+    dirs = []
+    for label, sample in (("a", a), ("b", b), ("z1", zero), ("z2", zero)):
+        directory = root / label
+        directory.mkdir()
+        for k, graph in enumerate(sample.graphs):
+            save_adjacency_csv(graph, directory / f"s{k}.csv")
+        dirs.append(directory)
+    return dirs
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), splits=st.integers(1, 4),
+       alpha=st.floats(1e-3, 0.5), zero=st.booleans())
+def test_test_records_equal_run_methods(split_groups, seed, splits, alpha, zero):
+    """Each `test --method both` record is the kernel's result on split
+    ``random_partition(m, substream(seed, split))`` of the loaded groups."""
+    dirs = split_groups[2:] if zero else split_groups[:2]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["test", "--group-a", str(dirs[0]), "--group-b", str(dirs[1]),
+                     "--method", "both", "--seed", str(seed), "--splits",
+                     str(splits), "--alpha", repr(alpha)])
+    assert code == 0
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    a, b = (dataset.sample for dataset in load_groups(dirs))
+    expected = [
+        {"split": split, "method": r.method, "statistic": r.statistic,
+         "p_value": r.p_value, "reject": r.reject, "na_reason": r.na_reason}
+        for split in range(splits)
+        for r in run_methods(METHODS, a, b,
+                             random_partition(a.m, substream(seed, split)), alpha)
+    ]
+    assert records == expected
+    assert all(r["na_reason"] is not None for r in records) == zero
 
 
 class TestTheory:

@@ -195,6 +195,13 @@ class TestAdjacencyCsv:
         back = load_adjacency_csv(path)
         assert np.array_equal(back.weights, g.weights)
 
+    @pytest.mark.parametrize("text", ["", "# no rows\n"])
+    def test_file_without_data_is_empty_input(self, tmp_path, text):
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(EmptyInputError, match="the file contains no data"):
+            load_adjacency_csv(path)
+
     def test_format_shape(self, tmp_path):
         g = validate_adjacency([[0.0, 0.5], [0.5, 0.0]])
         path = tmp_path / "g.csv"

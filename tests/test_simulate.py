@@ -142,10 +142,12 @@ class TestRunExperiment:
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+    """Stands in for ProcessPoolExecutor: records its size, runs its
+    initializer and its tasks inline."""
 
-    def __init__(self, sizes, max_workers):
+    def __init__(self, sizes, max_workers, initializer, initargs):
         sizes.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -161,8 +163,9 @@ class _InlinePool:
 def pool_sizes(monkeypatch):
     """Sizes of the worker pools ``run_experiment`` starts (none: [])."""
     sizes = []
+    monkeypatch.setattr(pool, "_worker_shared", None)  # the inline initializer sets it
     monkeypatch.setattr(pool, "ProcessPoolExecutor",
-                        lambda max_workers: _InlinePool(sizes, max_workers))
+                        lambda **kwargs: _InlinePool(sizes, **kwargs))
     return sizes
 
 
