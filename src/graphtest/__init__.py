@@ -39,7 +39,6 @@ from .twosample import (
     TestResult,
     critical_value,
     decide,
-    edge_statistics,
     random_partition,
     run_method,
     run_methods,
@@ -59,7 +58,6 @@ __all__ = [
     "beta_params_from_moments",
     "critical_value",
     "decide",
-    "edge_statistics",
     "five_number_summary",
     "load_adjacency_csv",
     "model_mean_matrix",

@@ -17,6 +17,9 @@ print it to stderr as ``graphtest: seed <N> (from OS entropy)``;
 ``simulate`` uses its config's ``master_seed``.  ``test`` and ``realdata``
 read the group files, and ``realdata`` runs its passes, on one worker
 process per usable CPU (the affinity mask); output does not depend on it.
+Both run their splits through :func:`graphtest.realdata.repeated_tests`:
+``test`` prints each split's results, so its splits are those of
+``realdata --strategy split-only``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import diagnostics, realdata, simulate
+from . import diagnostics, simulate
 from .errors import (
     GraphTestError,
     InvalidAlphaError,
@@ -40,9 +43,9 @@ from .errors import (
 from .graphs import save_adjacency_csv
 from .models import load_model_json, model_mean_matrix, sample_population
 from .pool import usable_cpus
-from .realdata import ResamplingPlan, load_groups
+from .realdata import ResamplingPlan, load_groups, repeated_tests, run_passes
 from .rng import check_seed, fresh_seed, substream
-from .twosample import METHODS, random_partition, run_methods
+from .twosample import METHODS
 
 
 class _UsageError(Exception):
@@ -225,8 +228,7 @@ def _cmd_generate(args) -> int:
 
 def _load_samples(args):
     """Both groups' samples, read on one worker per usable CPU."""
-    return tuple(dataset.sample for dataset in load_groups(
-        (args.group_a, args.group_b), workers=usable_cpus()))
+    return load_groups((args.group_a, args.group_b), workers=usable_cpus())
 
 
 def _cmd_test(args) -> int:
@@ -236,21 +238,19 @@ def _cmd_test(args) -> int:
             f"groups have {group_a.m} and {group_b.m} graphs; equalize them "
             "first (see the realdata subcommand)"
         )
-    if group_a.m % 2 != 0:
-        if not args.drop_last:
-            raise OddSampleSizeError(
-                f"group size {group_a.m} is odd; pass --drop-last to discard "
-                "one pair"
-            )
-        group_a, group_b = realdata._drop_last_pair(group_a, group_b)
+    if group_a.m % 2 != 0 and not args.drop_last:
+        raise OddSampleSizeError(
+            f"group size {group_a.m} is odd; pass --drop-last to discard "
+            "one pair"
+        )
 
-    seed = _master_seed(args)
-    records = []
-    for split in range(args.splits):
-        partition = random_partition(group_a.m, substream(seed, split))
-        records.extend(_result_record(split, result) for result in run_methods(
-            _methods(args.method), group_a, group_b, partition, args.alpha))
-    _print_records(records, args.output_format)
+    plan = ResamplingPlan("split_only", args.splits, _master_seed(args))
+    methods = _methods(args.method)
+    runs = repeated_tests(group_a, group_b, plan, methods, args.alpha,
+                          args.drop_last)
+    _print_records([_result_record(split, runs[method].results[split])
+                    for split in range(args.splits) for method in methods],
+                   args.output_format)
     return 0
 
 
@@ -336,10 +336,11 @@ def _cmd_realdata(args) -> int:
     plan = ResamplingPlan(strategy=strategy, repetitions=args.reps, seed=seed)
     methods = _methods(args.method)
 
-    runs, sweep = realdata.run_passes(group_a, group_b, plan, methods, args.alpha,
-                                      args.drop_last, args.taus or (), usable_cpus())
+    runs, sweep = run_passes(group_a, group_b, plan, methods, args.alpha,
+                             args.drop_last, args.taus or (), usable_cpus())
     rows = [_summary_row(strategy, "", runs[method]) for method in methods]
-    rows += [_summary_row(strategy, f"{row.tau:g}", row) for row in sweep]
+    rows += [_summary_row(strategy, f"{tau:g}", swept[method])
+             for tau, swept in sweep for method in methods]
 
     text = _rows_to_csv(rows)
     if args.out:
@@ -360,7 +361,7 @@ def _summary_fields(summary) -> list[str]:
 
 
 def _summary_row(strategy, tau: str, run) -> list[str]:
-    """One output row for a :class:`RepeatedRun` or a :class:`SweepRow`."""
+    """One output row for a :class:`~graphtest.realdata.RepeatedRun`."""
     return [strategy, tau, run.method, *_summary_fields(run.summary),
             str(run.na_count)]
 

@@ -15,8 +15,6 @@ Everything here is exact arithmetic on model moments, no sampling:
 * ``tfro_consistency_ratio`` - expected ratio of the baseline's squared
   denominator to the true numerator variance; values far from 1 predict a
   miscalibrated (typically severely conservative) baseline.
-* ``exact_fourth_moment`` - exact fourth moment of a per-edge product,
-  used as an oracle for the moment bounds.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .errors import (
     DegenerateModelError,
     DimensionMismatchError,
     InvalidScenarioParamsError,
-    OddSampleSizeError,
 )
 from .graphs import pair_layout
 from .models import MeanMatrix, TwoBlockModel, _blocks, _pair_moments
@@ -302,28 +299,6 @@ def tfro_consistency_ratio(moments: ModelMoments) -> float:
     if total_s4 == 0.0:
         raise DegenerateModelError("all edge variances are zero")
     return float(mu_sq.sum()) / total_s4
-
-
-def exact_fourth_moment(sigma2_ij, eta_ij, m: int):
-    """Exact ``E[T_ij^4]`` under the null for one pair.
-
-    Each half-sum of ``m/2`` i.i.d. centered differences has fourth moment
-    ``(m/2)*eta + 3*(m/2)*((m/2)-1)*(2*sigma^2)^2`` (the pairing count of a
-    quartic expansion, with ``E[d^2] = 2*sigma^2``); the two halves are
-    independent, so the product's fourth moment is that quantity squared.
-
-    Accepts scalars or arrays (broadcast elementwise).
-    """
-    if m % 2 != 0:
-        raise OddSampleSizeError(f"group size must be even, got {m}")
-    half = m // 2
-    sigma2 = np.asarray(sigma2_ij, dtype=np.float64)
-    eta = np.asarray(eta_ij, dtype=np.float64)
-    p = half * eta + 3.0 * half * (half - 1) * (2.0 * sigma2) ** 2
-    out = p * p
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def power_condition_ratios(moments: ModelMoments) -> dict[str, float]:

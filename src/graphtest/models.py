@@ -244,6 +244,22 @@ def sample_graph_from_means(
 
 MODEL_KEYS = {"schema", "family", "n", "within", "between", "epsilon"}
 
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               list: ((list,), "a list")}
+
+
+def json_value(value, key: str, kind: type):
+    """``value`` from a JSON document, required to be an integer (``kind``
+    ``int``), a number (``float``, returned as a float) or a list (``list``).
+    A bool is neither an integer nor a number."""
+    types, name = _JSON_KINDS[kind]
+    if isinstance(value, types) and not isinstance(value, bool):
+        try:
+            return float(value) if kind is float else value
+        except OverflowError:
+            pass
+    raise ConfigError(f"{key} must be {name}, got {value!r}")
+
 
 def model_from_json(doc: dict) -> TwoBlockModel:
     """Build a model from its JSON document form.
@@ -271,17 +287,15 @@ def model_from_json(doc: dict) -> TwoBlockModel:
         if family == "beta":
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise ConfigError(f"{key} must be an [a, b] pair for the beta family")
-            return (float(value[0]), float(value[1]))
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be a probability for the bernoulli family")
-        return float(value)
+            return tuple(json_value(v, f"{key} entry", float) for v in value)
+        return json_value(value, key, float)
 
     return TwoBlockModel(
-        n=int(doc["n"]),
+        n=json_value(doc["n"], "n", int),
         family=family,
         within=_params(doc["within"], "within"),
         between=_params(doc["between"], "between"),
-        epsilon=float(doc.get("epsilon", 0.0)),
+        epsilon=json_value(doc.get("epsilon", 0.0), "epsilon", float),
     )
 
 

@@ -5,7 +5,9 @@ equalized per repetition, either by oversampling the smaller group up to
 the larger size or by subsampling the larger group down.  Each repetition
 then draws a fresh random split, computes the requested statistics, and the
 batch of statistics is reduced to a five-number summary (NA repetitions are
-excluded and counted).  A threshold sweep repeats the whole procedure on
+excluded and counted).  :func:`repeated_tests` is the one split loop: it is
+also what ``graphtest test`` runs, with the ``split_only`` strategy on equal
+groups.  :func:`run_passes` runs it on the weighted groups and again on
 absolute-value binarized copies of the graphs for each threshold.
 
 Loading and the passes (weighted, then one per threshold) can run on worker
@@ -47,15 +49,6 @@ from .twosample import TestResult, random_partition, run_methods
 STRATEGIES = ("oversample_smaller", "subsample_larger", "split_only")
 
 
-@dataclass(frozen=True, eq=False)
-class GroupDataset:
-    """One group of observed networks plus where they came from."""
-
-    label: str
-    sample: GraphSample
-    source_paths: tuple[Path, ...]
-
-
 @dataclass(frozen=True)
 class ResamplingPlan:
     strategy: str
@@ -89,15 +82,6 @@ class RepeatedRun:
         return [r.statistic for r in self.results if not r.is_na]
 
 
-@dataclass(frozen=True, eq=False)
-class SweepRow:
-    tau: float
-    method: str
-    summary: FiveNumberSummary | None
-    na_count: int
-    repetitions: int
-
-
 def _csv_paths(directory: Path) -> list[Path]:
     if not directory.is_dir():
         raise DataLoadError(f"{directory} is not a directory")
@@ -122,9 +106,9 @@ def _read_files(tolerance: float, paths):
 
 
 def load_groups(directories, tolerance: float = 1e-9,
-                workers: int = 1) -> tuple[GroupDataset, ...]:
-    """:func:`load_group` for each directory, reading the files on up to
-    ``workers`` processes.
+                workers: int = 1) -> tuple[GraphSample, ...]:
+    """One sample per directory, of every ``*.csv`` adjacency file in it in
+    name order, reading the files on up to ``workers`` processes.
 
     The files of all groups, in name order, are cut into ``workers``
     near-equal runs, one task each.  Whatever the worker count, the error
@@ -134,11 +118,11 @@ def load_groups(directories, tolerance: float = 1e-9,
     listed, late = [], None
     for directory in map(Path, directories):
         try:
-            listed.append((directory, _csv_paths(directory)))
+            listed.append(_csv_paths(directory))
         except (DataLoadError, OSError) as err:
             late = err
             break
-    paths = [path for _, group in listed for path in group]
+    paths = list(chain.from_iterable(listed))
     count = max(1, min(workers, len(paths)))
     bounds = [len(paths) * i // count for i in range(count + 1)]
     runs = [(paths[a:b],) for a, b in zip(bounds, bounds[1:])]
@@ -146,8 +130,8 @@ def load_groups(directories, tolerance: float = 1e-9,
     entries = deque(chain.from_iterable(
         map_tasks(_read_files, tolerance, runs, workers)))
 
-    datasets = []
-    for directory, group in listed:
+    samples = []
+    for group in listed:
         rows = []
         for path in group:
             entry = entries.popleft()
@@ -159,19 +143,10 @@ def load_groups(directories, tolerance: float = 1e-9,
                                            f"{n0} (from {group[0].name})")
             n0 = n
             rows.append(row)
-        datasets.append(GroupDataset(directory.name,
-                                     GraphSample.from_edges(np.stack(rows)),
-                                     tuple(group)))
+        samples.append(GraphSample.from_edges(np.stack(rows)))
     if late is not None:
         raise late
-    return tuple(datasets)
-
-
-def load_group(directory, tolerance: float = 1e-9,
-               workers: int = 1) -> GroupDataset:
-    """Load every ``*.csv`` adjacency file in a directory, in name order."""
-    (dataset,) = load_groups([directory], tolerance, workers)
-    return dataset
+    return tuple(samples)
 
 
 def equalize(
@@ -214,10 +189,6 @@ def equalize(
     return out_large, out_small
 
 
-def _drop_last_pair(a: GraphSample, b: GraphSample) -> tuple[GraphSample, GraphSample]:
-    return GraphSample.from_edges(a.edges[:-1]), GraphSample.from_edges(b.edges[:-1])
-
-
 def repeated_tests(
     sample_a: GraphSample,
     sample_b: GraphSample,
@@ -230,23 +201,19 @@ def repeated_tests(
 
     Each repetition derives its stream from ``(plan.seed, repetition)`` and
     uses one shared split for every method, so methods are compared on
-    identical resamples.  Raises :class:`AllNAError` only when *every*
-    result of every method is NA; a single all-NA method simply gets a None
-    summary.
+    identical resamples.  Equal groups draw nothing in :func:`equalize`, so
+    repetition ``r`` then splits with ``random_partition(m, substream(seed,
+    r))``.  A method whose every result is NA gets a None summary.
     """
     replicates = []
     for rep in range(plan.repetitions):
         rng = substream(plan.seed, rep)
         eq_a, eq_b = equalize(sample_a, sample_b, plan.strategy, rng)
         if drop_last and eq_a.m % 2 != 0:
-            eq_a, eq_b = _drop_last_pair(eq_a, eq_b)
+            eq_a = GraphSample.from_edges(eq_a.edges[:-1])
+            eq_b = GraphSample.from_edges(eq_b.edges[:-1])
         partition = random_partition(eq_a.m, rng)
         replicates.append(run_methods(methods, eq_a, eq_b, partition, alpha))
-
-    if all(r.is_na for results in replicates for r in results):
-        raise AllNAError(
-            f"all {plan.repetitions} repetitions produced undefined statistics"
-        )
 
     runs = {}
     for method, results in zip(methods, zip(*replicates)):
@@ -260,53 +227,14 @@ def repeated_tests(
     return runs
 
 
-def _run_pass(groups, tau: float | None):
+def _run_pass(groups, tau: float | None) -> dict[str, RepeatedRun]:
     """:func:`repeated_tests` on ``groups`` (both samples and the test
-    settings), binarized at ``tau`` unless it is None.  An all-NA pass
-    returns its :class:`AllNAError`."""
+    settings), binarized at ``tau`` unless it is None."""
     sample_a, sample_b, plan, methods, alpha, drop_last = groups
     if tau is not None:
         sample_a = threshold_binarize(sample_a, tau)
         sample_b = threshold_binarize(sample_b, tau)
-    try:
-        return repeated_tests(sample_a, sample_b, plan, methods, alpha, drop_last)
-    except AllNAError as err:
-        return err
-
-
-def _sweep_rows(passes, plan: ResamplingPlan, methods) -> list[SweepRow]:
-    """Rows for ``(tau, pass result)`` pairs, NA rows for all-NA passes."""
-    rows = []
-    for tau, runs in passes:
-        for method in methods:
-            if isinstance(runs, AllNAError):
-                rows.append(SweepRow(tau, method, None, plan.repetitions,
-                                     plan.repetitions))
-            else:
-                run = runs[method]
-                rows.append(SweepRow(tau, method, run.summary, run.na_count,
-                                     run.repetitions))
-    return rows
-
-
-def threshold_sweep(
-    sample_a: GraphSample,
-    sample_b: GraphSample,
-    taus,
-    plan: ResamplingPlan,
-    methods: tuple[str, ...] = ("tn", "tfro"),
-    alpha: float = 0.05,
-    drop_last: bool = False,
-) -> list[SweepRow]:
-    """Binarize both groups at each threshold and rerun the repeated tests.
-
-    Thresholds where every repetition of every method is NA (for example a
-    tau above all absolute weights) yield rows with a None summary rather
-    than aborting the sweep.
-    """
-    groups = (sample_a, sample_b, plan, methods, alpha, drop_last)
-    return _sweep_rows([(tau, _run_pass(groups, tau)) for tau in taus], plan,
-                       methods)
+    return repeated_tests(sample_a, sample_b, plan, methods, alpha, drop_last)
 
 
 def run_passes(
@@ -318,19 +246,23 @@ def run_passes(
     drop_last: bool = False,
     taus=(),
     workers: int = 1,
-) -> tuple[dict[str, RepeatedRun], list[SweepRow]]:
-    """:func:`repeated_tests` on the weighted groups and
-    :func:`threshold_sweep` over ``taus``, as one list of passes on up to
-    ``workers`` processes, which receive the groups once.  The results do
-    not depend on ``workers``; an all-NA weighted pass raises
-    :class:`AllNAError`."""
+) -> tuple[dict[str, RepeatedRun], list[tuple[float, dict[str, RepeatedRun]]]]:
+    """:func:`repeated_tests` on the weighted groups, then on both groups
+    binarized at each of ``taus``, as one list of passes on up to
+    ``workers`` processes, which receive the groups once.  Returns the
+    weighted runs and ``(tau, runs)`` per threshold; the results do not
+    depend on ``workers``.  A threshold pass that is all NA (a tau above
+    every absolute weight, say) gets None summaries; an all-NA weighted
+    pass raises :class:`AllNAError`."""
     taus = tuple(taus)
     groups = (sample_a, sample_b, plan, methods, alpha, drop_last)
     weighted, *swept = map_tasks(_run_pass, groups,
                                  [(tau,) for tau in (None, *taus)], workers)
-    if isinstance(weighted, AllNAError):
-        raise weighted
-    return weighted, _sweep_rows(zip(taus, swept), plan, methods)
+    if all(run.summary is None for run in weighted.values()):
+        raise AllNAError(
+            f"all {plan.repetitions} repetitions produced undefined statistics"
+        )
+    return weighted, list(zip(taus, swept))
 
 
 def make_synthetic_groups(

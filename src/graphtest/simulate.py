@@ -28,7 +28,13 @@ from dataclasses import dataclass
 
 from .diagnostics import lambda_from_moments, two_block_moments
 from .errors import ConfigError, DegenerateModelError, GraphTestError
-from .models import FAMILIES, TwoBlockModel, model_from_json, sample_population
+from .models import (
+    FAMILIES,
+    TwoBlockModel,
+    json_value,
+    model_from_json,
+    sample_population,
+)
 from .pool import map_tasks, usable_cpus
 from .rng import check_seed, substream
 from .twosample import METHODS, random_partition, run_methods
@@ -282,18 +288,22 @@ def experiment_from_json(doc: dict) -> ExperimentConfig:
     probe.update(schema=1, n=2, epsilon=0.0)
     template = model_from_json(probe)
 
-    methods = tuple(doc.get("methods", ("tn", "tfro")))
+    def grid(key, kind):
+        return tuple(json_value(v, f"{key} entry", kind)
+                     for v in json_value(doc[key], key, list))
+
     return ExperimentConfig(
         family=template.family,
         within=template.within,
         between=template.between,
-        n_grid=tuple(int(n) for n in doc["n_grid"]),
-        m_grid=tuple(int(m) for m in doc["m_grid"]),
-        epsilon_grid=tuple(float(e) for e in doc["epsilon_grid"]),
-        replications=int(doc["replications"]),
-        alpha=float(doc["alpha"]),
-        master_seed=int(doc["master_seed"]),
-        methods=methods,
+        n_grid=grid("n_grid", int),
+        m_grid=grid("m_grid", int),
+        epsilon_grid=grid("epsilon_grid", float),
+        replications=json_value(doc["replications"], "replications", int),
+        alpha=json_value(doc["alpha"], "alpha", float),
+        master_seed=json_value(doc["master_seed"], "master_seed", int),
+        methods=tuple(json_value(doc.get("methods", list(METHODS)), "methods",
+                                 list)),
     )
 
 

@@ -153,22 +153,6 @@ def _scaled_half_sums(g_edges: np.ndarray, h_edges: np.ndarray, op,
     return np.ldexp(s1, -e, out=s1), np.ldexp(s2, -e, out=s2), e
 
 
-def edge_statistics(
-    sample_g: GraphSample, sample_h: GraphSample, partition: Partition
-) -> np.ndarray:
-    """Per-pair products T_ij, a ``(P,)`` vector in :func:`pair_layout` order.
-
-    A pair whose product overflows float64 (half sums of opposite-sign
-    weights near the float64 limit) comes back as ±inf or nan, without a
-    floating-point warning."""
-    _check_samples(sample_g, sample_h, partition)
-    g, h = sample_g.edges, sample_h.edges
-    with np.errstate(over="ignore", invalid="ignore"):
-        d1, d2, e = _scaled_half_sums(g, h, np.subtract, partition,
-                                      np.empty((3, g.shape[1])))
-        return np.ldexp(d1 * d2, 2 * e)
-
-
 def _result(method: str, numerator: float, den_sq: float, num_exp: int,
             den_exp: int) -> TestResult:
     """The result for a numerator and squared denominator given in units of

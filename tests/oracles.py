@@ -1,0 +1,54 @@
+"""Reference computations that the tests check the package against.
+
+Neither is part of the package's interface: ``edge_statistics`` exposes
+the per-pair products that :func:`graphtest.twosample.run_methods` reduces
+without keeping, and ``exact_fourth_moment`` is the closed form that the
+Monte Carlo moment checks compare with.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from graphtest.errors import OddSampleSizeError
+from graphtest.graphs import GraphSample
+from graphtest.twosample import Partition, _check_samples, _scaled_half_sums
+
+
+def edge_statistics(
+    sample_g: GraphSample, sample_h: GraphSample, partition: Partition
+) -> np.ndarray:
+    """Per-pair products T_ij, a ``(P,)`` vector in ``pair_layout`` order,
+    from the kernel's own scaled half sums.
+
+    A pair whose product overflows float64 (half sums of opposite-sign
+    weights near the float64 limit) comes back as ±inf or nan, without a
+    floating-point warning."""
+    _check_samples(sample_g, sample_h, partition)
+    g, h = sample_g.edges, sample_h.edges
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2, e = _scaled_half_sums(g, h, np.subtract, partition,
+                                      np.empty((3, g.shape[1])))
+        return np.ldexp(d1 * d2, 2 * e)
+
+
+def exact_fourth_moment(sigma2_ij, eta_ij, m: int):
+    """Exact ``E[T_ij^4]`` under the null for one pair.
+
+    Each half-sum of ``m/2`` i.i.d. centered differences has fourth moment
+    ``(m/2)*eta + 3*(m/2)*((m/2)-1)*(2*sigma^2)^2`` (the pairing count of a
+    quartic expansion, with ``E[d^2] = 2*sigma^2``); the two halves are
+    independent, so the product's fourth moment is that quantity squared.
+
+    Accepts scalars or arrays (broadcast elementwise).
+    """
+    if m % 2 != 0:
+        raise OddSampleSizeError(f"group size must be even, got {m}")
+    half = m // 2
+    sigma2 = np.asarray(sigma2_ij, dtype=np.float64)
+    eta = np.asarray(eta_ij, dtype=np.float64)
+    p = half * eta + 3.0 * half * (half - 1) * (2.0 * sigma2) ** 2
+    out = p * p
+    if out.ndim == 0:
+        return float(out)
+    return out

@@ -22,27 +22,21 @@ from scipy.stats import kendalltau, kstest
 
 from graphtest.cli import main
 from graphtest.diagnostics import (
-    exact_fourth_moment,
     null_variance,
     paired_difference_fourth_moment,
     two_block_moments,
 )
 from graphtest.graphs import AdjacencyMatrix, GraphSample, save_adjacency_csv
 from graphtest.models import TwoBlockModel, sample_population
-from graphtest.realdata import (
-    ResamplingPlan,
-    make_synthetic_groups,
-    repeated_tests,
-    threshold_sweep,
-)
+from graphtest.realdata import ResamplingPlan, make_synthetic_groups, run_passes
 from graphtest.rng import substream
 from graphtest.simulate import ExperimentConfig, run_experiment
 from graphtest.twosample import (
     Partition,
-    edge_statistics,
     random_partition,
     run_method,
 )
+from oracles import edge_statistics, exact_fourth_moment
 
 THREADS = 2  # worker processes for the heavy grids
 
@@ -401,15 +395,13 @@ def test_criterion_10_real_data_pipeline():
     group_a, group_b = make_synthetic_groups(n=100, size_a=54, size_b=70,
                                              epsilon=0.7, seed=20240817)
     plan = ResamplingPlan("oversample_smaller", repetitions=100, seed=20240826)
-    runs = repeated_tests(group_a, group_b, plan, methods=("tn",))
+    runs, ((_, by_method),) = run_passes(group_a, group_b, plan, ("tn", "tfro"),
+                                         taus=[0.01])
     statistics = runs["tn"].statistics()
     ok_oversample = (len(statistics) == 100
                      and min(statistics) > 1.96
                      and runs["tn"].na_count == 0)
 
-    rows = threshold_sweep(group_a, group_b, [0.01], plan,
-                           methods=("tn", "tfro"))
-    by_method = {row.method: row for row in rows}
     tn_summary = by_method["tn"].summary
     tfro_summary = by_method["tfro"].summary
     ok_sweep = (tn_summary is not None and tfro_summary is not None

@@ -202,7 +202,7 @@ def test_test_records_equal_run_methods(split_groups, seed, splits, alpha, zero)
                      str(splits), "--alpha", repr(alpha)])
     assert code == 0
     records = [json.loads(line) for line in out.getvalue().splitlines()]
-    a, b = (dataset.sample for dataset in load_groups(dirs))
+    a, b = load_groups(dirs)
     expected = [
         {"split": split, "method": r.method, "statistic": r.statistic,
          "p_value": r.p_value, "reject": r.reject, "na_reason": r.na_reason}
@@ -289,6 +289,74 @@ class TestSimulate:
               "--seed", "123"])
         assert out2.read_bytes() == out3.read_bytes()
         assert out1.read_bytes() != out2.read_bytes()
+
+
+class TestConfigTypes:
+    """Integer fields take JSON integers, real fields JSON numbers (bool is
+    neither) and grids JSON lists: anything else is one `config:` line and
+    exit 2, never a truncated value or a traceback."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 10.7), ("n", 10.0), ("n", "x"), ("n", True), ("n", None),
+        ("epsilon", "e"), ("epsilon", False), ("epsilon", [0.5]),
+        ("epsilon", 10**400),
+        ("within", ["a", 3]), ("within", [2, True]), ("between", [1, None]),
+    ])
+    def test_theory_model_values(self, tmp_path, key, value, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**MODEL_DOC, key: value}))
+        assert main(["theory", "--config", str(path), "--m", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config: {key} ")
+        assert captured.err.count("\n") == 1
+
+    def test_bernoulli_probability_must_be_a_number(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"schema": 1, "family": "bernoulli", "n": 4,
+                                    "within": "0.5", "between": 0.4}))
+        assert main(["theory", "--config", str(path), "--m", "2"]) == 2
+        assert capsys.readouterr().err.startswith("config: within ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("replications", 3.7), ("replications", "x"), ("replications", True),
+        ("master_seed", 1.5), ("master_seed", "7"),
+        ("alpha", "0.05"), ("alpha", True),
+        ("n_grid", 5), ("n_grid", [10.5]), ("n_grid", ["10"]),
+        ("m_grid", [2.5]), ("m_grid", "2"), ("m_grid", [True]),
+        ("epsilon_grid", 0.5), ("epsilon_grid", ["e"]), ("epsilon_grid", [None]),
+        ("methods", "tn"), ("methods", 5),
+    ])
+    def test_simulate_experiment_values(self, tmp_path, key, value, capsys):
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps({**EXPERIMENT_DOC, key: value}))
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config: {key} ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_simulate_design_values(self, tmp_path, capsys):
+        doc = {**EXPERIMENT_DOC,
+               "design": {"family": "beta", "within": ["a", 3], "between": [1, 3]}}
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config: within ")
+
+    def test_integral_reals_accepted(self, tmp_path, capsys):
+        """JSON integers are numbers too: the same report as the float form."""
+        reports = []
+        for alpha, epsilons in ((0.05, [0.0, 1.0]), (0.05, [0, 1])):
+            path = tmp_path / "experiment.json"
+            path.write_text(json.dumps({**EXPERIMENT_DOC, "alpha": alpha,
+                                        "epsilon_grid": epsilons}))
+            out = tmp_path / "report.csv"
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestRealdata:
@@ -399,6 +467,22 @@ class TestWorkerCount:
                         f"mixed-dimensions: s{mismatch}.csv has 4 nodes, "
                         "expected 8 (from s0.csv)")
             assert stderr.startswith(expected) and stderr.count("\n") == 1
+
+
+    def test_all_na_threshold_rows(self, group_files, tmp_path, monkeypatch,
+                                   capsys):
+        """A threshold above every weight leaves no edges: each method's row
+        is all NA with every repetition counted, at any worker count."""
+        a, b = group_files
+        out = tmp_path / "summary.csv"
+        argv = ["realdata", "--group-a", str(a), "--group-b", str(b),
+                "--reps", "4", "--seed", "3", "--taus", "0.2,9",
+                "--method", "both", "--out", str(out)]
+        for cpus in (1, 2):
+            assert self._run(monkeypatch, capsys, cpus, argv) == (0, "", "")
+            assert out.read_text().splitlines()[-2:] == [
+                "oversample_smaller,9,tn,NA,NA,NA,NA,NA,4",
+                "oversample_smaller,9,tfro,NA,NA,NA,NA,NA,4"]
 
 
 class TestEntropySeed:

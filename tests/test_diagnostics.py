@@ -14,7 +14,6 @@ from graphtest.diagnostics import (
     ModelMoments,
     bernoulli_condition,
     condition_ratios,
-    exact_fourth_moment,
     lambda_from_moments,
     lambda_n,
     lambda_sparse_bernoulli,
@@ -34,6 +33,7 @@ from graphtest.errors import (
 from graphtest.graphs import GraphSample, pair_layout
 from graphtest.models import TwoBlockModel, model_mean_matrix
 from graphtest.rng import substream
+from oracles import exact_fourth_moment
 
 
 def _constant_moments(n, m, mu, sigma2, eta=None):

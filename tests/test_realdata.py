@@ -1,5 +1,5 @@
 """Tests for group loading, resampling equalization, repeated splits, and
-threshold sweeps."""
+the weighted and thresholded passes."""
 
 from __future__ import annotations
 
@@ -19,18 +19,21 @@ from graphtest.errors import (
     MixedDimensionsError,
     UnequalWithSplitOnlyError,
 )
-from graphtest.graphs import AdjacencyMatrix, GraphSample, save_adjacency_csv
+from graphtest.graphs import (
+    AdjacencyMatrix,
+    GraphSample,
+    save_adjacency_csv,
+    threshold_binarize,
+)
 from graphtest.models import TwoBlockModel, sample_population
 from graphtest.realdata import (
     STRATEGIES,
     ResamplingPlan,
     equalize,
-    load_group,
     load_groups,
     make_synthetic_groups,
     repeated_tests,
     run_passes,
-    threshold_sweep,
 )
 from graphtest.rng import substream
 
@@ -55,32 +58,36 @@ def _row_index(sample, row):
     return int(matches)
 
 
+def _load(directory, workers=1):
+    """The sample of the one group in ``directory``."""
+    (sample,) = load_groups([directory], workers=workers)
+    return sample
+
+
 class TestLoadGroup:
     def test_loads_in_name_order(self, tmp_path):
         sample = _population(1, 3, n=6)
         _write_group(tmp_path / "grp", sample)
-        dataset = load_group(tmp_path / "grp")
-        assert dataset.sample.m == 3 and dataset.sample.n == 6
-        assert [p.name for p in dataset.source_paths] == [
-            "subject_000.csv", "subject_001.csv", "subject_002.csv"]
-        for loaded, original in zip(dataset.sample.graphs, sample.graphs):
-            assert np.array_equal(loaded.weights, original.weights)
+        loaded = _load(tmp_path / "grp")
+        assert loaded.m == 3 and loaded.n == 6
+        for got, original in zip(loaded.graphs, sample.graphs):
+            assert np.array_equal(got.weights, original.weights)
 
     def test_empty_directory_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(DataLoadError):
-            load_group(tmp_path / "empty")
+            _load(tmp_path / "empty")
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(DataLoadError):
-            load_group(tmp_path / "nowhere")
+            _load(tmp_path / "nowhere")
 
     def test_mixed_dimensions_names_offender(self, tmp_path):
         grp = tmp_path / "grp"
         _write_group(grp, _population(2, 2, n=6))
         save_adjacency_csv(_population(3, 1, n=4).graphs[0], grp / "subject_zzz.csv")
         with pytest.raises(MixedDimensionsError) as exc:
-            load_group(grp)
+            _load(grp)
         assert "subject_zzz.csv" in str(exc.value)
 
     def test_invalid_file_names_offender(self, tmp_path):
@@ -88,7 +95,7 @@ class TestLoadGroup:
         _write_group(grp, _population(4, 2, n=4))
         (grp / "subject_bad.csv").write_text("0,1\n2,0\n")  # asymmetric
         with pytest.raises(DataLoadError) as exc:
-            load_group(grp)
+            _load(grp)
         assert "subject_bad.csv" in str(exc.value)
 
 
@@ -111,12 +118,11 @@ class TestParallelLoad:
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_samples_match_serial_load(self, groups, workers):
-        serial = [load_group(d) for d in groups]
+        serial = [_load(d) for d in groups]
         loaded = load_groups(groups, workers=workers)
+        assert len(loaded) == len(serial)
         for got, want in zip(loaded, serial):
-            assert got.sample.edges.tobytes() == want.sample.edges.tobytes()
-            assert got.source_paths == want.source_paths
-            assert got.label == want.label
+            assert got.edges.tobytes() == want.edges.tobytes()
 
     @pytest.mark.parametrize("mismatch, corrupt", [
         (None, 3),   # corrupt file alone
@@ -164,7 +170,7 @@ class TestParallelLoad:
     def test_groups_may_differ_in_node_count(self, groups, tmp_path):
         _write_group(tmp_path / "c", _population(64, 3, n=4))
         _, c = load_groups((groups[0], tmp_path / "c"), workers=2)
-        assert (c.sample.m, c.sample.n) == (3, 4)
+        assert (c.m, c.n) == (3, 4)
 
 
 _EDGE_WEIGHTS = st.one_of(
@@ -177,7 +183,7 @@ _EDGE_WEIGHTS = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(2, 5), m=st.integers(1, 4))
 def test_csv_round_trip_is_bit_exact(data, n, m):
-    """save_adjacency_csv then load_group gives back every pair weight bit
+    """save_adjacency_csv then load_groups gives back every pair weight bit
     for bit, at one and two workers; any diagonal comes back +0.0."""
     pairs = n * (n - 1) // 2
     edges = np.array(data.draw(st.lists(_EDGE_WEIGHTS, min_size=m * pairs,
@@ -190,7 +196,7 @@ def test_csv_round_trip_is_bit_exact(data, n, m):
             np.fill_diagonal(weights, diagonal)
             save_adjacency_csv(AdjacencyMatrix(weights), Path(tmp) / f"g{k}.csv")
         for workers in (1, 2):
-            sample = load_group(tmp, workers=workers).sample
+            sample = _load(tmp, workers=workers)
             assert sample.edges.tobytes() == edges.tobytes()
             for graph in sample.graphs:
                 assert np.diagonal(graph.weights).tobytes() == np.zeros(n).tobytes()
@@ -265,10 +271,13 @@ class TestEqualize:
 
 class TestRepeatedTests:
     def test_identical_groups_all_na(self):
+        """An all-NA method gets a None summary; only run_passes raises, and
+        only for the weighted pass."""
         sample = _population(30, 4)
         plan = ResamplingPlan("split_only", repetitions=10, seed=31)
-        with pytest.raises(AllNAError):
-            repeated_tests(sample, sample, plan, methods=("tn",))
+        runs = repeated_tests(sample, sample, plan, methods=("tn",))
+        assert runs["tn"].summary is None
+        assert runs["tn"].na_count == 10 == runs["tn"].repetitions
 
     def test_na_excluded_from_summary_but_counted(self):
         """On identical groups tn is always NA while tfro is a defined zero,
@@ -315,22 +324,31 @@ class TestRepeatedTests:
             pytest.approx(runs["tn"].summary.as_tuple())
 
 
+def _sweep(a, b, taus, plan, methods):
+    """The threshold passes of :func:`run_passes` over ``taus``."""
+    _, sweep = run_passes(a, b, plan, methods, taus=taus)
+    return sweep
+
+
+def _fields(run):
+    return run.method, run.results, run.summary, run.na_count
+
+
 class TestThresholdSweep:
     def test_all_edges_removed_gives_na_rows(self):
         a, b = _population(50, 4), _population(51, 4)
         plan = ResamplingPlan("split_only", repetitions=4, seed=52)
-        rows = threshold_sweep(a, b, [5.0], plan, methods=("tn", "tfro"))
-        assert len(rows) == 2
-        for row in rows:
-            assert row.summary is None and row.na_count == 4
+        ((tau, runs),) = _sweep(a, b, [5.0], plan, ("tn", "tfro"))
+        assert tau == 5.0 and list(runs) == ["tn", "tfro"]
+        for run in runs.values():
+            assert run.summary is None and run.na_count == 4
 
     def test_zero_threshold_on_positive_weights(self):
         """tau=0 turns strictly positive weights into complete graphs: the
         difference statistic is NA (all T zero) while the baseline is 0."""
         a, b = _population(53, 4), _population(54, 4)
         plan = ResamplingPlan("split_only", repetitions=3, seed=55)
-        rows = threshold_sweep(a, b, [0.0], plan, methods=("tn", "tfro"))
-        by_method = {row.method: row for row in rows}
+        ((_, by_method),) = _sweep(a, b, [0.0], plan, ("tn", "tfro"))
         assert by_method["tn"].summary is None
         assert by_method["tn"].na_count == 3
         assert by_method["tfro"].summary.as_tuple() == (0, 0, 0, 0, 0)
@@ -338,28 +356,32 @@ class TestThresholdSweep:
     def test_row_shape(self):
         a, b = _population(56, 4), _population(57, 4, epsilon=0.7)
         plan = ResamplingPlan("split_only", repetitions=3, seed=58)
-        rows = threshold_sweep(a, b, [0.2, 0.4], plan, methods=("tn",))
-        assert [(r.tau, r.method) for r in rows] == [(0.2, "tn"), (0.4, "tn")]
+        sweep = _sweep(a, b, [0.2, 0.4], plan, ("tn",))
+        assert [(tau, list(runs)) for tau, runs in sweep] == [(0.2, ["tn"]),
+                                                              (0.4, ["tn"])]
 
 
 class TestParallelPasses:
     """Each pass runs as one task; results do not depend on the worker
-    count and equal the serial functions'."""
+    count and equal :func:`repeated_tests` on the (binarized) groups."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_passes_match_serial_functions(self, workers):
         a, b = _population(70, 4), _population(71, 6, epsilon=0.7)
         plan = ResamplingPlan("oversample_smaller", repetitions=4, seed=72)
         taus = (0.2, 0.5, 5.0)
-        runs, rows = run_passes(a, b, plan, ("tn", "tfro"), 0.05, False, taus,
-                                workers)
+        runs, sweep = run_passes(a, b, plan, ("tn", "tfro"), 0.05, False, taus,
+                                 workers)
         serial = repeated_tests(a, b, plan, ("tn", "tfro"))
-        assert {k: v.results for k, v in runs.items()} == \
-            {k: v.results for k, v in serial.items()}
-        swept = threshold_sweep(a, b, taus, plan)
-        assert [vars(r) for r in rows] == [vars(r) for r in swept]
-        assert [r.summary for r in rows[-2:]] == [None, None]
-
+        assert {k: _fields(v) for k, v in runs.items()} == \
+            {k: _fields(v) for k, v in serial.items()}
+        assert [tau for tau, _ in sweep] == list(taus)
+        for tau, swept in sweep:
+            want = repeated_tests(threshold_binarize(a, tau),
+                                  threshold_binarize(b, tau), plan, ("tn", "tfro"))
+            assert {k: _fields(v) for k, v in swept.items()} == \
+                {k: _fields(v) for k, v in want.items()}
+        assert [run.summary for run in sweep[-1][1].values()] == [None, None]
     @pytest.mark.parametrize("workers", [1, 2])
     def test_all_na_weighted_pass_aborts(self, workers):
         sample = _population(73, 4)
