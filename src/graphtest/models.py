@@ -273,7 +273,7 @@ def model_from_json(doc: dict) -> TwoBlockModel:
     unknown = set(doc) - MODEL_KEYS
     if unknown:
         raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-    if doc.get("schema") != 1:
+    if "schema" not in doc or json_value(doc["schema"], "schema", int) != 1:
         raise ConfigError("model document must declare \"schema\": 1")
     missing = {"family", "n", "within", "between"} - set(doc)
     if missing:

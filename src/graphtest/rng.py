@@ -11,6 +11,8 @@ worker pool.
 from __future__ import annotations
 
 import numpy as np
+# Imported here, not on first use, so forked pool workers inherit it.
+from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigError
 
@@ -36,10 +38,10 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     for p in path:
         if not isinstance(p, (int, np.integer)) or p < 0:
             raise ConfigError(f"stream path entries must be non-negative ints, got {p!r}")
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.default_rng(seq)
+    seq = SeedSequence(int(master_seed), spawn_key=tuple(int(p) for p in path))
+    return default_rng(seq)
 
 
 def fresh_seed() -> int:
     """Draw a master seed from OS entropy (for runs without --seed)."""
-    return int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
+    return int(SeedSequence().generate_state(1, np.uint64)[0])

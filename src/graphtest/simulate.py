@@ -270,7 +270,7 @@ def experiment_from_json(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
-    if doc.get("schema") != 1:
+    if "schema" not in doc or json_value(doc["schema"], "schema", int) != 1:
         raise ConfigError("experiment document must declare \"schema\": 1")
     missing = CONFIG_KEYS - {"methods", "schema"} - set(doc)
     if missing:

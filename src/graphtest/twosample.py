@@ -27,16 +27,23 @@ the groups' edge arrays, so no ``(m, P)`` temporary is formed.
 Either denominator can vanish on very sparse or identical samples, and
 half sums of weights of opposite sign near the float64 limit overflow;
 such results are reported as NA with a reason code instead of a value.
+
+The normal tails are scipy's ``ndtr`` and ``ndtri``, but scipy is loaded
+only when a digit depends on them: when ``TestResult.p_value`` is read (it
+is computed then), when :func:`critical_value` is called, or when
+:func:`decide` meets a statistic within a relative ``1e-9`` of the
+critical value.  Any other decision is settled by the standard library's
+quantile, which lies within ``1e-15`` of ``ndtri``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     DimensionMismatchError,
@@ -81,16 +88,15 @@ class Partition:
 class TestResult:
     """Outcome of one statistic evaluation.
 
-    ``statistic`` and ``p_value`` are None when the denominator is not
-    positive or a sum is not finite; ``na_reason`` then says why.
-    ``reject`` and ``alpha`` are filled by :func:`decide`.
+    ``statistic`` is None when the denominator is not positive or a sum is
+    not finite; ``na_reason`` then says why.  ``reject`` and ``alpha`` are
+    filled by :func:`decide`.
     """
 
     method: str
     numerator: float
     denominator_sq: float
     statistic: float | None
-    p_value: float | None
     na_reason: str | None = None
     reject: bool | None = None
     alpha: float | None = None
@@ -98,6 +104,15 @@ class TestResult:
     @property
     def is_na(self) -> bool:
         return self.statistic is None
+
+    @property
+    def p_value(self) -> float | None:
+        """Two-sided normal p-value ``2 * ndtr(-|statistic|)``, computed
+        when read; None for an NA statistic."""
+        if self.statistic is None:
+            return None
+        from scipy.special import ndtr
+        return float(2.0 * ndtr(-abs(self.statistic)))
 
 
 def random_partition(m: int, rng: np.random.Generator) -> Partition:
@@ -169,26 +184,51 @@ def _result(method: str, numerator: float, den_sq: float, num_exp: int,
         if not isfinite(stat):
             stat, reason = None, NON_FINITE
     return TestResult(method, float(np.ldexp(numerator, num_exp)),
-                      float(np.ldexp(den_sq, den_exp)), stat,
-                      None if stat is None else float(2.0 * ndtr(-abs(stat))),
-                      reason)
+                      float(np.ldexp(den_sq, den_exp)), stat, reason)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise InvalidAlphaError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @lru_cache(maxsize=None)
 def critical_value(alpha: float) -> float:
     """Two-sided standard normal critical value (1.959964 at alpha = 0.05)."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlphaError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
+    from scipy.special import ndtri
     return float(ndtri(1.0 - alpha / 2.0))
+
+
+# Relative half-width of the bracket around the critical value; the stdlib
+# quantile (AS 241) was within 1.0e-15 of ndtri for alpha in [2.5e-16, 1).
+_BRACKET_WIDTH = 1e-9
+
+
+@lru_cache(maxsize=None)
+def _critical_bracket(alpha: float) -> tuple[float, float]:
+    """``(low, high)`` with ``low <= critical_value(alpha) <= high``, from
+    the stdlib's normal quantile widened by ``_BRACKET_WIDTH`` each way."""
+    _check_alpha(alpha)
+    q = 1.0 - alpha / 2.0
+    if q == 1.0:  # ndtri(1.0) is inf: nothing is rejected
+        return inf, inf
+    c = NormalDist().inv_cdf(q)
+    return c * (1.0 - _BRACKET_WIDTH), c * (1.0 + _BRACKET_WIDTH)
 
 
 def decide(result: TestResult, alpha: float) -> TestResult:
     """Fill the rejection decision: reject when ``|statistic|`` exceeds the
-    two-sided critical value.  NA statistics yield an NA decision."""
-    crit = critical_value(alpha)
+    two-sided critical value.  NA statistics yield an NA decision.
+
+    Only a statistic inside :func:`_critical_bracket` is compared with the
+    exact :func:`critical_value`; outside it the bracket decides the same."""
+    low, high = _critical_bracket(alpha)
     if result.is_na:
         return replace(result, reject=None, alpha=alpha)
-    return replace(result, reject=bool(abs(result.statistic) > crit), alpha=alpha)
+    stat = abs(result.statistic)
+    reject = stat > high or (stat >= low and stat > critical_value(alpha))
+    return replace(result, reject=bool(reject), alpha=alpha)
 
 
 def run_methods(

@@ -301,6 +301,7 @@ class TestConfigTypes:
         ("epsilon", "e"), ("epsilon", False), ("epsilon", [0.5]),
         ("epsilon", 10**400),
         ("within", ["a", 3]), ("within", [2, True]), ("between", [1, None]),
+        ("schema", True), ("schema", 1.0),
     ])
     def test_theory_model_values(self, tmp_path, key, value, capsys):
         path = tmp_path / "model.json"
@@ -326,6 +327,7 @@ class TestConfigTypes:
         ("m_grid", [2.5]), ("m_grid", "2"), ("m_grid", [True]),
         ("epsilon_grid", 0.5), ("epsilon_grid", ["e"]), ("epsilon_grid", [None]),
         ("methods", "tn"), ("methods", 5),
+        ("schema", True), ("schema", 1.0),
     ])
     def test_simulate_experiment_values(self, tmp_path, key, value, capsys):
         path = tmp_path / "experiment.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 import graphtest
+from graphtest import twosample
 from graphtest.errors import (
     DimensionMismatchError,
     InvalidAlphaError,
@@ -25,15 +28,17 @@ from graphtest.errors import (
     SampleSizeMismatchError,
     TooFewSamplesError,
 )
-from graphtest.graphs import AdjacencyMatrix, GraphSample
+from graphtest.graphs import AdjacencyMatrix, GraphSample, save_adjacency_csv
 from graphtest.models import TwoBlockModel, sample_population
 from graphtest.rng import substream
 from graphtest.twosample import (
+    _BRACKET_WIDTH,
     METHODS,
     NEGATIVE_DENOMINATOR,
     NON_FINITE,
     ZERO_DENOMINATOR,
     Partition,
+    _critical_bracket,
     _result,
     critical_value,
     decide,
@@ -346,6 +351,54 @@ class TestDecide:
     def test_critical_value_alpha_05(self):
         assert critical_value(0.05) == pytest.approx(1.959964, abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 1e-3, 1e-10, 3e-16, 1e-300, 0.999])
+    def test_decision_at_critical_value_is_exact(self, alpha):
+        """At the critical value, one ulp either side of it and at the edges
+        of the bracket, the decision is ``|statistic| > critical_value``."""
+        crit = critical_value(alpha)
+        points = [crit, np.nextafter(crit, 0.0), np.nextafter(crit, np.inf),
+                  crit * (1.0 + _BRACKET_WIDTH), crit * (1.0 - _BRACKET_WIDTH)]
+        for stat in (float(p) for p in points if np.isfinite(p)):
+            for signed in (stat, -stat):
+                decided = decide(_result("tn", signed, 1.0, 0, 0), alpha)
+                assert decided.statistic == signed
+                assert decided.reject is (stat > crit), (alpha, signed)
+
+    def test_exact_value_only_inside_bracket(self, monkeypatch):
+        crit = critical_value(0.05)
+        calls = []
+        monkeypatch.setattr(twosample, "critical_value",
+                            lambda alpha: calls.append(alpha) or crit)
+        assert decide(_result("tn", 1.9599, 1.0, 0, 0), 0.05).reject is False
+        assert decide(_result("tn", -1.96, 1.0, 0, 0), 0.05).reject is True
+        assert calls == []
+        assert decide(_result("tn", crit, 1.0, 0, 0), 0.05).reject is False
+        assert calls == [0.05]
+
+    def test_alpha_too_small_for_a_quantile_rejects_nothing(self):
+        assert _critical_bracket(1e-300) == (math.inf, math.inf)
+        assert decide(_result("tn", 1e308, 1.0, 0, 0), 1e-300).reject is False
+
+    def test_invalid_alpha_raises_for_na_result(self):
+        na = _result("tn", 0.0, 0.0, 0, 0)
+        assert na.is_na
+        for alpha in (0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(InvalidAlphaError):
+                decide(na, alpha)
+
+    def test_stdlib_quantile_within_bracket(self):
+        """The stdlib quantile stays a thousand times closer to ``ndtri``
+        than the bracket's half-width, so the bracket always holds it."""
+        alphas = np.concatenate([np.geomspace(2.5e-16, 0.5, 5000),
+                                 np.linspace(0.5, 1.0, 5001)[:-1]])
+        inv_cdf = NormalDist().inv_cdf
+        for alpha in (float(a) for a in alphas):
+            crit = critical_value(alpha)
+            stdlib = inv_cdf(1.0 - alpha / 2.0)
+            assert abs(stdlib - crit) <= crit * _BRACKET_WIDTH / 1000, alpha
+            low, high = _critical_bracket(alpha)
+            assert low <= crit <= high, alpha
+
 
 class TestInvariances:
     def test_group_swap_invariance(self):
@@ -590,12 +643,50 @@ class TestNormalTails:
         assert result.statistic == z
         assert result.p_value == float(2.0 * norm.sf(abs(z)))
 
-    def test_cli_import_does_not_load_scipy_stats(self):
-        """``scipy.stats`` took most of the CLI's start-up time."""
+    def test_cli_loads_scipy_only_for_test(self, tmp_path):
+        """Only p-values need scipy: ``simulate`` and ``realdata`` run
+        without it.  ``numpy.random`` is loaded at import, so forked pool
+        workers inherit it instead of importing it each."""
+        model = TwoBlockModel(n=6, family="beta", within=(2.0, 3.0),
+                              between=(1.0, 3.0), epsilon=0.5)
+        groups = []
+        for label, shifted in (("a", False), ("b", True)):
+            directory = tmp_path / label
+            directory.mkdir()
+            sample = sample_population(model, shifted, 4, substream(3, int(shifted)))
+            for k, graph in enumerate(sample.graphs):
+                save_adjacency_csv(graph, directory / f"g{k}.csv")
+            groups += ["--group-" + label, str(directory)]
+        experiment = tmp_path / "experiment.json"
+        experiment.write_text(json.dumps({
+            "schema": 1, "design": {"family": "beta", "within": [2, 3],
+                                    "between": [1, 3]},
+            "n_grid": [6], "m_grid": [2], "epsilon_grid": [0.5],
+            "replications": 2, "alpha": 0.05, "master_seed": 1}))
+        runs = [
+            ["simulate", "--config", str(experiment), "--out", str(tmp_path / "s.csv")],
+            ["realdata", *groups, "--reps", "3", "--taus", "0.3", "--seed", "1",
+             "--out", str(tmp_path / "r.csv")],
+            ["test", *groups, "--splits", "2", "--seed", "1"],
+        ]
+        script = (
+            "import json, sys\n"
+            "import graphtest.cli\n"
+            "def loaded():\n"
+            "    return {'scipy': sorted(m for m in sys.modules\n"
+            "                            if m.split('.')[0] == 'scipy'),\n"
+            "            'numpy.random': 'numpy.random' in sys.modules}\n"
+            "states = {'import': loaded()}\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert graphtest.cli.main(argv) == 0, argv\n"
+            "    states[argv[0]] = loaded()\n"
+            "print(json.dumps(states))\n")
         src = str(Path(graphtest.__file__).resolve().parents[1])
         out = subprocess.run(
-            [sys.executable, "-c",
-             "import graphtest.cli, sys; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True, check=True,
+            [sys.executable, "-c", script, json.dumps(runs)],
+            capture_output=True, text=True, check=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        states = json.loads(out.stdout.splitlines()[-1])
+        for stage in ("import", "simulate", "realdata"):
+            assert states[stage] == {"scipy": [], "numpy.random": True}, stage
+        assert "scipy.special" in states["test"]["scipy"]
