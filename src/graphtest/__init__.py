@@ -9,10 +9,20 @@ Library layout:
 * :mod:`graphtest.diagnostics` - closed-form calibration/power diagnostics
 * :mod:`graphtest.simulate` - replicated Monte Carlo experiment grids
 * :mod:`graphtest.realdata` - resampling pipeline for unequal groups
-* :mod:`graphtest.pool` - the worker pool behind simulate and realdata
+* :mod:`graphtest.pool` - the worker pool and the chunk planner behind
+  simulate, realdata and test
 * :mod:`graphtest.cli` - the ``graphtest`` executable
 """
 
+from .diagnostics import (
+    BernoulliCondition,
+    ConditionRatios,
+    ModelMoments,
+    lambda_n,
+    lambda_sparse_bernoulli,
+    mean_matrix_moments,
+    paired_difference_fourth_moment,
+)
 from .graphs import (
     AdjacencyMatrix,
     FiveNumberSummary,
@@ -27,6 +37,7 @@ from .graphs import (
 from .models import (
     MeanMatrix,
     TwoBlockModel,
+    bernoulli_moments,
     beta_moments,
     beta_params_from_moments,
     model_mean_matrix,
@@ -48,20 +59,28 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjacencyMatrix",
+    "BernoulliCondition",
+    "ConditionRatios",
     "FiveNumberSummary",
     "GraphSample",
     "MeanMatrix",
+    "ModelMoments",
     "Partition",
     "TestResult",
     "TwoBlockModel",
+    "bernoulli_moments",
     "beta_moments",
     "beta_params_from_moments",
     "critical_value",
     "decide",
     "five_number_summary",
+    "lambda_n",
+    "lambda_sparse_bernoulli",
     "load_adjacency_csv",
+    "mean_matrix_moments",
     "model_mean_matrix",
     "pair_layout",
+    "paired_difference_fourth_moment",
     "random_partition",
     "run_method",
     "run_methods",

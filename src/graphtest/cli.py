@@ -15,11 +15,12 @@ three that print records, ``--threads`` ``simulate``.  Without ``--seed``,
 ``generate``, ``test`` and ``realdata`` draw a seed from OS entropy and
 print it to stderr as ``graphtest: seed <N> (from OS entropy)``;
 ``simulate`` uses its config's ``master_seed``.  ``test`` and ``realdata``
-read the group files, and ``realdata`` runs its passes, on one worker
-process per usable CPU (the affinity mask); output does not depend on it.
-Both run their splits through :func:`graphtest.realdata.repeated_tests`:
-``test`` prints each split's results, so its splits are those of
-``realdata --strategy split-only``.
+read the group files and run their splits through
+:func:`graphtest.realdata.run_passes` on one worker process per usable CPU
+(the affinity mask); output does not depend on it.  ``test`` prints each
+split's results, so its splits are those of ``realdata --strategy
+split-only``; ``realdata`` fails with ``all-na`` when every weighted
+repetition of every method is NA.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from pathlib import Path
 
 from . import diagnostics, simulate
 from .errors import (
+    AllNAError,
     GraphTestError,
     InvalidAlphaError,
     OddSampleSizeError,
@@ -43,7 +45,7 @@ from .errors import (
 from .graphs import save_adjacency_csv
 from .models import load_model_json, model_mean_matrix, sample_population
 from .pool import usable_cpus
-from .realdata import ResamplingPlan, load_groups, repeated_tests, run_passes
+from .realdata import RepeatedRun, ResamplingPlan, load_groups, run_passes
 from .rng import check_seed, fresh_seed, substream
 from .twosample import METHODS
 
@@ -95,7 +97,7 @@ def _tau_list(value: str) -> tuple[float, ...]:
     return taus
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=_seed, default=None,
                         help="master seed; omit for a fresh one from OS entropy")
@@ -246,8 +248,8 @@ def _cmd_test(args) -> int:
 
     plan = ResamplingPlan("split_only", args.splits, _master_seed(args))
     methods = _methods(args.method)
-    runs = repeated_tests(group_a, group_b, plan, methods, args.alpha,
-                          args.drop_last)
+    runs, _ = run_passes(group_a, group_b, plan, methods, args.alpha,
+                         args.drop_last, taus=(), workers=usable_cpus())
     _print_records([_result_record(split, runs[method].results[split])
                     for split in range(args.splits) for method in methods],
                    args.output_format)
@@ -319,7 +321,7 @@ def _flatten(doc: dict, prefix: str = "") -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    config = simulate.load_experiment_json(args.config)
+    config: simulate.ExperimentConfig = simulate.load_experiment_json(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     report = simulate.run_experiment(config, threads=args.threads)
@@ -338,6 +340,9 @@ def _cmd_realdata(args) -> int:
 
     runs, sweep = run_passes(group_a, group_b, plan, methods, args.alpha,
                              args.drop_last, args.taus or (), usable_cpus())
+    if all(run.summary is None for run in runs.values()):
+        raise AllNAError(
+            f"all {plan.repetitions} repetitions produced undefined statistics")
     rows = [_summary_row(strategy, "", runs[method]) for method in methods]
     rows += [_summary_row(strategy, f"{tau:g}", swept[method])
              for tau, swept in sweep for method in methods]
@@ -360,8 +365,8 @@ def _summary_fields(summary) -> list[str]:
     return [f"{v:.6g}" for v in summary.as_tuple()]
 
 
-def _summary_row(strategy, tau: str, run) -> list[str]:
-    """One output row for a :class:`~graphtest.realdata.RepeatedRun`."""
+def _summary_row(strategy, tau: str, run: RepeatedRun) -> list[str]:
+    """One output row for the repetitions of one method."""
     return [strategy, tau, run.method, *_summary_fields(run.summary),
             str(run.na_count)]
 
@@ -384,7 +389,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as err:

@@ -72,7 +72,7 @@ class ModelMoments:
             raise ValueError(f"{what} is a null-model diagnostic; use epsilon = 0 moments")
 
 
-def beta_raw_moment(alpha: float, beta: float, k: int) -> float:
+def _beta_raw_moment(alpha: float, beta: float, k: int) -> float:
     """k-th raw moment of Beta(alpha, beta)."""
     value = 1.0
     for r in range(k):
@@ -81,10 +81,10 @@ def beta_raw_moment(alpha: float, beta: float, k: int) -> float:
 
 
 def _beta_central_fourth(alpha: float, beta: float) -> float:
-    m1 = beta_raw_moment(alpha, beta, 1)
-    m2 = beta_raw_moment(alpha, beta, 2)
-    m3 = beta_raw_moment(alpha, beta, 3)
-    m4 = beta_raw_moment(alpha, beta, 4)
+    m1 = _beta_raw_moment(alpha, beta, 1)
+    m2 = _beta_raw_moment(alpha, beta, 2)
+    m3 = _beta_raw_moment(alpha, beta, 3)
+    m4 = _beta_raw_moment(alpha, beta, 4)
     return m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
 
 

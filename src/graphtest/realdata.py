@@ -5,16 +5,17 @@ equalized per repetition, either by oversampling the smaller group up to
 the larger size or by subsampling the larger group down.  Each repetition
 then draws a fresh random split, computes the requested statistics, and the
 batch of statistics is reduced to a five-number summary (NA repetitions are
-excluded and counted).  :func:`repeated_tests` is the one split loop: it is
-also what ``graphtest test`` runs, with the ``split_only`` strategy on equal
-groups.  :func:`run_passes` runs it on the weighted groups and again on
-absolute-value binarized copies of the graphs for each threshold.
+excluded and counted).  :func:`run_passes` is the one split loop: it runs
+the repetitions on the weighted groups and again on absolute-value
+binarized copies of the graphs for each threshold.  ``graphtest test`` runs
+it too, with the ``split_only`` strategy on equal groups and no threshold.
 
-Loading and the passes (weighted, then one per threshold) can run on worker
-processes through :func:`graphtest.pool.map_tasks`.  The files of all
-groups are read in name-order runs, one per worker, and checked file by
-file in that order; passes are reduced in order.  So samples, results and
-errors are the same for any worker count.
+Loading and the passes can run on worker processes through
+:mod:`graphtest.pool`.  The files of all groups are read in name-order
+runs, one per worker, and checked file by file in that order.  Passes are
+cut into repetition chunks by :func:`graphtest.pool.plan`, and repetition
+``r`` of every pass draws from ``substream(seed, r)`` whichever chunk runs
+it.  So samples, results and errors are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pool
 from .errors import (
-    AllNAError,
     DataLoadError,
     GraphTestError,
     MixedDimensionsError,
@@ -42,7 +43,6 @@ from .graphs import (
     threshold_binarize,
 )
 from .models import TwoBlockModel, sample_population
-from .pool import map_tasks
 from .rng import substream
 from .twosample import TestResult, random_partition, run_methods
 
@@ -73,13 +73,6 @@ class RepeatedRun:
     results: tuple[TestResult, ...]
     summary: FiveNumberSummary | None
     na_count: int
-
-    @property
-    def repetitions(self) -> int:
-        return len(self.results)
-
-    def statistics(self) -> list[float]:
-        return [r.statistic for r in self.results if not r.is_na]
 
 
 def _csv_paths(directory: Path) -> list[Path]:
@@ -128,7 +121,7 @@ def load_groups(directories, tolerance: float = 1e-9,
     runs = [(paths[a:b],) for a, b in zip(bounds, bounds[1:])]
     # Popped as used, so each group's vectors are freed once it is stacked.
     entries = deque(chain.from_iterable(
-        map_tasks(_read_files, tolerance, runs, workers)))
+        pool.map_tasks(_read_files, tolerance, runs, workers)))
 
     samples = []
     for group in listed:
@@ -189,24 +182,18 @@ def equalize(
     return out_large, out_small
 
 
-def repeated_tests(
-    sample_a: GraphSample,
-    sample_b: GraphSample,
-    plan: ResamplingPlan,
-    methods: tuple[str, ...] = ("tn",),
-    alpha: float = 0.05,
-    drop_last: bool = False,
-) -> dict[str, RepeatedRun]:
-    """Equalize + split + test, repeated ``plan.repetitions`` times.
-
-    Each repetition derives its stream from ``(plan.seed, repetition)`` and
-    uses one shared split for every method, so methods are compared on
-    identical resamples.  Equal groups draw nothing in :func:`equalize`, so
-    repetition ``r`` then splits with ``random_partition(m, substream(seed,
-    r))``.  A method whose every result is NA gets a None summary.
-    """
+def _run_chunk(groups, tau: float | None, start: int, stop: int) -> list:
+    """The ``run_methods`` results of repetitions ``start..stop-1`` on
+    ``groups`` (both samples and the test settings), binarized at ``tau``
+    unless it is None.  Repetition ``r`` equalizes and then draws one split
+    that every method shares, both from ``substream(plan.seed, r)``; equal
+    groups draw nothing in :func:`equalize`."""
+    sample_a, sample_b, plan, methods, alpha, drop_last = groups
+    if tau is not None:
+        sample_a = threshold_binarize(sample_a, tau)
+        sample_b = threshold_binarize(sample_b, tau)
     replicates = []
-    for rep in range(plan.repetitions):
+    for rep in range(start, stop):
         rng = substream(plan.seed, rep)
         eq_a, eq_b = equalize(sample_a, sample_b, plan.strategy, rng)
         if drop_last and eq_a.m % 2 != 0:
@@ -214,27 +201,14 @@ def repeated_tests(
             eq_b = GraphSample.from_edges(eq_b.edges[:-1])
         partition = random_partition(eq_a.m, rng)
         replicates.append(run_methods(methods, eq_a, eq_b, partition, alpha))
-
-    runs = {}
-    for method, results in zip(methods, zip(*replicates)):
-        valid = [r.statistic for r in results if not r.is_na]
-        runs[method] = RepeatedRun(
-            method=method,
-            results=results,
-            summary=five_number_summary(valid) if valid else None,
-            na_count=len(results) - len(valid),
-        )
-    return runs
+    return replicates
 
 
-def _run_pass(groups, tau: float | None) -> dict[str, RepeatedRun]:
-    """:func:`repeated_tests` on ``groups`` (both samples and the test
-    settings), binarized at ``tau`` unless it is None."""
-    sample_a, sample_b, plan, methods, alpha, drop_last = groups
-    if tau is not None:
-        sample_a = threshold_binarize(sample_a, tau)
-        sample_b = threshold_binarize(sample_b, tau)
-    return repeated_tests(sample_a, sample_b, plan, methods, alpha, drop_last)
+def _repeated_run(method: str, results: tuple[TestResult, ...]) -> RepeatedRun:
+    valid = [r.statistic for r in results if not r.is_na]
+    return RepeatedRun(method=method, results=results,
+                       summary=five_number_summary(valid) if valid else None,
+                       na_count=len(results) - len(valid))
 
 
 def run_passes(
@@ -247,22 +221,28 @@ def run_passes(
     taus=(),
     workers: int = 1,
 ) -> tuple[dict[str, RepeatedRun], list[tuple[float, dict[str, RepeatedRun]]]]:
-    """:func:`repeated_tests` on the weighted groups, then on both groups
-    binarized at each of ``taus``, as one list of passes on up to
-    ``workers`` processes, which receive the groups once.  Returns the
-    weighted runs and ``(tau, runs)`` per threshold; the results do not
-    depend on ``workers``.  A threshold pass that is all NA (a tau above
-    every absolute weight, say) gets None summaries; an all-NA weighted
-    pass raises :class:`AllNAError`."""
-    taus = tuple(taus)
+    """Equalize + split + test, repeated ``plan.repetitions`` times on the
+    weighted groups, then on both groups binarized at each of ``taus``.
+
+    The passes, of equal cost, are cut into repetition chunks by
+    :func:`graphtest.pool.plan` for up to ``workers`` processes, which
+    receive the groups once; a chunk binarizes them at its own tau.  Each
+    pass's results are joined in repetition order, so nothing depends on
+    ``workers``.  Returns the weighted runs and ``(tau, runs)`` per
+    threshold; a method that is NA in every repetition of a pass gets a
+    None summary."""
+    passes = (None, *taus)
     groups = (sample_a, sample_b, plan, methods, alpha, drop_last)
-    weighted, *swept = map_tasks(_run_pass, groups,
-                                 [(tau,) for tau in (None, *taus)], workers)
-    if all(run.summary is None for run in weighted.values()):
-        raise AllNAError(
-            f"all {plan.repetitions} repetitions produced undefined statistics"
-        )
-    return weighted, list(zip(taus, swept))
+    chunks = pool.plan([1] * len(passes), plan.repetitions, workers)
+    tasks = [(passes[unit], start, stop) for unit, start, stop in chunks]
+    done = pool.map_tasks(_run_chunk, groups, tasks, workers)
+    replicates = [[None] * plan.repetitions for _ in passes]
+    for (unit, start, stop), chunk in zip(chunks, done):
+        replicates[unit][start:stop] = chunk
+    weighted, *swept = ({method: _repeated_run(method, results)
+                         for method, results in zip(methods, zip(*rows))}
+                        for rows in replicates)
+    return weighted, list(zip(passes[1:], swept))
 
 
 def make_synthetic_groups(

@@ -5,13 +5,10 @@ of node counts, group sizes, and shifts.  Every (cell, replicate) derives
 its own random stream from the master seed, so reports are bit-identical
 regardless of how many workers run the cells.
 
-Work is planned as replicate chunks ``(cell_index, start, stop)``: a
-replicate costs ``m * n * (n - 1)`` pair draws, each cell is cut into the
-fewest equal chunks that keep a chunk within a quarter of one worker's
-share, and the chunks are handed out costliest first (Graham's
-longest-processing-time rule), so no large cell starts last and leaves a
-worker idle.  Chunks return integer tallies, which are summed per cell and
-reported in cell order.
+Work is planned by :func:`graphtest.pool.plan` as replicate chunks
+``(cell_index, start, stop)``, with a replicate of cell (n, m) costing
+``m * n * (n - 1)`` pair draws.  Chunks return integer tallies, which are
+summed per cell and reported in cell order.
 
 Per replicate: draw the first group from the unshifted model and the second
 from the shifted one (a zero shift is the null), draw a fresh random
@@ -26,6 +23,7 @@ import csv
 import json
 from dataclasses import dataclass
 
+from . import pool
 from .diagnostics import lambda_from_moments, two_block_moments
 from .errors import ConfigError, DegenerateModelError, GraphTestError
 from .models import (
@@ -35,7 +33,6 @@ from .models import (
     model_from_json,
     sample_population,
 )
-from .pool import map_tasks, usable_cpus
 from .rng import check_seed, substream
 from .twosample import METHODS, random_partition, run_methods
 
@@ -176,53 +173,24 @@ def _cell_results(config: ExperimentConfig, n: int, m: int, epsilon: float,
     return tuple(out)
 
 
-def run_cell(
-    config: ExperimentConfig, n: int, m: int, epsilon: float, cell_index: int
-) -> tuple[CellResult, ...]:
-    """Run one grid cell; returns one tally per requested method."""
-    lam, tallies = _run_chunk(config, (cell_index, n, m, epsilon), 0,
-                              config.replications)
-    return _cell_results(config, n, m, epsilon, lam, tallies)
-
-
-def plan_chunks(config: ExperimentConfig, workers: int) -> list[tuple[int, int, int]]:
-    """Replicate chunks ``(cell_index, start, stop)`` covering every
-    (cell, replicate) exactly once, costliest first.
-
-    A replicate of cell (n, m) costs ``m * n * (n - 1)``.  Each cell is cut
-    into the fewest near-equal chunks (sizes differ by at most one) whose
-    cost stays within ``1 / (4 * workers)`` of the total work, or into
-    single replicates when one replicate alone exceeds that.  Ties in cost
-    keep ``(cell_index, start)`` order."""
-    reps = config.replications
-    unit = {idx: m * n * (n - 1) for idx, n, m, _ in config.cells()}
-    total = reps * sum(unit.values())
-    plan = []
-    for idx, cost in unit.items():
-        per_chunk = min(reps, max(1, total // (4 * workers * cost)))
-        count = -(-reps // per_chunk)
-        bounds = [reps * i // count for i in range(count + 1)]
-        plan += [(idx, a, b) for a, b in zip(bounds, bounds[1:])]
-    return sorted(plan, key=lambda c: (-(c[2] - c[1]) * unit[c[0]], c[0], c[1]))
-
-
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> SimulationReport:
     """Run every grid cell on ``threads`` worker processes (0 = one per
     usable CPU, never more than there are chunks).
 
-    The work is the :func:`plan_chunks` plan for ``threads``, handed out
-    costliest chunk first; ``threads == 1`` runs the same plan in this
-    process.  Chunk tallies are integers summed per cell and reported in
-    :meth:`ExperimentConfig.cells` order, and every replicate's stream is
-    keyed by (master seed, cell index, replicate), so the report is
-    identical for any thread count."""
+    The work is the :func:`graphtest.pool.plan` of the cells for
+    ``threads``, handed out costliest chunk first; ``threads == 1`` runs
+    the same plan in this process.  Chunk tallies are integers summed per
+    cell and reported in :meth:`ExperimentConfig.cells` order, and every
+    replicate's stream is keyed by (master seed, cell index, replicate), so
+    the report is identical for any thread count."""
     if threads < 0:
         raise ValueError(f"threads must be non-negative, got {threads}")
-    threads = threads or usable_cpus()
+    threads = threads or pool.usable_cpus()
     cells = config.cells()
-    plan = plan_chunks(config, threads)
+    plan = pool.plan([m * n * (n - 1) for _, n, m, _ in cells],
+                     config.replications, threads)
     tasks = [(cells[idx], start, stop) for idx, start, stop in plan]
-    results = map_tasks(_run_chunk, config, tasks, threads)
+    results = pool.map_tasks(_run_chunk, config, tasks, threads)
 
     lams = {}
     tallies = {idx: [(0, 0)] * len(config.methods) for idx, *_ in cells}
@@ -257,7 +225,7 @@ CONFIG_KEYS = {"schema", "design", "n_grid", "m_grid", "epsilon_grid",
 DESIGN_KEYS = {"family", "within", "between"}
 
 
-def experiment_from_json(doc: dict) -> ExperimentConfig:
+def _experiment_from_json(doc: dict) -> ExperimentConfig:
     """Parse an experiment document.
 
     Shape: ``{"schema": 1, "design": {"family", "within", "between"},
@@ -313,4 +281,4 @@ def load_experiment_json(path) -> ExperimentConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(f"invalid JSON in {path}: {err}") from err
-    return experiment_from_json(doc)
+    return _experiment_from_json(doc)

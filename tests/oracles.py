@@ -1,9 +1,12 @@
 """Reference computations that the tests check the package against.
 
-Neither is part of the package's interface: ``edge_statistics`` exposes
-the per-pair products that :func:`graphtest.twosample.run_methods` reduces
-without keeping, and ``exact_fourth_moment`` is the closed form that the
-Monte Carlo moment checks compare with.
+None is part of the package's interface: ``edge_statistics`` exposes the
+per-pair products that :func:`graphtest.twosample.run_methods` reduces
+without keeping, ``exact_fourth_moment`` is the closed form that the Monte
+Carlo moment checks compare with, ``run_cell`` runs one ``simulate`` cell
+as a single replicate chunk, and ``repeated_splits`` is the split loop of
+:func:`graphtest.realdata.run_passes` written out serially, one pass at a
+time.
 """
 
 from __future__ import annotations
@@ -12,7 +15,16 @@ import numpy as np
 
 from graphtest.errors import OddSampleSizeError
 from graphtest.graphs import GraphSample
-from graphtest.twosample import Partition, _check_samples, _scaled_half_sums
+from graphtest.realdata import ResamplingPlan, equalize
+from graphtest.rng import substream
+from graphtest.simulate import ExperimentConfig, _cell_results, _run_chunk
+from graphtest.twosample import (
+    Partition,
+    _check_samples,
+    _scaled_half_sums,
+    random_partition,
+    run_methods,
+)
 
 
 def edge_statistics(
@@ -52,3 +64,29 @@ def exact_fourth_moment(sigma2_ij, eta_ij, m: int):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def run_cell(config: ExperimentConfig, n: int, m: int, epsilon: float,
+             cell_index: int):
+    """One grid cell's results, every replicate in one chunk."""
+    lam, tallies = _run_chunk(config, (cell_index, n, m, epsilon), 0,
+                              config.replications)
+    return _cell_results(config, n, m, epsilon, lam, tallies)
+
+
+def repeated_splits(sample_a: GraphSample, sample_b: GraphSample,
+                    plan: ResamplingPlan, methods: tuple[str, ...],
+                    alpha: float = 0.05, drop_last: bool = False):
+    """``{method: results}`` of every repetition in order: repetition ``r``
+    equalizes and splits with ``substream(plan.seed, r)`` and evaluates
+    every method on that one split."""
+    replicates = []
+    for rep in range(plan.repetitions):
+        rng = substream(plan.seed, rep)
+        eq_a, eq_b = equalize(sample_a, sample_b, plan.strategy, rng)
+        if drop_last and eq_a.m % 2 != 0:
+            eq_a = GraphSample.from_edges(eq_a.edges[:-1])
+            eq_b = GraphSample.from_edges(eq_b.edges[:-1])
+        partition = random_partition(eq_a.m, rng)
+        replicates.append(run_methods(methods, eq_a, eq_b, partition, alpha))
+    return dict(zip(methods, zip(*replicates)))

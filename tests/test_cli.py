@@ -404,8 +404,8 @@ class TestRealdata:
 
 
 class TestWorkerCount:
-    """`test` and `realdata` read files, and `realdata` runs its passes, on
-    one worker per usable CPU; the output does not depend on that count."""
+    """`test` and `realdata` read files and run their splits on one worker
+    per usable CPU; the output does not depend on that count."""
 
     @pytest.fixture
     def group_files(self, tmp_path):
@@ -575,24 +575,39 @@ class TestNonFiniteStatistic:
             dirs.append(directory)
         return dirs
 
-    def test_test_prints_no_nan(self, huge_dirs, capsys):
+    def test_test_prints_no_nan(self, huge_dirs, monkeypatch, capsys):
+        """One split in process, and three on one or two usable CPUs: every
+        record is NA, none is NaN."""
         a, b = huge_dirs
-        code = main(["test", "--group-a", str(a), "--group-b", str(b),
-                     "--method", "both", "--seed", "7"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "NaN" not in out
-        for line in out.strip().split("\n"):
-            record = json.loads(line)
-            assert record["statistic"] is None
-            assert record["na_reason"] == "non_finite"
+        argv = ["test", "--group-a", str(a), "--group-b", str(b),
+                "--method", "both", "--seed", "7"]
+        for cpus, splits in ((None, 1), (1, 3), (2, 3)):
+            if cpus is not None:
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: set(range(cpus)),
+                                    raising=False)
+            code = main([*argv, "--splits", str(splits)])
+            assert code == 0
+            out = capsys.readouterr().out
+            assert "NaN" not in out
+            lines = out.strip().split("\n")
+            assert len(lines) == 2 * splits
+            for line in lines:
+                record = json.loads(line)
+                assert record["statistic"] is None
+                assert record["na_reason"] == "non_finite"
 
-    def test_realdata_all_na_exit_2(self, huge_dirs, capsys):
+    def test_realdata_all_na_exit_2(self, huge_dirs, monkeypatch, capsys):
         a, b = huge_dirs
-        code = main(["realdata", "--group-a", str(a), "--group-b", str(b),
-                     "--reps", "3", "--seed", "3"])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("all-na:")
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)),
+                                raising=False)
+            code = main(["realdata", "--group-a", str(a), "--group-b", str(b),
+                         "--reps", "3", "--seed", "3"])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "all-na: all 3 repetitions produced undefined statistics\n")
 
 
 class TestUsageAndHelp:

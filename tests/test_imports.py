@@ -1,11 +1,16 @@
-"""Every name a module of the package imports is used in that module, and
-no module imports scipy when it is loaded.
+"""Every name a module of the package imports is used in that module, every
+public function and class of the package has a caller outside its module,
+and no module imports scipy when it is loaded.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 with the standard library's ``ast``: an imported name counts as used when it
 appears as a name anywhere in the module (annotations included) or is
-listed in the module's ``__all__``.  scipy is imported inside the functions
-that need it, so ``graphtest`` starts without it.
+listed in the module's ``__all__``.  A public top-level function or class
+counts as used when another module of the package or the benchmark code in
+``perfbench/`` names it (as a name or an attribute; docstrings do not
+count), or when ``graphtest.__all__`` lists it, so the tests are never its
+only caller.  scipy is imported inside the functions that need it, so
+``graphtest`` starts without it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,18 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphtest"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "graphtest"
+
+
+def _all_names(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,11 +45,7 @@ def unused_imports(source: str) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used |= _all_names(tree)
     return [f"line {line}: {name}" for name, line in sorted(imported.items())
             if name not in used]
 
@@ -47,6 +59,57 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _referenced(tree) -> set[str]:
+    """Names used in ``tree`` as a name or as an attribute."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def unreferenced_public(package: dict[str, str], outside: list[str]) -> list[str]:
+    """``"module: name"`` for each public top-level function or class of the
+    ``package`` sources (file name -> source) that no other package module
+    and none of the ``outside`` sources refers to, and that the package's
+    ``__init__.py`` does not list in ``__all__``."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    exported = _all_names(trees["__init__.py"])
+    outside_refs = set().union(*(_referenced(ast.parse(s)) for s in outside))
+    refs = {name: _referenced(tree) for name, tree in trees.items()}
+    found = []
+    for name, tree in sorted(trees.items()):
+        others = set().union(*(r for other, r in refs.items() if other != name))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in others | outside_refs | exported):
+                found.append(f"{name}: {node.name}")
+    return found
+
+
+def test_detects_unreferenced_public_name():
+    package = {
+        "__init__.py": "from .a import exported\n__all__ = ['exported']\n",
+        "a.py": ("def exported(): pass\ndef called(): pass\n"
+                 "class Unused:\n    def method(self): pass\n"
+                 "def benched(): pass\ndef _private(): pass\n"
+                 "def self_only(): return self_only\n"),
+        "b.py": ('"""Unused is named only in this docstring."""\n'
+                 "from . import a\nfrom .a import called\n"
+                 "a.called()\nvalue = called\n"),
+    }
+    outside = ["import graphtest.a\ngraphtest.a.benched()\n"]
+    assert unreferenced_public(package, outside) == ["a.py: Unused",
+                                                    "a.py: self_only"]
+
+
+def test_every_public_name_has_a_caller_outside_its_module():
+    package = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    outside = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unreferenced_public(package, outside) == []
 
 
 def load_time_imports(source: str) -> list[str]:

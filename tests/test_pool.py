@@ -1,4 +1,4 @@
-"""Tests for the shared worker pool."""
+"""Tests for the shared worker pool and its chunk planner."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from graphtest import pool
 from graphtest.errors import GraphTestError
-from graphtest.pool import map_tasks
+from graphtest.pool import map_tasks, plan
 
 
 def _pid_and_square(_, x):
@@ -68,3 +68,12 @@ class TestMapTasks:
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert pool.usable_cpus() == 1
+
+
+class TestPlan:
+    def test_equal_passes_cut_evenly_in_pass_order(self):
+        """Five passes of 30 repetitions on two workers (a weighted pass and
+        four thresholds): two chunks of 15 per pass, in (pass, start) order."""
+        assert plan([1] * 5, 30, 2) == [(unit, start, start + 15)
+                                         for unit in range(5)
+                                         for start in (0, 15)]

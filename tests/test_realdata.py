@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtest.errors import (
-    AllNAError,
     DataLoadError,
     GraphTestError,
     MixedDimensionsError,
@@ -22,6 +21,7 @@ from graphtest.errors import (
 from graphtest.graphs import (
     AdjacencyMatrix,
     GraphSample,
+    five_number_summary,
     save_adjacency_csv,
     threshold_binarize,
 )
@@ -32,10 +32,11 @@ from graphtest.realdata import (
     equalize,
     load_groups,
     make_synthetic_groups,
-    repeated_tests,
     run_passes,
 )
 from graphtest.rng import substream
+
+from oracles import repeated_splits
 
 FLOAT_MAX = np.finfo(np.float64).max
 
@@ -269,22 +270,31 @@ class TestEqualize:
         assert out_a is large and out_b.m == 10
 
 
+def _repeated(a, b, plan, **kwargs):
+    """The weighted runs of :func:`run_passes`, with no threshold."""
+    runs, sweep = run_passes(a, b, plan, **kwargs)
+    assert sweep == []
+    return runs
+
+
 class TestRepeatedTests:
+    """The split loop of :func:`run_passes` on the weighted groups."""
+
     def test_identical_groups_all_na(self):
-        """An all-NA method gets a None summary; only run_passes raises, and
-        only for the weighted pass."""
+        """An all-NA method gets a None summary; the library does not raise
+        (``graphtest realdata`` does, see the CLI tests)."""
         sample = _population(30, 4)
         plan = ResamplingPlan("split_only", repetitions=10, seed=31)
-        runs = repeated_tests(sample, sample, plan, methods=("tn",))
+        runs = _repeated(sample, sample, plan, methods=("tn",))
         assert runs["tn"].summary is None
-        assert runs["tn"].na_count == 10 == runs["tn"].repetitions
+        assert runs["tn"].na_count == 10 == len(runs["tn"].results)
 
     def test_na_excluded_from_summary_but_counted(self):
         """On identical groups tn is always NA while tfro is a defined zero,
         so the tn run gets a None summary and a full NA count."""
         sample = _population(32, 4)
         plan = ResamplingPlan("split_only", repetitions=8, seed=33)
-        runs = repeated_tests(sample, sample, plan, methods=("tn", "tfro"))
+        runs = _repeated(sample, sample, plan, methods=("tn", "tfro"))
         assert runs["tn"].summary is None
         assert runs["tn"].na_count == 8
         assert runs["tfro"].na_count == 0
@@ -293,8 +303,8 @@ class TestRepeatedTests:
     def test_deterministic(self):
         a, b = _population(34, 6), _population(35, 10)
         plan = ResamplingPlan("subsample_larger", repetitions=5, seed=36)
-        first = repeated_tests(a, b, plan, methods=("tn",))
-        second = repeated_tests(a, b, plan, methods=("tn",))
+        first = _repeated(a, b, plan, methods=("tn",))
+        second = _repeated(a, b, plan, methods=("tn",))
         assert first["tn"].results == second["tn"].results
 
     def test_methods_share_the_same_split(self):
@@ -302,23 +312,22 @@ class TestRepeatedTests:
         their numerators agree repetition by repetition."""
         a, b = _population(37, 6, epsilon=0.0), _population(38, 6, epsilon=0.5)
         plan = ResamplingPlan("split_only", repetitions=6, seed=39)
-        runs = repeated_tests(a, b, plan, methods=("tn", "tfro"))
+        runs = _repeated(a, b, plan, methods=("tn", "tfro"))
         for r_tn, r_tfro in zip(runs["tn"].results, runs["tfro"].results):
             assert r_tn.numerator == pytest.approx(r_tfro.numerator, rel=1e-12)
 
     def test_drop_last_handles_odd_groups(self):
         a, b = _population(40, 5), _population(41, 5)
         plan = ResamplingPlan("split_only", repetitions=3, seed=42)
-        runs = repeated_tests(a, b, plan, methods=("tn",), drop_last=True)
-        assert runs["tn"].repetitions == 3
+        runs = _repeated(a, b, plan, methods=("tn",), drop_last=True)
+        assert len(runs["tn"].results) == 3
 
     def test_summary_permutation_invariant_in_repetition_order(self):
         """The summary depends only on the multiset of statistics."""
         a, b = _population(43, 6), _population(44, 6)
         plan = ResamplingPlan("split_only", repetitions=12, seed=45)
-        runs = repeated_tests(a, b, plan, methods=("tn",))
-        stats = runs["tn"].statistics()
-        from graphtest.graphs import five_number_summary
+        runs = _repeated(a, b, plan, methods=("tn",))
+        stats = [r.statistic for r in runs["tn"].results if not r.is_na]
         rng = np.random.default_rng(46)
         assert five_number_summary(rng.permutation(stats)).as_tuple() == \
             pytest.approx(runs["tn"].summary.as_tuple())
@@ -362,33 +371,35 @@ class TestThresholdSweep:
 
 
 class TestParallelPasses:
-    """Each pass runs as one task; results do not depend on the worker
-    count and equal :func:`repeated_tests` on the (binarized) groups."""
+    """Passes are cut into repetition chunks that run as tasks; results do
+    not depend on the worker count and equal a serial split loop on the
+    (binarized) groups."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_passes_match_serial_functions(self, workers):
+    @pytest.mark.parametrize("workers, repetitions", [
+        (1, 4), (2, 4), (3, 4), (1, 7), (2, 7), (3, 7),
+    ], ids=["1", "2", "3", "1-7", "2-7", "3-7"])
+    def test_passes_match_serial_functions(self, workers, repetitions):
         a, b = _population(70, 4), _population(71, 6, epsilon=0.7)
-        plan = ResamplingPlan("oversample_smaller", repetitions=4, seed=72)
+        plan = ResamplingPlan("oversample_smaller", repetitions=repetitions,
+                              seed=72)
         taus = (0.2, 0.5, 5.0)
-        runs, sweep = run_passes(a, b, plan, ("tn", "tfro"), 0.05, False, taus,
+        methods = ("tn", "tfro")
+        runs, sweep = run_passes(a, b, plan, methods, 0.05, False, taus,
                                  workers)
-        serial = repeated_tests(a, b, plan, ("tn", "tfro"))
-        assert {k: _fields(v) for k, v in runs.items()} == \
-            {k: _fields(v) for k, v in serial.items()}
         assert [tau for tau, _ in sweep] == list(taus)
-        for tau, swept in sweep:
-            want = repeated_tests(threshold_binarize(a, tau),
-                                  threshold_binarize(b, tau), plan, ("tn", "tfro"))
-            assert {k: _fields(v) for k, v in swept.items()} == \
-                {k: _fields(v) for k, v in want.items()}
+        passes = [(a, b, runs)] + [(threshold_binarize(a, tau),
+                                    threshold_binarize(b, tau), swept)
+                                   for tau, swept in sweep]
+        for pass_a, pass_b, got in passes:
+            want = repeated_splits(pass_a, pass_b, plan, methods)
+            assert list(got) == list(methods)
+            for method, run in got.items():
+                valid = [r.statistic for r in want[method] if not r.is_na]
+                assert _fields(run) == (
+                    method, want[method],
+                    five_number_summary(valid) if valid else None,
+                    len(want[method]) - len(valid))
         assert [run.summary for run in sweep[-1][1].values()] == [None, None]
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_all_na_weighted_pass_aborts(self, workers):
-        sample = _population(73, 4)
-        plan = ResamplingPlan("split_only", repetitions=3, seed=74)
-        with pytest.raises(AllNAError, match="all 3 repetitions produced "
-                                             "undefined statistics"):
-            run_passes(sample, sample, plan, ("tn",), taus=(0.1,), workers=workers)
 
     def test_worker_error_is_the_serial_error(self):
         a, b = _population(75, 4), _population(76, 6)

@@ -15,13 +15,13 @@ from graphtest.rng import substream
 from graphtest.simulate import (
     ExperimentConfig,
     SimulationReport,
+    _experiment_from_json,
     emit_report,
-    experiment_from_json,
-    plan_chunks,
-    run_cell,
     run_experiment,
 )
 from graphtest.twosample import random_partition, run_method
+
+from oracles import run_cell
 
 
 def _beta_config(**overrides):
@@ -188,10 +188,16 @@ class TestWorkerCount:
 
     def test_no_more_workers_than_chunks(self, pool_sizes):
         config = _beta_config(n_grid=(6, 10), replications=1)
-        assert len(plan_chunks(config, 8)) == 2
+        assert len(_plan(config, 8)) == 2
         run_experiment(config, threads=8)
         run_experiment(_beta_config(replications=1), threads=8)
         assert pool_sizes == [2]
+
+
+def _plan(config, workers):
+    """The replicate chunks ``run_experiment`` runs on ``workers``."""
+    costs = [m * n * (n - 1) for _, n, m, _ in config.cells()]
+    return pool.plan(costs, config.replications, workers)
 
 
 def _grid_config(replications):
@@ -206,7 +212,7 @@ class TestSchedule:
                                                              workers):
         config = _grid_config(replications)
         cells = config.cells()
-        plan = plan_chunks(config, workers)
+        plan = _plan(config, workers)
         covered = sorted((idx, r) for idx, start, stop in plan
                          for r in range(start, stop))
         assert covered == [(idx, r) for idx, *_ in cells
@@ -229,7 +235,7 @@ class TestSchedule:
     def test_plan_splits_the_costliest_cell(self):
         """Seven replicates of the n=20, m=4 cell do not fit a quarter of a
         worker's share, so they come in uneven chunks, first in the plan."""
-        plan = plan_chunks(_grid_config(7), 2)
+        plan = _plan(_grid_config(7), 2)
         costliest = [(a, b) for idx, a, b in plan if idx == 10]
         assert plan[0][0] == 10
         assert len({b - a for a, b in costliest}) == 2
@@ -331,30 +337,30 @@ class TestExperimentJson:
     }
 
     def test_full_document(self):
-        config = experiment_from_json(self.DOC)
+        config = _experiment_from_json(self.DOC)
         assert config.within == (2.0, 3.0)
         assert config.n_grid == (10, 30)
         assert config.methods == ("tn",)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            experiment_from_json({**self.DOC, "extra": 1})
+            _experiment_from_json({**self.DOC, "extra": 1})
 
     def test_unknown_design_key_rejected(self):
         doc = {**self.DOC, "design": {**self.DOC["design"], "n": 10}}
         with pytest.raises(ConfigError):
-            experiment_from_json(doc)
+            _experiment_from_json(doc)
 
     def test_missing_key_rejected(self):
         doc = dict(self.DOC)
         del doc["replications"]
         with pytest.raises(ConfigError):
-            experiment_from_json(doc)
+            _experiment_from_json(doc)
 
     def test_methods_default_to_both(self):
         doc = dict(self.DOC)
         del doc["methods"]
-        assert experiment_from_json(doc).methods == ("tn", "tfro")
+        assert _experiment_from_json(doc).methods == ("tn", "tfro")
 
 
 class TestStatisticalBehavior:
