@@ -9,7 +9,7 @@ Library layout:
 * :mod:`graphtest.diagnostics` - closed-form calibration/power diagnostics
 * :mod:`graphtest.simulate` - replicated Monte Carlo experiment grids
 * :mod:`graphtest.realdata` - resampling pipeline for unequal groups
-* :mod:`graphtest.pool` - the worker pool and the chunk planner behind
+* :mod:`graphtest.pool` - the one worker pool entry point, ``run``, behind
   simulate, realdata and test
 * :mod:`graphtest.cli` - the ``graphtest`` executable
 """
@@ -51,7 +51,6 @@ from .twosample import (
     critical_value,
     decide,
     random_partition,
-    run_method,
     run_methods,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "pair_layout",
     "paired_difference_fourth_moment",
     "random_partition",
-    "run_method",
     "run_methods",
     "sample_graph_from_means",
     "sample_population",

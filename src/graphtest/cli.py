@@ -15,9 +15,11 @@ three that print records, ``--threads`` ``simulate``.  Without ``--seed``,
 ``generate``, ``test`` and ``realdata`` draw a seed from OS entropy and
 print it to stderr as ``graphtest: seed <N> (from OS entropy)``;
 ``simulate`` uses its config's ``master_seed``.  ``test`` and ``realdata``
-read the group files and run their splits through
-:func:`graphtest.realdata.run_passes` on one worker process per usable CPU
-(the affinity mask); output does not depend on it.  ``test`` prints each
+read the group files and run their splits (through
+:func:`graphtest.realdata.run_passes`) on one worker process per usable CPU
+(the affinity mask), and ``simulate`` its cells on ``--threads`` workers;
+:func:`graphtest.pool.run` cuts all of this work into chunks by one rule,
+and output does not depend on the worker count.  ``test`` prints each
 split's results, so its splits are those of ``realdata --strategy
 split-only``; ``realdata`` fails with ``all-na`` when every weighted
 repetition of every method is NA.
@@ -94,6 +96,8 @@ def _tau_list(value: str) -> tuple[float, ...]:
     if not taus or not all(math.isfinite(t) and t >= 0 for t in taus):
         raise argparse.ArgumentTypeError(
             f"thresholds must be finite non-negative reals: {value!r}")
+    if len(set(taus)) != len(taus):
+        raise argparse.ArgumentTypeError(f"thresholds must not repeat: {value!r}")
     return taus
 
 

@@ -1,15 +1,15 @@
 """The worker pool behind every parallel phase, and the one rule that cuts
 repeated work into its tasks.
 
-:func:`plan` cuts units of repeated work (the cells of ``simulate``, the
-passes of ``realdata`` and ``test``) into repetition chunks, costliest
-first.  :func:`map_tasks` maps a function over argument tuples on worker
-processes and returns the results in task order, so a caller that reduces
-them in that order gets the same output for any worker count.  With one
-worker or one task it runs in this process.  The ``shared`` value, the
-function's first argument in every task, reaches each worker once, through
-the pool initializer (inherited, not pickled, where the pool forks),
-instead of being pickled with every task.
+:func:`run` cuts units of repeated work (the cells of ``simulate``, the
+passes of ``realdata`` and ``test``, the files of ``load_groups``) into
+repetition chunks, runs them costliest first on worker processes, and
+returns each unit's chunk results in repetition order, so a caller that
+reduces them in that order gets the same output for any worker count.
+With one worker or one chunk it runs in this process.  The ``shared``
+value reaches each worker once, through the pool initializer (inherited,
+not pickled, where the pool forks), instead of being pickled with every
+chunk.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _call_shared(fn, *task):
     return fn(_worker_shared, *task)
 
 
-def plan(costs, reps: int, workers: int) -> list[tuple[int, int, int]]:
+def _plan(costs, reps: int, workers: int) -> list[tuple[int, int, int]]:
     """Chunks ``(unit, start, stop)`` covering repetitions ``0..reps-1`` of
     every unit exactly once, costliest first.
 
@@ -57,17 +57,27 @@ def plan(costs, reps: int, workers: int) -> list[tuple[int, int, int]]:
     return sorted(chunks, key=lambda c: (-(c[2] - c[1]) * costs[c[0]], c[0], c[1]))
 
 
-def map_tasks(fn, shared, tasks, workers: int = 1) -> list:
-    """``[fn(shared, *task) for task in tasks]`` on at most ``workers``
-    processes (never more than there are tasks).  Every worker is joined
-    before this returns, also when a task raises; the first task in order
-    that raised re-raises here."""
+def run(fn, shared, units, costs, reps: int, workers: int) -> list[list]:
+    """For each of ``units`` in order, ``fn(shared, unit, start, stop)`` of
+    each of its chunks in ``start`` order.  A unit's chunks cover its
+    repetitions ``0..reps-1``; one repetition of ``units[i]`` costs ``costs[i]``.
+
+    The chunks run in :func:`_plan` order on at most ``workers`` processes
+    (never more than there are chunks).  Every worker is joined before this
+    returns, also when a chunk raises; the first chunk in plan order that
+    raised re-raises here."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    tasks = list(tasks)
+    chunks = _plan(costs, reps, workers) if reps else []
+    tasks = [(units[unit], start, stop) for unit, start, stop in chunks]
     workers = min(workers, len(tasks))
     if workers <= 1:
-        return [fn(shared, *task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_set_shared,
-                             initargs=(shared,)) as pool:
-        return list(pool.map(_call_shared, repeat(fn), *zip(*tasks)))
+        done = [fn(shared, *task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_shared,
+                                 initargs=(shared,)) as pool:
+            done = list(pool.map(_call_shared, repeat(fn), *zip(*tasks)))
+    joined = [[] for _ in units]
+    for (unit, _, _), value in sorted(zip(chunks, done), key=lambda p: p[0]):
+        joined[unit].append(value)
+    return joined

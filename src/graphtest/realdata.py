@@ -10,10 +10,10 @@ the repetitions on the weighted groups and again on absolute-value
 binarized copies of the graphs for each threshold.  ``graphtest test`` runs
 it too, with the ``split_only`` strategy on equal groups and no threshold.
 
-Loading and the passes can run on worker processes through
-:mod:`graphtest.pool`.  The files of all groups are read in name-order
-runs, one per worker, and checked file by file in that order.  Passes are
-cut into repetition chunks by :func:`graphtest.pool.plan`, and repetition
+Loading and the passes run on worker processes through
+:func:`graphtest.pool.run`, which cuts both into chunks by one rule.  The
+files of all groups are read in name-order chunks and checked file by file
+in that order.  Passes are cut into repetition chunks, and repetition
 ``r`` of every pass draws from ``substream(seed, r)`` whichever chunk runs
 it.  So samples, results and errors are the same for any worker count.
 """
@@ -84,11 +84,12 @@ def _csv_paths(directory: Path) -> list[Path]:
     return paths
 
 
-def _read_files(tolerance: float, paths):
-    """``(n, pair vector)`` for each file in ``paths``, or that file's
-    :class:`DataLoadError` in its place; reading goes on past an error."""
+def _read_files(tolerance: float, paths, start: int, stop: int):
+    """``(n, pair vector)`` for each file in ``paths[start:stop]``, or that
+    file's :class:`DataLoadError` in its place; reading goes on past an
+    error."""
     entries = []
-    for path in paths:
+    for path in paths[start:stop]:
         try:
             graph = load_adjacency_csv(path, tolerance)
         except (GraphTestError, OSError, ValueError) as err:
@@ -103,8 +104,8 @@ def load_groups(directories, tolerance: float = 1e-9,
     """One sample per directory, of every ``*.csv`` adjacency file in it in
     name order, reading the files on up to ``workers`` processes.
 
-    The files of all groups, in name order, are cut into ``workers``
-    near-equal runs, one task each.  Whatever the worker count, the error
+    The files of all groups, in name order, are cut into chunks of equal
+    cost by :func:`graphtest.pool.run`.  Whatever the worker count, the error
     raised is the first one a file-by-file load of the directories in
     order meets: an unreadable file, a file whose node count differs from
     its group's first file, or a directory without ``.csv`` files."""
@@ -116,12 +117,9 @@ def load_groups(directories, tolerance: float = 1e-9,
             late = err
             break
     paths = list(chain.from_iterable(listed))
-    count = max(1, min(workers, len(paths)))
-    bounds = [len(paths) * i // count for i in range(count + 1)]
-    runs = [(paths[a:b],) for a, b in zip(bounds, bounds[1:])]
     # Popped as used, so each group's vectors are freed once it is stacked.
-    entries = deque(chain.from_iterable(
-        pool.map_tasks(_read_files, tolerance, runs, workers)))
+    entries = deque(chain.from_iterable(*pool.run(
+        _read_files, tolerance, [paths], [1], len(paths), workers)))
 
     samples = []
     for group in listed:
@@ -224,24 +222,20 @@ def run_passes(
     """Equalize + split + test, repeated ``plan.repetitions`` times on the
     weighted groups, then on both groups binarized at each of ``taus``.
 
-    The passes, of equal cost, are cut into repetition chunks by
-    :func:`graphtest.pool.plan` for up to ``workers`` processes, which
-    receive the groups once; a chunk binarizes them at its own tau.  Each
-    pass's results are joined in repetition order, so nothing depends on
+    :func:`graphtest.pool.run` cuts the passes, of equal cost, into
+    repetition chunks for up to ``workers`` processes, which receive the
+    groups once; a chunk binarizes them at its own tau.  Each pass's
+    results are joined in repetition order, so nothing depends on
     ``workers``.  Returns the weighted runs and ``(tau, runs)`` per
     threshold; a method that is NA in every repetition of a pass gets a
     None summary."""
     passes = (None, *taus)
     groups = (sample_a, sample_b, plan, methods, alpha, drop_last)
-    chunks = pool.plan([1] * len(passes), plan.repetitions, workers)
-    tasks = [(passes[unit], start, stop) for unit, start, stop in chunks]
-    done = pool.map_tasks(_run_chunk, groups, tasks, workers)
-    replicates = [[None] * plan.repetitions for _ in passes]
-    for (unit, start, stop), chunk in zip(chunks, done):
-        replicates[unit][start:stop] = chunk
-    weighted, *swept = ({method: _repeated_run(method, results)
-                         for method, results in zip(methods, zip(*rows))}
-                        for rows in replicates)
+    runs = pool.run(_run_chunk, groups, passes, [1] * len(passes),
+                    plan.repetitions, workers)
+    weighted, *swept = ({method: _repeated_run(method, results) for method, results
+                         in zip(methods, zip(*chain.from_iterable(chunks)))}
+                        for chunks in runs)
     return weighted, list(zip(passes[1:], swept))
 
 

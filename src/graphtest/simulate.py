@@ -5,10 +5,10 @@ of node counts, group sizes, and shifts.  Every (cell, replicate) derives
 its own random stream from the master seed, so reports are bit-identical
 regardless of how many workers run the cells.
 
-Work is planned by :func:`graphtest.pool.plan` as replicate chunks
-``(cell_index, start, stop)``, with a replicate of cell (n, m) costing
-``m * n * (n - 1)`` pair draws.  Chunks return integer tallies, which are
-summed per cell and reported in cell order.
+:func:`graphtest.pool.run` cuts the cells into replicate chunks, a
+replicate of cell (n, m) costing ``m * n * (n - 1)`` pair draws.  Chunks
+return integer tallies, which are summed per cell and reported in cell
+order.
 
 Per replicate: draw the first group from the unshifted model and the second
 from the shifted one (a zero shift is the null), draw a fresh random
@@ -40,6 +40,13 @@ REPORT_HEADER = ("n", "m", "epsilon", "method", "rejections", "na",
                  "replications", "rate", "lambda")
 
 
+def _no_repeats(name: str, values) -> None:
+    """Repeated grid values would run and report the same cell twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{name} repeats {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid specification for one experiment."""
@@ -62,6 +69,7 @@ class ExperimentConfig:
                            ("epsilon_grid", self.epsilon_grid)):
             if not grid:
                 raise ConfigError(f"{name} must be non-empty")
+            _no_repeats(name, grid)
         for m in self.m_grid:
             if m < 2 or m % 2 != 0:
                 raise ConfigError(f"group sizes must be even and >= 2, got m={m}")
@@ -75,6 +83,7 @@ class ExperimentConfig:
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown method {method!r}, expected subset of {METHODS}")
+        _no_repeats("methods", self.methods)
         # Validate the design template against every grid point up front so a
         # bad cell fails at config time, not mid-run.
         for n in self.n_grid:
@@ -177,33 +186,25 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> SimulationRepo
     """Run every grid cell on ``threads`` worker processes (0 = one per
     usable CPU, never more than there are chunks).
 
-    The work is the :func:`graphtest.pool.plan` of the cells for
-    ``threads``, handed out costliest chunk first; ``threads == 1`` runs
-    the same plan in this process.  Chunk tallies are integers summed per
-    cell and reported in :meth:`ExperimentConfig.cells` order, and every
-    replicate's stream is keyed by (master seed, cell index, replicate), so
-    the report is identical for any thread count."""
+    :func:`graphtest.pool.run` cuts the cells into replicate chunks for
+    ``threads``; ``threads == 1`` runs the same chunks in this process.
+    The cell's lambda comes from its first chunk, and the integer tallies of
+    its chunks are summed and reported in :meth:`ExperimentConfig.cells`
+    order.  Every replicate's stream is keyed by (master seed, cell index,
+    replicate), so the report is identical for any thread count."""
     if threads < 0:
         raise ValueError(f"threads must be non-negative, got {threads}")
     threads = threads or pool.usable_cpus()
     cells = config.cells()
-    plan = pool.plan([m * n * (n - 1) for _, n, m, _ in cells],
-                     config.replications, threads)
-    tasks = [(cells[idx], start, stop) for idx, start, stop in plan]
-    results = pool.map_tasks(_run_chunk, config, tasks, threads)
-
-    lams = {}
-    tallies = {idx: [(0, 0)] * len(config.methods) for idx, *_ in cells}
-    for (idx, start, _), (lam, chunk) in zip(plan, results):
-        if start == 0:
-            lams[idx] = lam
-        tallies[idx] = [(r0 + r1, na0 + na1)
-                        for (r0, na0), (r1, na1) in zip(tallies[idx], chunk)]
-    report = tuple(result for idx, n, m, eps in cells
-                   for result in _cell_results(config, n, m, eps, lams[idx],
-                                               tallies[idx]))
+    costs = [m * n * (n - 1) for _, n, m, _ in cells]
+    runs = pool.run(_run_chunk, config, cells, costs, config.replications, threads)
+    report = []
+    for (_, n, m, eps), chunks in zip(cells, runs):
+        tallies = [tuple(map(sum, zip(*method)))
+                   for method in zip(*(tally for _, tally in chunks))]
+        report += _cell_results(config, n, m, eps, chunks[0][0], tallies)
     return SimulationReport(master_seed=config.master_seed, alpha=config.alpha,
-                            cells=report)
+                            cells=tuple(report))
 
 
 def emit_report(report: SimulationReport, path) -> None:

@@ -339,6 +339,20 @@ class TestConfigTypes:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, repeated", [
+        ("n_grid", [10, 12, 10], "10"), ("m_grid", [2, 2], "2"),
+        ("epsilon_grid", [0.0, 0.5, 0], "0.0"), ("methods", ["tn", "tn"], "'tn'"),
+    ])
+    def test_simulate_repeated_grid_value(self, tmp_path, key, value, repeated,
+                                          capsys):
+        """A repeated value would run and report the same cell twice."""
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps({**EXPERIMENT_DOC, key: value}))
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config: {key} repeats {repeated}\n"
+        assert not out.exists()
+
     def test_simulate_design_values(self, tmp_path, capsys):
         doc = {**EXPERIMENT_DOC,
                "design": {"family": "beta", "within": ["a", 3], "between": [1, 3]}}
@@ -618,6 +632,14 @@ class TestUsageAndHelp:
         err = capsys.readouterr().err
         assert err.startswith("usage-error: ") and err.count("\n") == 1
         assert "thresholds must be finite non-negative reals" in err
+
+    @pytest.mark.parametrize("taus", ["0.2,0.2", "0.1,0.3,0.10", "0,-0"])
+    def test_repeated_taus_exit_1(self, taus, capsys):
+        assert main(["realdata", "--group-a", "a", "--group-b", "b",
+                     "--taus", taus]) == 1
+        assert capsys.readouterr().err == (
+            "usage-error: argument --taus: thresholds must not repeat: "
+            f"{taus!r}\n")
 
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["test", "--bogus"]) == 1

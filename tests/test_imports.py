@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
 public function and class of the package has a caller outside its module,
-and no module imports scipy when it is loaded.
+no module imports scipy when it is loaded, and only ``pool.py`` starts
+processes or cuts work into chunks.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 with the standard library's ``ast``: an imported name counts as used when it
@@ -141,3 +142,47 @@ def test_detects_load_time_import():
 def test_no_scipy_at_load(path):
     modules = load_time_imports(path.read_text(encoding="utf-8"))
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+POOL_NAMES = {"_plan", "ProcessPoolExecutor"}
+
+
+def pool_internals(source: str) -> list[str]:
+    """The imports of :data:`POOL_MODULES` (or their submodules and names)
+    in ``source``, and its uses of :data:`POOL_NAMES` as a name, an
+    attribute or an imported name: what only ``pool.py`` may have."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            prefix = f"{node.module}." if node.module and not node.level else ""
+            imported = [prefix + alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: import {name}" for name in imported
+                  if name.split(".")[-1] in POOL_NAMES
+                  or any(name == m or name.startswith(m + ".") for m in POOL_MODULES)]
+    return found + sorted(f"name {name}" for name in _referenced(tree) & POOL_NAMES)
+
+
+def test_detects_pool_internals():
+    source = ("import os\nimport multiprocessing.pool\n"
+              "from concurrent import futures\nfrom . import pool\n"
+              "from .pool import _plan, run\n"
+              "from concurrent.futures import ProcessPoolExecutor as PPE\n"
+              "chunks = pool._plan([1], 3, 2)\n")
+    assert pool_internals(source) == [
+        "line 2: import multiprocessing.pool", "line 3: import concurrent.futures",
+        "line 5: import _plan",
+        "line 6: import concurrent.futures.ProcessPoolExecutor", "name _plan"]
+    assert pool_internals("from . import pool\npool.run(f, None, [1], [1], 2, 1)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py"))
+                                         - {PACKAGE / "pool.py"}),
+                         ids=lambda p: p.name)
+def test_only_pool_starts_processes_or_plans_chunks(path):
+    assert pool_internals(path.read_text(encoding="utf-8")) == []

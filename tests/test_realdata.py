@@ -26,6 +26,7 @@ from graphtest.graphs import (
     threshold_binarize,
 )
 from graphtest.models import TwoBlockModel, sample_population
+from graphtest.pool import _plan
 from graphtest.realdata import (
     STRATEGIES,
     ResamplingPlan,
@@ -146,6 +147,28 @@ class TestParallelLoad:
                              else DataLoadError)
         for workers in (2, 3, 5):
             assert _error(load_groups, groups, workers=workers) == serial
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mismatch, corrupt", [
+        (6, 8),    # both inside the chunk of files 5-9 at two workers
+        (8, 11),   # mismatch in that chunk, corrupt file in the next
+        (9, 10),   # either side of the boundary between them
+    ])
+    def test_first_error_at_chunk_boundaries(self, tmp_path, mismatch, corrupt):
+        """Forty files are read five to a chunk at two workers, so an error
+        ahead of another inside one chunk or across a boundary still wins."""
+        big = tmp_path / "big"
+        _write_group(big, _population(65, 40, n=6))
+        assert {stop - start for _, start, stop in _plan([1], 40, 2)} == {5}
+        save_adjacency_csv(_population(66, 1, n=4).graphs[0],
+                           big / f"subject_{mismatch:03d}.csv")
+        (big / f"subject_{corrupt:03d}.csv").write_text("0,1\nx,0\n")
+        serial = _error(load_groups, [big], workers=1)
+        assert serial == (MixedDimensionsError, "mixed-dimensions",
+                          f"subject_{mismatch:03d}.csv has 4 nodes, expected 6 "
+                          "(from subject_000.csv)")
+        for workers in (2, 3, 5):
+            assert _error(load_groups, [big], workers=workers) == serial
         assert multiprocessing.active_children() == []
 
     def test_mismatch_message_names_both_files(self, groups):

@@ -197,7 +197,7 @@ class TestWorkerCount:
 def _plan(config, workers):
     """The replicate chunks ``run_experiment`` runs on ``workers``."""
     costs = [m * n * (n - 1) for _, n, m, _ in config.cells()]
-    return pool.plan(costs, config.replications, workers)
+    return pool._plan(costs, config.replications, workers)
 
 
 def _grid_config(replications):
