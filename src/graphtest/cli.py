@@ -244,7 +244,7 @@ def _cmd_test(args) -> int:
             f"groups have {group_a.m} and {group_b.m} graphs; equalize them "
             "first (see the realdata subcommand)"
         )
-    if group_a.m % 2 != 0 and not args.drop_last:
+    if group_a.m % 2 != 0 and group_a.m > 1 and not args.drop_last:
         raise OddSampleSizeError(
             f"group size {group_a.m} is odd; pass --drop-last to discard "
             "one pair"

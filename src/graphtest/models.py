@@ -9,6 +9,11 @@ is the null configuration.
 
 Arbitrary inhomogeneous means enter through :class:`MeanMatrix`, from
 which :func:`~graphtest.diagnostics.mean_matrix_moments` takes the pairs.
+
+It is also the one JSON boundary of model and experiment documents:
+:func:`read_json` reads a file, :func:`json_object` checks an object's type,
+keys and schema, and :func:`json_design` parses the family, ``within`` and
+``between`` of a model document or an experiment's ``design``.
 """
 
 from __future__ import annotations
@@ -242,10 +247,19 @@ def sample_graph_from_means(
     return GraphSample.from_edges(vals[np.newaxis]).graphs[0]
 
 
-MODEL_KEYS = {"schema", "family", "n", "within", "between", "epsilon"}
-
 _JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                list: ((list,), "a list")}
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file at ``path``.  Text that does not
+    decode (bad UTF-8 or JSON, or past Python's integer-digit or nesting
+    limits) is a :class:`ConfigError` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as err:
+            raise ConfigError(f"invalid JSON in {path}: {err}") from err
 
 
 def json_value(value, key: str, kind: type):
@@ -261,48 +275,55 @@ def json_value(value, key: str, kind: type):
     raise ConfigError(f"{key} must be {name}, got {value!r}")
 
 
-def model_from_json(doc: dict) -> TwoBlockModel:
-    """Build a model from its JSON document form.
-
-    Expected shape: ``{"schema": 1, "family": "beta"|"bernoulli", "n": int,
-    "within": [a, b] | p, "between": [c, d] | p, "epsilon": float}``.
-    Unknown keys are rejected to catch typos.
-    """
+def json_object(doc, kind: str, required: set, optional: set = frozenset(),
+                schema: bool = True) -> dict:
+    """``doc``, required to be a JSON object with every ``required`` key and
+    no key outside ``required`` and ``optional``; with ``schema`` it must
+    also declare ``"schema": 1``.  Errors name the object: "<kind>
+    document", or ``kind`` alone without ``schema`` (an object nested in a
+    document)."""
+    name = f"{kind} document" if schema else kind
     if not isinstance(doc, dict):
-        raise ConfigError("model document must be a JSON object")
-    unknown = set(doc) - MODEL_KEYS
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(doc) - required - optional - ({"schema"} if schema else set())
     if unknown:
-        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-    if "schema" not in doc or json_value(doc["schema"], "schema", int) != 1:
-        raise ConfigError("model document must declare \"schema\": 1")
-    missing = {"family", "n", "within", "between"} - set(doc)
+        raise ConfigError(f"unknown {kind} keys: {sorted(unknown)}")
+    if schema and ("schema" not in doc or json_value(doc["schema"], "schema", int) != 1):
+        raise ConfigError(f"{name} must declare \"schema\": 1")
+    missing = required - set(doc)
     if missing:
-        raise ConfigError(f"model document missing keys: {sorted(missing)}")
+        raise ConfigError(f"{name} missing keys: {sorted(missing)}")
+    return doc
 
+
+def json_design(doc: dict) -> tuple:
+    """``(family, within, between)`` of a checked model document or
+    experiment design: ``within`` and ``between`` are ``[a, b]`` pairs of
+    numbers for the beta family and numbers for the Bernoulli family.
+    Their ranges are checked where a :class:`TwoBlockModel` is built."""
     family = doc["family"]
     if family not in FAMILIES:
         raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
 
-    def _params(value, key):
+    def params(key):
+        value = doc[key]
         if family == "beta":
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise ConfigError(f"{key} must be an [a, b] pair for the beta family")
             return tuple(json_value(v, f"{key} entry", float) for v in value)
         return json_value(value, key, float)
 
-    return TwoBlockModel(
-        n=json_value(doc["n"], "n", int),
-        family=family,
-        within=_params(doc["within"], "within"),
-        between=_params(doc["between"], "between"),
-        epsilon=json_value(doc.get("epsilon", 0.0), "epsilon", float),
-    )
+    return family, params("within"), params("between")
+
+
+def _model_from_json(doc) -> TwoBlockModel:
+    """Build a model from its JSON document form: ``{"schema": 1,
+    "family": "beta"|"bernoulli", "n": int, "within": [a, b] | p,
+    "between": [c, d] | p, "epsilon": float}``, ``epsilon`` optional."""
+    doc = json_object(doc, "model", {"family", "n", "within", "between"}, {"epsilon"})
+    return TwoBlockModel(json_value(doc["n"], "n", int), *json_design(doc),
+                         json_value(doc.get("epsilon", 0.0), "epsilon", float))
 
 
 def load_model_json(path) -> TwoBlockModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"invalid JSON in {path}: {err}") from err
-    return model_from_json(doc)
+    return _model_from_json(read_json(path))

@@ -84,14 +84,14 @@ def _csv_paths(directory: Path) -> list[Path]:
     return paths
 
 
-def _read_files(tolerance: float, paths, start: int, stop: int):
+def _read_files(paths, _, start: int, stop: int):
     """``(n, pair vector)`` for each file in ``paths[start:stop]``, or that
     file's :class:`DataLoadError` in its place; reading goes on past an
     error."""
     entries = []
     for path in paths[start:stop]:
         try:
-            graph = load_adjacency_csv(path, tolerance)
+            graph = load_adjacency_csv(path)
         except (GraphTestError, OSError, ValueError) as err:
             entries.append(DataLoadError(f"{path.name}: {err}"))
         else:
@@ -99,8 +99,7 @@ def _read_files(tolerance: float, paths, start: int, stop: int):
     return entries
 
 
-def load_groups(directories, tolerance: float = 1e-9,
-                workers: int = 1) -> tuple[GraphSample, ...]:
+def load_groups(directories, workers: int = 1) -> tuple[GraphSample, ...]:
     """One sample per directory, of every ``*.csv`` adjacency file in it in
     name order, reading the files on up to ``workers`` processes.
 
@@ -119,7 +118,7 @@ def load_groups(directories, tolerance: float = 1e-9,
     paths = list(chain.from_iterable(listed))
     # Popped as used, so each group's vectors are freed once it is stacked.
     entries = deque(chain.from_iterable(*pool.run(
-        _read_files, tolerance, [paths], [1], len(paths), workers)))
+        _read_files, paths, [None], [1], len(paths), workers)))
 
     samples = []
     for group in listed:
@@ -185,7 +184,8 @@ def _run_chunk(groups, tau: float | None, start: int, stop: int) -> list:
     ``groups`` (both samples and the test settings), binarized at ``tau``
     unless it is None.  Repetition ``r`` equalizes and then draws one split
     that every method shares, both from ``substream(plan.seed, r)``; equal
-    groups draw nothing in :func:`equalize`."""
+    groups draw nothing in :func:`equalize`.  ``drop_last`` drops the last
+    graph of odd groups, unless that would empty them."""
     sample_a, sample_b, plan, methods, alpha, drop_last = groups
     if tau is not None:
         sample_a = threshold_binarize(sample_a, tau)
@@ -194,7 +194,7 @@ def _run_chunk(groups, tau: float | None, start: int, stop: int) -> list:
     for rep in range(start, stop):
         rng = substream(plan.seed, rep)
         eq_a, eq_b = equalize(sample_a, sample_b, plan.strategy, rng)
-        if drop_last and eq_a.m % 2 != 0:
+        if drop_last and eq_a.m % 2 != 0 and eq_a.m > 1:
             eq_a = GraphSample.from_edges(eq_a.edges[:-1])
             eq_b = GraphSample.from_edges(eq_b.edges[:-1])
         partition = random_partition(eq_a.m, rng)

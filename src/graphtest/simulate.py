@@ -15,12 +15,15 @@ from the shifted one (a zero shift is the null), draw a fresh random
 partition, evaluate the requested statistics, and tally decisions.
 Replicates whose statistic is NA are excluded from the rejection-rate
 denominator and counted separately.
+
+An experiment document is read and its objects checked by the JSON
+boundary in :mod:`graphtest.models`; this module parses its grids into an
+:class:`ExperimentConfig`.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 from . import pool
@@ -29,8 +32,10 @@ from .errors import ConfigError, DegenerateModelError, GraphTestError
 from .models import (
     FAMILIES,
     TwoBlockModel,
+    json_design,
+    json_object,
     json_value,
-    model_from_json,
+    read_json,
     sample_population,
 )
 from .rng import check_seed, substream
@@ -221,50 +226,26 @@ def emit_report(report: SimulationReport, path) -> None:
             ])
 
 
-CONFIG_KEYS = {"schema", "design", "n_grid", "m_grid", "epsilon_grid",
-               "replications", "alpha", "master_seed", "methods"}
-DESIGN_KEYS = {"family", "within", "between"}
-
-
-def _experiment_from_json(doc: dict) -> ExperimentConfig:
+def _experiment_from_json(doc) -> ExperimentConfig:
     """Parse an experiment document.
 
     Shape: ``{"schema": 1, "design": {"family", "within", "between"},
     "n_grid": [...], "m_grid": [...], "epsilon_grid": [...],
     "replications": int, "alpha": float, "master_seed": int,
-    "methods": ["tn", "tfro"]}``.  Unknown keys are rejected.
+    "methods": ["tn", "tfro"]}``, ``methods`` optional.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("experiment document must be a JSON object")
-    unknown = set(doc) - CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
-    if "schema" not in doc or json_value(doc["schema"], "schema", int) != 1:
-        raise ConfigError("experiment document must declare \"schema\": 1")
-    missing = CONFIG_KEYS - {"methods", "schema"} - set(doc)
-    if missing:
-        raise ConfigError(f"experiment document missing keys: {sorted(missing)}")
-
-    design = doc["design"]
-    if not isinstance(design, dict):
-        raise ConfigError("design must be a JSON object")
-    unknown = set(design) - DESIGN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown design keys: {sorted(unknown)}")
-    # Reuse the model-document validation for the parameter shapes; the
-    # template has no fixed n or epsilon, so probe with placeholders.
-    probe = dict(design)
-    probe.update(schema=1, n=2, epsilon=0.0)
-    template = model_from_json(probe)
+    doc = json_object(doc, "experiment", {"design", "n_grid", "m_grid", "epsilon_grid",
+                                          "replications", "alpha", "master_seed"},
+                      {"methods"})
 
     def grid(key, kind):
         return tuple(json_value(v, f"{key} entry", kind)
                      for v in json_value(doc[key], key, list))
 
     return ExperimentConfig(
-        family=template.family,
-        within=template.within,
-        between=template.between,
+        # family, within, between: the design is parsed before the grids.
+        *json_design(json_object(doc["design"], "design",
+                                 {"family", "within", "between"}, schema=False)),
         n_grid=grid("n_grid", int),
         m_grid=grid("m_grid", int),
         epsilon_grid=grid("epsilon_grid", float),
@@ -277,9 +258,4 @@ def _experiment_from_json(doc: dict) -> ExperimentConfig:
 
 
 def load_experiment_json(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"invalid JSON in {path}: {err}") from err
-    return _experiment_from_json(doc)
+    return _experiment_from_json(read_json(path))

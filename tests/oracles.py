@@ -84,7 +84,7 @@ def repeated_splits(sample_a: GraphSample, sample_b: GraphSample,
     for rep in range(plan.repetitions):
         rng = substream(plan.seed, rep)
         eq_a, eq_b = equalize(sample_a, sample_b, plan.strategy, rng)
-        if drop_last and eq_a.m % 2 != 0:
+        if drop_last and eq_a.m % 2 != 0 and eq_a.m > 1:
             eq_a = GraphSample.from_edges(eq_a.edges[:-1])
             eq_b = GraphSample.from_edges(eq_b.edges[:-1])
         partition = random_partition(eq_a.m, rng)

@@ -62,6 +62,20 @@ def group_dirs(tmp_path):
     return dirs
 
 
+def _write_groups(root, sizes):
+    """One directory of CSVs per group size, drawn from the null design."""
+    model = TwoBlockModel(n=6, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
+    dirs = []
+    for k, size in enumerate(sizes):
+        directory = root / f"g{k}"
+        directory.mkdir()
+        for j, graph in enumerate(sample_population(model, False, size,
+                                                    substream(k, 0)).graphs):
+            save_adjacency_csv(graph, directory / f"s{j}.csv")
+        dirs.append(directory)
+    return dirs
+
+
 class TestGenerate:
     def test_writes_loadable_files(self, tmp_path, model_path, capsys):
         out = tmp_path / "out"
@@ -145,6 +159,17 @@ class TestTest:
         assert capsys.readouterr().err == (
             "sample-size-mismatch: groups have 4 and 2 graphs; equalize them "
             "first (see the realdata subcommand)\n")
+
+    @pytest.mark.parametrize("drop_last", [[], ["--drop-last"]])
+    def test_one_graph_groups_too_few_samples(self, tmp_path, drop_last, capsys):
+        """Dropping the only graph cannot help: with or without --drop-last
+        the run ends by naming the group size."""
+        a, b = _write_groups(tmp_path, (1, 1))
+        code = main(["test", "--group-a", str(a), "--group-b", str(b),
+                     "--seed", "7", *drop_last])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "too-few-samples: need at least 2 graphs per group, got 1\n")
 
     def test_empty_file_one_error_line(self, group_dirs, capfd):
         """capfd also captures what worker processes write to stderr."""
@@ -375,6 +400,68 @@ class TestConfigTypes:
         assert reports[0] == reports[1]
 
 
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+_DESIGN = EXPERIMENT_DOC["design"]
+
+
+class TestDocumentErrors:
+    """Each malformed model or experiment document is one `config:` line
+    naming the object at fault, and exit 2."""
+
+    @pytest.mark.parametrize("command, doc, line", [
+        ("theory", [MODEL_DOC], "model document must be a JSON object"),
+        ("theory", {**MODEL_DOC, "extra": 1}, "unknown model keys: ['extra']"),
+        ("theory", _without(MODEL_DOC, "schema"),
+         'model document must declare "schema": 1'),
+        ("theory", _without(MODEL_DOC, "between"),
+         "model document missing keys: ['between']"),
+        ("simulate", [EXPERIMENT_DOC], "experiment document must be a JSON object"),
+        ("simulate", {**EXPERIMENT_DOC, "extra": 1},
+         "unknown experiment keys: ['extra']"),
+        ("simulate", _without(EXPERIMENT_DOC, "schema"),
+         'experiment document must declare "schema": 1'),
+        ("simulate", _without(EXPERIMENT_DOC, "replications"),
+         "experiment document missing keys: ['replications']"),
+        ("simulate", {**EXPERIMENT_DOC, "design": [_DESIGN]},
+         "design must be a JSON object"),
+        ("simulate", {**EXPERIMENT_DOC, "design": {**_DESIGN, "n": 10}},
+         "unknown design keys: ['n']"),
+        ("simulate", {**EXPERIMENT_DOC, "design": {**_DESIGN, "schema": 1}},
+         "unknown design keys: ['schema']"),
+        ("simulate", {**EXPERIMENT_DOC, "design": _without(_DESIGN, "between")},
+         "design missing keys: ['between']"),
+    ], ids=["model-not-object", "model-unknown-key", "model-no-schema",
+            "model-missing-key", "experiment-not-object", "experiment-unknown-key",
+            "experiment-no-schema", "experiment-missing-key", "design-not-object",
+            "design-unknown-key", "design-schema-key", "design-missing-key"])
+    def test_error_line(self, tmp_path, command, doc, line, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.csv"
+        extra = ["--m", "4"] if command == "theory" else ["--out", str(out)]
+        assert main([command, "--config", str(path), *extra]) == 2
+        assert capsys.readouterr() == ("", f"config: {line}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        b"\xff{}", b'{"n": ' + b"1" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["bad-utf8", "integer-digits", "deep-nesting"])
+    def test_undecodable_document(self, tmp_path, text, capsys):
+        """Text the json module cannot decode is one `config:` line naming
+        the file (the reason is Python's wording), not a traceback."""
+        path = tmp_path / "doc.json"
+        path.write_bytes(text)
+        assert main(["theory", "--config", str(path), "--m", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config: invalid JSON in {path}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestRealdata:
     @pytest.fixture
     def unequal_dirs(self, tmp_path):
@@ -408,6 +495,16 @@ class TestRealdata:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 1 + 2  # header + plain row + 2 sweep rows
+
+    def test_subsample_to_one_graph_drop_last_too_few_samples(self, tmp_path,
+                                                               capsys):
+        a, b = _write_groups(tmp_path, (1, 3))
+        code = main(["realdata", "--group-a", str(a), "--group-b", str(b),
+                     "--strategy", "subsample", "--reps", "2", "--seed", "3",
+                     "--drop-last"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "too-few-samples: need at least 2 graphs per group, got 1\n")
 
     def test_split_only_unequal_exit_2(self, unequal_dirs, capsys):
         a, b = unequal_dirs

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 public function and class of the package has a caller outside its module,
-no module imports scipy when it is loaded, and only ``pool.py`` starts
-processes or cuts work into chunks.
+no module imports scipy when it is loaded, only ``pool.py`` starts
+processes or cuts work into chunks, and only ``models.py`` decodes JSON
+documents.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 with the standard library's ``ast``: an imported name counts as used when it
@@ -186,3 +187,37 @@ def test_detects_pool_internals():
                          ids=lambda p: p.name)
 def test_only_pool_starts_processes_or_plans_chunks(path):
     assert pool_internals(path.read_text(encoding="utf-8")) == []
+
+
+JSON_READERS = {"load", "loads"}
+
+
+def json_reads(source: str) -> list[str]:
+    """The calls of ``json.load`` and ``json.loads`` in ``source``, and the
+    imports of those names from ``json``: what only ``models.py`` may have."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"line {node.lineno}: import json.{alias.name}"
+                      for alias in node.names if alias.name in JSON_READERS]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in JSON_READERS
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            found.append(f"line {node.lineno}: json.{node.func.attr}")
+    return found
+
+
+def test_detects_json_reads():
+    source = ("import json\nfrom json import loads as parse, dumps\n"
+              "with open('a') as fh:\n    doc = json.load(fh)\n"
+              "text = json.dumps(json.loads('1'))\n")
+    assert json_reads(source) == ["line 2: import json.loads", "line 4: json.load",
+                                  "line 5: json.loads"]
+    assert json_reads("import json\nprint(json.dumps({}, indent=2))\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py"))
+                                         - {PACKAGE / "models.py"}),
+                         ids=lambda p: p.name)
+def test_only_models_decodes_json(path):
+    assert json_reads(path.read_text(encoding="utf-8")) == []

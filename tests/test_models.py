@@ -17,9 +17,9 @@ from graphtest.errors import (
 from graphtest.models import (
     MeanMatrix,
     TwoBlockModel,
+    _model_from_json,
     beta_moments,
     beta_params_from_moments,
-    model_from_json,
     model_mean_matrix,
     sample_graph_from_means,
     sample_population,
@@ -314,28 +314,28 @@ class TestInhomogeneousSampling:
 
 class TestModelJson:
     def test_beta_document(self):
-        model = model_from_json({"schema": 1, "family": "beta", "n": 10,
-                                 "within": [2, 3], "between": [1, 3],
-                                 "epsilon": 0.3})
+        model = _model_from_json({"schema": 1, "family": "beta", "n": 10,
+                                  "within": [2, 3], "between": [1, 3],
+                                  "epsilon": 0.3})
         assert model.within == (2.0, 3.0)
         assert model.epsilon == 0.3
 
     def test_bernoulli_document_default_epsilon(self):
-        model = model_from_json({"schema": 1, "family": "bernoulli", "n": 4,
-                                 "within": 0.5, "between": 0.4})
+        model = _model_from_json({"schema": 1, "family": "bernoulli", "n": 4,
+                                  "within": 0.5, "between": 0.4})
         assert model.epsilon == 0.0
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            model_from_json({"schema": 1, "family": "beta", "n": 10,
-                             "within": [2, 3], "between": [1, 3], "extra": 1})
+            _model_from_json({"schema": 1, "family": "beta", "n": 10,
+                              "within": [2, 3], "between": [1, 3], "extra": 1})
 
     def test_missing_schema_rejected(self):
         with pytest.raises(ConfigError):
-            model_from_json({"family": "beta", "n": 10,
-                             "within": [2, 3], "between": [1, 3]})
+            _model_from_json({"family": "beta", "n": 10,
+                              "within": [2, 3], "between": [1, 3]})
 
     def test_beta_params_must_be_pairs(self):
         with pytest.raises(ConfigError):
-            model_from_json({"schema": 1, "family": "beta", "n": 10,
-                             "within": 2, "between": [1, 3]})
+            _model_from_json({"schema": 1, "family": "beta", "n": 10,
+                              "within": 2, "between": [1, 3]})
