@@ -2,13 +2,16 @@
 
 The paired statistics need equally sized groups, so unequal groups are
 equalized per repetition, either by oversampling the smaller group up to
-the larger size or by subsampling the larger group down.  Each repetition
-then draws a fresh random split, computes the requested statistics, and the
-batch of statistics is reduced to a five-number summary (NA repetitions are
-excluded and counted).  :func:`run_passes` is the one split loop: it runs
-the repetitions on the weighted groups and again on absolute-value
-binarized copies of the graphs for each threshold.  ``graphtest test`` runs
-it too, with the ``split_only`` strategy on equal groups and no threshold.
+the larger size or by subsampling the larger group down.  A repetition
+selects rows without copying them: it draws one row-index vector per
+group, and the statistics read the split's graphs through them from the
+loaded samples.  Each repetition then draws a fresh random split and
+computes the requested statistics, and the batch of statistics is reduced
+to a five-number summary (NA repetitions are excluded and counted).
+:func:`run_passes` is the one split loop: it runs the repetitions on the
+weighted groups and again on absolute-value binarized copies of the graphs
+for each threshold.  ``graphtest test`` runs it too, with the
+``split_only`` strategy on equal groups and no threshold.
 
 Loading and the passes run on worker processes through
 :func:`graphtest.pool.run`, which cuts both into chunks by one rule.  The
@@ -139,44 +142,52 @@ def load_groups(directories, workers: int = 1) -> tuple[GraphSample, ...]:
     return tuple(samples)
 
 
+def _equalize_rows(
+    m_a: int, m_b: int, strategy: str, rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-index vectors of equal length into groups of ``m_a`` and ``m_b``
+    graphs: the rows each group has after resampling to a common size.
+
+    ``oversample_smaller`` keeps the smaller group's rows in order and
+    appends draws from them (without replacement while the deficit fits,
+    with replacement otherwise); ``subsample_larger`` keeps a
+    without-replacement draw from the larger group; ``split_only`` requires
+    already-equal groups.  A group that is not resampled gets all its rows
+    in order, and equal groups draw nothing from ``rng``.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    rows_a, rows_b = np.arange(m_a), np.arange(m_b)
+    if m_a == m_b:
+        return rows_a, rows_b
+    if strategy == "split_only":
+        raise UnequalWithSplitOnlyError(
+            f"groups have {m_a} and {m_b} graphs; split_only needs equal sizes"
+        )
+
+    small, large = (rows_a, rows_b) if m_a < m_b else (rows_b, rows_a)
+    if strategy == "oversample_smaller":
+        deficit = large.size - small.size
+        extra = rng.choice(small.size, size=deficit, replace=deficit > small.size)
+        small = np.concatenate((small, extra))
+    else:  # subsample_larger
+        large = rng.choice(large.size, size=small.size, replace=False)
+    return (small, large) if m_a < m_b else (large, small)
+
+
 def equalize(
     sample_a: GraphSample,
     sample_b: GraphSample,
     strategy: str,
     rng: np.random.Generator,
 ) -> tuple[GraphSample, GraphSample]:
-    """Resample one group so both have the same size.
-
-    ``oversample_smaller`` appends draws from the smaller group (without
-    replacement while the deficit fits, with replacement otherwise);
-    ``subsample_larger`` keeps a without-replacement draw from the larger
-    group; ``split_only`` requires already-equal groups.  Output graphs are
-    always members of the input groups, never synthesized.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if sample_a.m == sample_b.m:
-        return sample_a, sample_b
-    if strategy == "split_only":
-        raise UnequalWithSplitOnlyError(
-            f"groups have {sample_a.m} and {sample_b.m} graphs; "
-            "split_only needs equal sizes"
-        )
-
-    small, large = (sample_a, sample_b) if sample_a.m < sample_b.m else (sample_b, sample_a)
-    if strategy == "oversample_smaller":
-        deficit = large.m - small.m
-        replace = deficit > small.m
-        extra = rng.choice(small.m, size=deficit, replace=replace)
-        grown = np.concatenate((small.edges, small.edges[extra]))
-        out_small, out_large = GraphSample.from_edges(grown), large
-    else:  # subsample_larger
-        keep = rng.choice(large.m, size=small.m, replace=False)
-        out_small, out_large = small, GraphSample.from_edges(large.edges[keep])
-
-    if sample_a.m < sample_b.m:
-        return out_small, out_large
-    return out_large, out_small
+    """The groups :func:`_equalize_rows` selects, as samples: a group that is
+    not resampled is returned as is, a resampled one is a copy of its
+    selected rows.  Output graphs are always members of the input groups,
+    never synthesized.  The split loop reads the rows in place instead."""
+    rows = _equalize_rows(sample_a.m, sample_b.m, strategy, rng)
+    return tuple(sample if r.size == sample.m else GraphSample.from_edges(sample.edges[r])
+                 for sample, r in zip((sample_a, sample_b), rows))
 
 
 def _run_chunk(groups, tau: float | None, start: int, stop: int) -> list:
@@ -184,8 +195,10 @@ def _run_chunk(groups, tau: float | None, start: int, stop: int) -> list:
     ``groups`` (both samples and the test settings), binarized at ``tau``
     unless it is None.  Repetition ``r`` equalizes and then draws one split
     that every method shares, both from ``substream(plan.seed, r)``; equal
-    groups draw nothing in :func:`equalize`.  ``drop_last`` drops the last
-    graph of odd groups, unless that would empty them."""
+    groups draw nothing in :func:`_equalize_rows`.  The split is tested on
+    the selected rows of the samples, which are not copied.  ``drop_last``
+    drops the last selected row of odd groups, unless that would empty
+    them."""
     sample_a, sample_b, plan, methods, alpha, drop_last = groups
     if tau is not None:
         sample_a = threshold_binarize(sample_a, tau)
@@ -193,12 +206,12 @@ def _run_chunk(groups, tau: float | None, start: int, stop: int) -> list:
     replicates = []
     for rep in range(start, stop):
         rng = substream(plan.seed, rep)
-        eq_a, eq_b = equalize(sample_a, sample_b, plan.strategy, rng)
-        if drop_last and eq_a.m % 2 != 0 and eq_a.m > 1:
-            eq_a = GraphSample.from_edges(eq_a.edges[:-1])
-            eq_b = GraphSample.from_edges(eq_b.edges[:-1])
-        partition = random_partition(eq_a.m, rng)
-        replicates.append(run_methods(methods, eq_a, eq_b, partition, alpha))
+        rows_a, rows_b = _equalize_rows(sample_a.m, sample_b.m, plan.strategy, rng)
+        if drop_last and rows_a.size % 2 != 0 and rows_a.size > 1:
+            rows_a, rows_b = rows_a[:-1], rows_b[:-1]
+        partition = random_partition(rows_a.size, rng)
+        replicates.append(run_methods(methods, sample_a, sample_b, partition, alpha,
+                                      (rows_a, rows_b)))
     return replicates
 
 

@@ -129,27 +129,52 @@ def random_partition(m: int, rng: np.random.Generator) -> Partition:
     return Partition(first, second)
 
 
-def _check_samples(sample_g: GraphSample, sample_h: GraphSample, partition: Partition):
+def _check_samples(sample_g: GraphSample, sample_h: GraphSample, partition: Partition,
+                   rows=None) -> tuple:
+    """The rows of ``sample_g`` and of ``sample_h`` that each half of the
+    split pairs, ``((g_rows, h_rows), (g_rows, h_rows))``: position ``k``
+    reads row ``rows_g[k]`` and row ``rows_h[k]`` of ``rows``, or row ``k``
+    of both samples when ``rows`` is None."""
     if sample_g.n != sample_h.n:
         raise DimensionMismatchError(
             f"groups have {sample_g.n} and {sample_h.n} nodes"
         )
-    if sample_g.m != sample_h.m:
+    if rows is None:
+        if sample_g.m != sample_h.m:
+            raise SampleSizeMismatchError(
+                f"groups have {sample_g.m} and {sample_h.m} graphs"
+            )
+        size = sample_g.m
+    else:
+        rows = tuple(np.asarray(r) for r in rows)
+        if len(rows[0]) != len(rows[1]):
+            raise SampleSizeMismatchError(
+                f"row vectors select {len(rows[0])} and {len(rows[1])} graphs"
+            )
+        for r, sample in zip(rows, (sample_g, sample_h)):
+            if r.size and not 0 <= r.min() <= r.max() < sample.m:
+                raise SampleSizeMismatchError(
+                    f"row vector selects rows {r.min()}..{r.max()} of a group "
+                    f"of {sample.m} graphs"
+                )
+        size = len(rows[0])
+    if partition.m != size:
         raise SampleSizeMismatchError(
-            f"groups have {sample_g.m} and {sample_h.m} graphs"
+            f"partition covers {partition.m} pairs but groups have {size}"
         )
-    if partition.m != sample_g.m:
-        raise SampleSizeMismatchError(
-            f"partition covers {partition.m} pairs but groups have {sample_g.m}"
-        )
+    halves = (list(partition.first_half), list(partition.second_half))
+    if rows is None:
+        return tuple((half, half) for half in halves)
+    return tuple((rows[0][half].tolist(), rows[1][half].tolist()) for half in halves)
 
 
-def _scaled_half_sums(g_edges: np.ndarray, h_edges: np.ndarray, op,
-                      partition: Partition, work: np.ndarray):
-    """Per-pair sums of ``op(g_edges[k], h_edges[k])`` (``op`` is
-    ``np.subtract`` or ``np.add``) over each half of the split, times
-    ``2**-e``, and ``e``, chosen so the larger magnitude lies in [0.5, 1):
-    exact, and safe to multiply at any scale.
+def _scaled_half_sums(g_edges: np.ndarray, h_edges: np.ndarray, op, halves,
+                      work: np.ndarray):
+    """Per-pair sums of ``op(g_edges[i], h_edges[j])`` (``op`` is
+    ``np.subtract`` or ``np.add``) over the row pairs of each half of the
+    split (``halves`` from :func:`_check_samples`), times ``2**-e``, and
+    ``e``, chosen so the larger magnitude lies in [0.5, 1): exact, and safe
+    to multiply at any scale.
 
     Each sum has the arithmetic of numpy's axis-0 sum while holding only
     ``(P,)`` vectors: it starts at +0.0 and adds one row at a time in the
@@ -158,12 +183,12 @@ def _scaled_half_sums(g_edges: np.ndarray, h_edges: np.ndarray, op,
     ``work``, a ``(3, P)`` block that is overwritten."""
     work.fill(0.0)
     s1, s2, tmp = work
-    for acc, half in ((s1, partition.first_half), (s2, partition.second_half)):
+    for acc, (g_rows, h_rows) in zip((s1, s2), halves):
         if acc.size == 1:
-            op(g_edges[list(half)], h_edges[list(half)]).sum(axis=0, out=acc)
+            op(g_edges[g_rows], h_edges[h_rows]).sum(axis=0, out=acc)
         else:
-            for k in half:
-                acc += op(g_edges[k], h_edges[k], out=tmp)
+            for i, j in zip(g_rows, h_rows):
+                acc += op(g_edges[i], h_edges[j], out=tmp)
     e = int(np.frexp(max(np.abs(s1, out=tmp).max(), np.abs(s2, out=tmp).max()))[1])
     return np.ldexp(s1, -e, out=s1), np.ldexp(s2, -e, out=s2), e
 
@@ -233,10 +258,16 @@ def decide(result: TestResult, alpha: float) -> TestResult:
 
 def run_methods(
     methods: tuple[str, ...], sample_g: GraphSample, sample_h: GraphSample,
-    partition: Partition, alpha: float,
+    partition: Partition, alpha: float, rows=None,
 ) -> tuple[TestResult, ...]:
     """Compute the named statistics ("tn", "tfro") on one split and decide
     each; one result per requested method, in the order requested.
+
+    ``rows``, a pair ``(rows_g, rows_h)`` of index vectors, maps the split's
+    positions to sample rows: position ``k`` pairs graph ``rows_g[k]`` of
+    ``sample_g`` with graph ``rows_h[k]`` of ``sample_h``, so a resample of
+    the groups is tested without copying it.  None is the identity, and
+    then both samples have the split's size.
 
     D = G - H, its half sums and T are formed once; S = G + H only for
     ``tfro``.  Half sums are streamed from the groups' edge arrays one
@@ -247,13 +278,13 @@ def run_methods(
     """
     if not set(methods) <= set(METHODS):
         raise ValueError(f"unknown method in {methods!r}, expected a subset of {METHODS}")
-    _check_samples(sample_g, sample_h, partition)
+    halves = _check_samples(sample_g, sample_h, partition, rows)
     g, h = sample_g.edges, sample_h.edges
     results = {}
     # One work block per split: D's half sums, then S's once T is reduced.
     work = np.empty((3, g.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        d1, d2, e_d = _scaled_half_sums(g, h, np.subtract, partition, work)
+        d1, d2, e_d = _scaled_half_sums(g, h, np.subtract, halves, work)
         # Products go into spent buffers: the peak stays at three (P,) vectors.
         t = np.multiply(d1, d2, out=d1)
         numerator = float(t.sum())
@@ -262,7 +293,7 @@ def run_methods(
                                     float(np.square(t, out=d2).sum()),
                                     2 * e_d, 4 * e_d)
         if "tfro" in methods:
-            s1, s2, e_s = _scaled_half_sums(g, h, np.add, partition, work)
+            s1, s2, e_s = _scaled_half_sums(g, h, np.add, halves, work)
             results["tfro"] = _result("tfro", numerator,
                                       float(np.multiply(s1, s2, out=s1).sum()),
                                       2 * e_d, 2 * e_s)

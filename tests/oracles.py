@@ -15,7 +15,7 @@ import numpy as np
 
 from graphtest.errors import OddSampleSizeError
 from graphtest.graphs import GraphSample
-from graphtest.realdata import ResamplingPlan, equalize
+from graphtest.realdata import ResamplingPlan, _equalize_rows
 from graphtest.rng import substream
 from graphtest.simulate import ExperimentConfig, _cell_results, _run_chunk
 from graphtest.twosample import (
@@ -36,10 +36,10 @@ def edge_statistics(
     A pair whose product overflows float64 (half sums of opposite-sign
     weights near the float64 limit) comes back as ±inf or nan, without a
     floating-point warning."""
-    _check_samples(sample_g, sample_h, partition)
+    halves = _check_samples(sample_g, sample_h, partition)
     g, h = sample_g.edges, sample_h.edges
     with np.errstate(over="ignore", invalid="ignore"):
-        d1, d2, e = _scaled_half_sums(g, h, np.subtract, partition,
+        d1, d2, e = _scaled_half_sums(g, h, np.subtract, halves,
                                       np.empty((3, g.shape[1])))
         return np.ldexp(d1 * d2, 2 * e)
 
@@ -79,11 +79,15 @@ def repeated_splits(sample_a: GraphSample, sample_b: GraphSample,
                     alpha: float = 0.05, drop_last: bool = False):
     """``{method: results}`` of every repetition in order: repetition ``r``
     equalizes and splits with ``substream(plan.seed, r)`` and evaluates
-    every method on that one split."""
+    every method on that one split.  Each repetition copies the rows that
+    :func:`graphtest.realdata._equalize_rows` selects into new samples, and
+    ``drop_last`` copies them again without the last graph."""
     replicates = []
     for rep in range(plan.repetitions):
         rng = substream(plan.seed, rep)
-        eq_a, eq_b = equalize(sample_a, sample_b, plan.strategy, rng)
+        rows = _equalize_rows(sample_a.m, sample_b.m, plan.strategy, rng)
+        eq_a, eq_b = (GraphSample.from_edges(sample.edges[r])
+                      for sample, r in zip((sample_a, sample_b), rows))
         if drop_last and eq_a.m % 2 != 0 and eq_a.m > 1:
             eq_a = GraphSample.from_edges(eq_a.edges[:-1])
             eq_b = GraphSample.from_edges(eq_b.edges[:-1])

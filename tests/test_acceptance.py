@@ -112,12 +112,14 @@ def test_criterion_01_null_calibration():
             f"tn size {rate:.3f} in [0.03, 0.08], {elapsed:.1f}s single-threaded")
 
 
+@pytest.mark.slow
 def test_criterion_02_power(power_grid_report):
     """Same design, n=100, m=14, shift 0.3: power at least 0.92."""
     rate = _rates(power_grid_report, "tn")[(100, 14, 0.3)]
     _report("2 power", rate >= 0.92, f"tn power {rate:.3f} >= 0.92")
 
 
+@pytest.mark.slow
 def test_criterion_03_tfro_fails_on_weighted(power_grid_report,
                                              null_grid_report, leftskew_grid_report):
     """Both Beta designs, n in {30,100}, m in {2,4}: tfro rate <= 0.005."""
@@ -322,6 +324,7 @@ def test_criterion_07_oracle_equivalence():
             else f"{mismatches} exhaustive mismatches")
 
 
+@pytest.mark.slow
 def test_criterion_08_lambda_power_concordance(power_grid_report):
     """Cells ranked by the noncentrality must rank empirical power too:
     Kendall tau >= 0.9 over cells with power strictly inside (0.1, 0.99)."""

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import multiprocessing
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphtest.errors import (
@@ -30,6 +31,7 @@ from graphtest.pool import _plan
 from graphtest.realdata import (
     STRATEGIES,
     ResamplingPlan,
+    _equalize_rows,
     equalize,
     load_groups,
     make_synthetic_groups,
@@ -52,12 +54,6 @@ def _write_group(directory, sample):
     directory.mkdir(parents=True, exist_ok=True)
     for k, graph in enumerate(sample.graphs):
         save_adjacency_csv(graph, directory / f"subject_{k:03d}.csv")
-
-
-def _row_index(sample, row):
-    """Index of the one row of ``sample.edges`` bit-identical to ``row``."""
-    (matches,) = np.flatnonzero((sample.edges == row).all(axis=1))
-    return int(matches)
 
 
 def _load(directory, workers=1):
@@ -226,6 +222,13 @@ def test_csv_round_trip_is_bit_exact(data, n, m):
                 assert np.diagonal(graph.weights).tobytes() == np.zeros(n).tobytes()
 
 
+def _check_rows(rows, sizes, target):
+    """Both vectors have ``target`` entries, each in range of its group."""
+    for r, m in zip(rows, sizes):
+        assert r.shape == (target,)
+        assert ((0 <= r) & (r < m)).all()
+
+
 @settings(max_examples=150, deadline=None)
 @given(m_a=st.integers(1, 8), m_b=st.integers(1, 8),
        strategy=st.sampled_from(STRATEGIES), seed=st.integers(0, 2**32 - 1))
@@ -235,62 +238,85 @@ def test_equalize_returns_input_rows_at_target_size(m_a, m_b, strategy, seed):
     b = GraphSample.from_edges(rng.random((m_b, 6)))
     if strategy == "split_only" and m_a != m_b:
         with pytest.raises(UnequalWithSplitOnlyError):
+            _equalize_rows(m_a, m_b, strategy, substream(seed, 0))
+        with pytest.raises(UnequalWithSplitOnlyError):
             equalize(a, b, strategy, substream(seed, 0))
         return
-    out_a, out_b = equalize(a, b, strategy, substream(seed, 0))
+    rows = _equalize_rows(m_a, m_b, strategy, substream(seed, 0))
     target = min(m_a, m_b) if strategy == "subsample_larger" else max(m_a, m_b)
-    assert out_a.m == out_b.m == target
-    for out, source in ((out_a, a), (out_b, b)):
-        rows = {row.tobytes() for row in source.edges}
-        assert all(row.tobytes() in rows for row in out.edges)
-    if strategy == "subsample_larger":
-        for out in (out_a, out_b):
-            assert len({row.tobytes() for row in out.edges}) == target
+    _check_rows(rows, (m_a, m_b), target)
+    for r, m in zip(rows, (m_a, m_b)):
+        if m <= target:  # a group that is not shrunk keeps its rows first, in order
+            assert np.array_equal(r[:m], np.arange(m))
+        if strategy == "subsample_larger":
+            assert len(set(r.tolist())) == target
+    # equalize copies exactly the selected rows, with the same draws.
+    out = equalize(a, b, strategy, substream(seed, 0))
+    for sample, source, r in zip(out, (a, b), rows):
+        assert sample.m == target
+        assert sample.edges.tobytes() == source.edges[r].tobytes()
 
 
 class TestEqualize:
     def test_oversample_smaller(self):
-        small, large = _population(5, 6), _population(6, 10)
-        out_a, out_b = equalize(small, large, "oversample_smaller", substream(7, 0))
-        assert out_a.m == out_b.m == 10
+        rows_a, rows_b = _equalize_rows(6, 10, "oversample_smaller", substream(7, 0))
+        _check_rows((rows_a, rows_b), (6, 10), 10)
         # Originals are kept in order, extras appended.
-        assert np.array_equal(out_a.edges[:6], small.edges)
-        assert out_b is large
+        assert np.array_equal(rows_a[:6], np.arange(6))
+        assert np.array_equal(rows_b, np.arange(10))
 
     def test_oversample_with_replacement_on_large_deficit(self):
-        small, large = _population(8, 3), _population(9, 10)
-        out_a, _ = equalize(small, large, "oversample_smaller", substream(8, 0))
-        assert out_a.m == 10  # deficit 7 > 3 forces replacement
+        rows_a, _ = _equalize_rows(3, 10, "oversample_smaller", substream(8, 0))
+        assert rows_a.size == 10  # deficit 7 > 3 forces replacement
+        assert ((0 <= rows_a) & (rows_a < 3)).all()
 
     def test_subsample_larger(self):
-        small, large = _population(10, 6), _population(11, 10)
-        out_a, out_b = equalize(small, large, "subsample_larger", substream(9, 0))
-        assert out_a.m == out_b.m == 6
-        assert out_a is small
-        sources = [_row_index(large, row) for row in out_b.edges]
-        assert len(set(sources)) == 6, "subsample must not duplicate members"
+        rows_a, rows_b = _equalize_rows(6, 10, "subsample_larger", substream(9, 0))
+        _check_rows((rows_a, rows_b), (6, 10), 6)
+        assert np.array_equal(rows_a, np.arange(6))
+        assert len(set(rows_b.tolist())) == 6, "subsample must not duplicate members"
 
     def test_outputs_are_input_members(self):
-        """Equalization never fabricates graphs: bit-identical membership."""
+        """Equalization never fabricates graphs: every index selects a row of
+        its own group, and ``equalize`` copies those rows bit for bit."""
         small, large = _population(12, 4), _population(13, 9)
         for strategy in ("oversample_smaller", "subsample_larger"):
+            rows = _equalize_rows(4, 9, strategy, substream(14, 0))
+            for r, m in zip(rows, (4, 9)):
+                assert ((0 <= r) & (r < m)).all()
             out_a, out_b = equalize(small, large, strategy, substream(14, 0))
             pool = {row.tobytes() for row in (*small.edges, *large.edges)}
             assert all(row.tobytes() in pool for row in (*out_a.edges, *out_b.edges))
 
     def test_split_only_equal_passthrough(self):
+        rng = substream(17, 0)
+        state = rng.bit_generator.state
+        rows_a, rows_b = _equalize_rows(4, 4, "split_only", rng)
+        assert np.array_equal(rows_a, np.arange(4))
+        assert np.array_equal(rows_b, np.arange(4))
+        assert rng.bit_generator.state == state  # equal groups draw nothing
         a, b = _population(15, 4), _population(16, 4)
         assert equalize(a, b, "split_only", substream(17, 0)) == (a, b)
 
     def test_split_only_unequal_rejected(self):
         with pytest.raises(UnequalWithSplitOnlyError):
-            equalize(_population(18, 4), _population(19, 6), "split_only",
-                     substream(20, 0))
+            _equalize_rows(4, 6, "split_only", substream(20, 0))
 
     def test_order_preserved_when_b_is_smaller(self):
-        large, small = _population(21, 10), _population(22, 6)
+        rows_a, rows_b = _equalize_rows(10, 6, "oversample_smaller", substream(23, 0))
+        assert np.array_equal(rows_a, np.arange(10))
+        assert rows_b.size == 10 and np.array_equal(rows_b[:6], np.arange(6))
+
+    def test_equalize_keeps_unresampled_groups(self):
+        """``equalize`` returns a group that is not resampled as is."""
+        small, large = _population(5, 6), _population(6, 10)
+        out_a, out_b = equalize(small, large, "oversample_smaller", substream(7, 0))
+        assert out_a.m == out_b.m == 10 and out_b is large
+        assert np.array_equal(out_a.edges[:6], small.edges)
         out_a, out_b = equalize(large, small, "oversample_smaller", substream(23, 0))
         assert out_a is large and out_b.m == 10
+        out_a, out_b = equalize(small, large, "subsample_larger", substream(9, 0))
+        assert out_a.m == out_b.m == 6 and out_a is small
 
 
 def _repeated(a, b, plan, **kwargs):
@@ -430,6 +456,73 @@ class TestParallelPasses:
         serial = _error(run_passes, a, b, plan, taus=(0.1, 0.2))
         assert _error(run_passes, a, b, plan, taus=(0.1, 0.2), workers=3) == serial
         assert serial[0] is UnequalWithSplitOnlyError
+
+
+def _serial_passes(a, b, plan, methods, drop_last, taus):
+    """:func:`repeated_splits` on the weighted groups and on both binarized
+    at each of ``taus``, in pass order."""
+    return [repeated_splits(threshold_binarize(a, tau) if tau is not None else a,
+                            threshold_binarize(b, tau) if tau is not None else b,
+                            plan, methods, drop_last=drop_last)
+            for tau in (None, *taus)]
+
+
+class TestRowResampling:
+    """Repetitions read the equalized groups through row-index vectors; the
+    results equal the copying reference loop exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.integers(2, 7).flatmap(
+               lambda m: st.tuples(st.just(m), st.one_of(st.just(m), st.integers(2, 7)))),
+           strategy=st.sampled_from(STRATEGIES), drop_last=st.booleans(),
+           workers=st.sampled_from((1, 2, 3)), repetitions=st.integers(1, 5),
+           taus=st.sampled_from(((), (0.5,))), seed=st.integers(0, 2**32 - 1))
+    # Oversampling 3 graphs to 5 appends two extras; drop_last drops one.
+    @example(sizes=(3, 5), strategy="oversample_smaller", drop_last=True,
+             workers=2, repetitions=4, taus=(), seed=1)
+    @example(sizes=(6, 3), strategy="oversample_smaller", drop_last=False,
+             workers=3, repetitions=5, taus=(0.5,), seed=2)
+    @example(sizes=(7, 4), strategy="subsample_larger", drop_last=True,
+             workers=1, repetitions=3, taus=(), seed=3)
+    @example(sizes=(5, 5), strategy="split_only", drop_last=True,
+             workers=2, repetitions=3, taus=(0.5,), seed=4)
+    @example(sizes=(1, 3), strategy="oversample_smaller", drop_last=True,
+             workers=2, repetitions=2, taus=(), seed=5)
+    @example(sizes=(4, 6), strategy="split_only", drop_last=False,
+             workers=3, repetitions=2, taus=(0.5,), seed=6)
+    def test_passes_equal_the_copying_loop(self, sizes, strategy, drop_last,
+                                           workers, repetitions, taus, seed):
+        """Equal sizes (half the draws), unequal and odd ones, each strategy,
+        ``drop_last`` on and off, 1-3 workers, with and without a threshold
+        pass; an error is the reference loop's error."""
+        a, b = make_synthetic_groups(n=6, size_a=sizes[0], size_b=sizes[1], seed=seed)
+        plan = ResamplingPlan(strategy, repetitions=repetitions, seed=seed)
+        methods = ("tn", "tfro")
+        try:
+            want = _serial_passes(a, b, plan, methods, drop_last, taus)
+        except GraphTestError as err:
+            assert _error(run_passes, a, b, plan, methods, 0.05, drop_last, taus,
+                          workers) == (type(err), err.code, str(err))
+            return
+        runs, sweep = run_passes(a, b, plan, methods, 0.05, drop_last, taus, workers)
+        assert [tau for tau, _ in sweep] == list(taus)
+        for got, expected in zip([runs] + [swept for _, swept in sweep], want):
+            assert list(got) == list(methods)
+            for method in methods:
+                assert got[method].results == expected[method]
+
+    def test_passes_do_not_copy_an_equalized_group(self):
+        """Oversampling 54 graphs to 70 at n=100 would copy a 70 x 4950
+        array per repetition; the pass holds less than one such copy."""
+        a, b = make_synthetic_groups(seed=7)
+        plan = ResamplingPlan("oversample_smaller", repetitions=30, seed=8)
+        tracemalloc.start()
+        try:
+            run_passes(a, b, plan, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70 * 4950 * 8
 
 
 class TestSyntheticGroups:

@@ -627,6 +627,57 @@ class TestStreamedKernel:
         assert peak <= 8 * p * 8
 
 
+@st.composite
+def indexed_groups(draw):
+    """Two groups of 1..6 graphs as raw edge arrays of arbitrary finite
+    float64 weights, row vectors of one even length (repeats allowed) into
+    each, and a split of that length whose halves are in arbitrary order."""
+    n = draw(st.integers(2, 5))
+    weights = st.floats(allow_nan=False, allow_infinity=False)
+    g, h = (draw(arrays(np.float64, (draw(st.integers(1, 6)), n * (n - 1) // 2),
+                        elements=weights)) for _ in range(2))
+    m = draw(st.sampled_from(range(2, 13, 2)))
+    rows = tuple(np.array(draw(st.lists(st.integers(0, len(x) - 1), min_size=m,
+                                        max_size=m))) for x in (g, h))
+    perm = draw(st.permutations(range(m)))
+    return (GraphSample.from_edges(g), GraphSample.from_edges(h),
+            Partition(tuple(perm[: m // 2]), tuple(perm[m // 2:])), rows)
+
+
+class TestRowVectors:
+    """``rows`` maps split positions to sample rows, so a resample is tested
+    in place of a copy of its rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(indexed_groups())
+    def test_matches_a_copy_of_the_selected_rows(self, case):
+        g, h, part, rows = case
+        copies = [GraphSample.from_edges(s.edges[r]) for s, r in zip((g, h), rows)]
+        for methods in (("tn",), ("tfro",), ("tn", "tfro")):
+            got = run_methods(methods, g, h, part, 0.05, rows)
+            want = run_methods(methods, *copies, part, 0.05)
+            assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
+    def test_identity_rows_are_no_rows(self):
+        g, h, part = _random_pair(61, m=6)
+        identity = (np.arange(6), np.arange(6))
+        assert (run_methods(METHODS, g, h, part, 0.05, identity)
+                == run_methods(METHODS, g, h, part, 0.05))
+
+    @pytest.mark.parametrize("rows, message", [
+        (([0, 1, 2, 3], [0, 1, 2]), "row vectors select 4 and 3 graphs"),
+        (([0, 1], [0, 1]), "partition covers 4 pairs but groups have 2"),
+        (([0, 1, 2, 4], [0, 1, 2, 3]), "rows 0..4 of a group of 4 graphs"),
+        (([0, 1, 2, 3], [0, -1, 2, 3]), "rows -1..3 of a group of 6 graphs"),
+    ], ids=["unequal-lengths", "wrong-length", "past-the-end", "negative"])
+    def test_bad_rows_are_a_size_mismatch(self, rows, message):
+        g, _, part = _random_pair(64, m=4)
+        h, _, _ = _random_pair(65, m=6)
+        rows = tuple(np.array(r) for r in rows)
+        with pytest.raises(SampleSizeMismatchError, match=message):
+            run_methods(METHODS, g, h, part, 0.05, rows)
+
+
 class TestNormalTails:
     """p-values and critical values come from ``scipy.special``; they must
     equal what ``scipy.stats.norm`` gives with loc 0 and scale 1."""
