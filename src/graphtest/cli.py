@@ -40,12 +40,11 @@ from . import diagnostics, simulate
 from .errors import (
     AllNAError,
     GraphTestError,
-    InvalidAlphaError,
     OddSampleSizeError,
     SampleSizeMismatchError,
 )
 from .graphs import save_adjacency_csv
-from .models import load_model_json, model_mean_matrix, sample_population
+from .models import load_model_json, sample_population
 from .pool import usable_cpus
 from .realdata import RepeatedRun, ResamplingPlan, load_groups, run_passes
 from .rng import check_seed, fresh_seed, substream
@@ -90,7 +89,8 @@ def _int_at_least(low: int):
 
 def _tau_list(value: str) -> tuple[float, ...]:
     try:
-        taus = tuple(float(part) for part in value.split(",") if part.strip() != "")
+        # Adding 0.0 turns -0.0 into 0.0, which would otherwise print as "-0".
+        taus = tuple(float(part) + 0.0 for part in value.split(",") if part.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"thresholds must be comma-separated reals: {value!r}")
     if not taus or not all(math.isfinite(t) and t >= 0 for t in taus):
@@ -184,12 +184,7 @@ def _print_records(records: list[dict], fmt: str) -> None:
         for record in records:
             print(json.dumps(record))
     elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(records[0]),
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(records)
-        sys.stdout.write(buffer.getvalue())
+        sys.stdout.write(_csv_text(list(records[0]), (r.values() for r in records)))
     else:
         keys = list(records[0])
         widths = [max(len(k), *(len(_cell(r[k])) for r in records)) for k in keys]
@@ -232,13 +227,8 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _load_samples(args):
-    """Both groups' samples, read on one worker per usable CPU."""
-    return load_groups((args.group_a, args.group_b), workers=usable_cpus())
-
-
 def _cmd_test(args) -> int:
-    group_a, group_b = _load_samples(args)
+    group_a, group_b = load_groups((args.group_a, args.group_b), usable_cpus())
     if group_a.m != group_b.m:
         raise SampleSizeMismatchError(
             f"groups have {group_a.m} and {group_b.m} graphs; equalize them "
@@ -265,13 +255,8 @@ def _cmd_theory(args) -> int:
     moments = diagnostics.two_block_moments(model, args.m)
     null_moments = dataclasses.replace(moments, mu2=moments.mu1,
                                        sigma2_sq=moments.sigma1_sq)
-
-    try:
-        lam = diagnostics.lambda_from_moments(moments)
-        power_side = diagnostics.power_condition_ratios(moments)
-    except GraphTestError:
-        lam = None
-        power_side = None
+    # Raises on a model whose variances are all zero.  Otherwise sum(V^2) > 0,
+    # so lambda_n and the power ratios below are defined.
     ratios = diagnostics.condition_ratios(null_moments)
 
     report = {
@@ -279,7 +264,7 @@ def _cmd_theory(args) -> int:
         "n": model.n,
         "m": args.m,
         "epsilon": model.epsilon,
-        "lambda_n": lam,
+        "lambda_n": diagnostics.lambda_from_moments(moments),
         "null_variance": diagnostics.null_variance(null_moments),
         "condition_ratios": {
             "size_vs_sigma4": ratios.size_vs_sigma4,
@@ -291,10 +276,10 @@ def _cmd_theory(args) -> int:
             "all_below_0.1_heuristic": ratios.all_below(0.1),
         },
         "tfro_consistency_ratio": diagnostics.tfro_consistency_ratio(null_moments),
-        "power_condition_ratios": power_side,
+        "power_condition_ratios": diagnostics.power_condition_ratios(moments),
     }
     if model.family == "bernoulli":
-        cond = diagnostics.bernoulli_condition(model_mean_matrix(model).mu, args.delta)
+        cond = diagnostics.bernoulli_condition(null_moments, args.delta)
         report["bernoulli_condition"] = {
             "n": cond.n,
             "mu_fro_sq": cond.mu_fro_sq,
@@ -337,7 +322,7 @@ def _cmd_realdata(args) -> int:
     strategy = {"oversample": "oversample_smaller",
                 "subsample": "subsample_larger",
                 "split-only": "split_only"}[args.strategy]
-    group_a, group_b = _load_samples(args)
+    group_a, group_b = load_groups((args.group_a, args.group_b), usable_cpus())
     seed = _master_seed(args)
     plan = ResamplingPlan(strategy=strategy, repetitions=args.reps, seed=seed)
     methods = _methods(args.method)
@@ -351,7 +336,7 @@ def _cmd_realdata(args) -> int:
     rows += [_summary_row(strategy, f"{tau:g}", swept[method])
              for tau, swept in sweep for method in methods]
 
-    text = _rows_to_csv(rows)
+    text = _csv_text(REALDATA_HEADER, rows)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -363,22 +348,17 @@ REALDATA_HEADER = ("strategy", "tau", "method", "min", "q1", "median", "q3",
                    "max", "na_count")
 
 
-def _summary_fields(summary) -> list[str]:
-    if summary is None:
-        return ["NA"] * 5
-    return [f"{v:.6g}" for v in summary.as_tuple()]
-
-
 def _summary_row(strategy, tau: str, run: RepeatedRun) -> list[str]:
     """One output row for the repetitions of one method."""
-    return [strategy, tau, run.method, *_summary_fields(run.summary),
-            str(run.na_count)]
+    values = (None,) * 5 if run.summary is None else run.summary.as_tuple()
+    return [strategy, tau, run.method, *map(_cell, values), str(run.na_count)]
 
 
-def _rows_to_csv(rows: list[list[str]]) -> str:
+def _csv_text(header, rows) -> str:
+    """CSV text with LF line ends: the header, then each row's values."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REALDATA_HEADER)
+    writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
 
@@ -404,9 +384,6 @@ def main(argv=None) -> int:
 
     try:
         return _COMMANDS[args.command](args)
-    except InvalidAlphaError as err:
-        print(f"{err.code}: {err}", file=sys.stderr)
-        return 1
     except GraphTestError as err:
         print(f"{err.code}: {err}", file=sys.stderr)
         return 2

@@ -15,6 +15,11 @@ Everything here is exact arithmetic on model moments, no sampling:
 * ``tfro_consistency_ratio`` - expected ratio of the baseline's squared
   denominator to the true numerator variance; values far from 1 predict a
   miscalibrated (typically severely conservative) baseline.
+
+The model diagnostics read the ``(P,)`` pair vectors of a
+:class:`ModelMoments`; dense ``n x n`` matrices enter only through
+:func:`mean_matrix_moments` (a :class:`~graphtest.models.MeanMatrix`) and
+:func:`lambda_n`.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
     InvalidScenarioParamsError,
 )
 from .graphs import pair_layout
-from .models import MeanMatrix, TwoBlockModel, _blocks, _pair_moments
+from .models import MeanMatrix, TwoBlockModel, _blocks, _family_moments, _pair_moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,16 +97,13 @@ def paired_difference_fourth_moment(family: str, params) -> float:
     """E[(X - Y)^4] for X, Y i.i.d. from the given edge distribution.
 
     Expanding around the mean gives ``2*mu4 + 6*sigma^4`` with ``mu4`` the
-    central fourth moment.
+    central fourth moment.  Bad parameters raise as in ``beta_moments`` and
+    ``bernoulli_moments``.
     """
+    _, var = _family_moments(family, params)
     if family == "beta":
-        a, b = params
-        s = a + b
-        var = a * b / (s * s * (s + 1.0))
-        mu4 = _beta_central_fourth(a, b)
+        mu4 = _beta_central_fourth(*params)
     else:
-        p = float(params)
-        var = p * (1.0 - p)
         mu4 = var * (1.0 - 3.0 * var)
     return 2.0 * mu4 + 6.0 * var * var
 
@@ -194,8 +196,9 @@ class BernoulliCondition:
     violations: tuple[tuple[int, int], ...]
 
 
-def bernoulli_condition(mu: np.ndarray, delta: float) -> BernoulliCondition:
-    """Report ``n`` versus the squared Frobenius norm of the mean matrix.
+def bernoulli_condition(moments: ModelMoments, delta: float) -> BernoulliCondition:
+    """Report ``n`` versus the squared Frobenius norm of the mean matrix,
+    twice the sum of ``mu1^2`` over the pairs.
 
     Pairs with mean above ``1 - delta`` are flagged; they break the
     variance-vs-mean bound the simplification relies on.  ``delta`` must lie
@@ -203,20 +206,18 @@ def bernoulli_condition(mu: np.ndarray, delta: float) -> BernoulliCondition:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    mu = np.asarray(mu, dtype=np.float64)
-    n = mu.shape[0]
-    rows, cols = pair_layout(n)
-    upper = mu[rows, cols]
-    fro_sq = float(2.0 * (upper * upper).sum())
+    mu = moments.mu1
+    fro_sq = float(2.0 * (mu * mu).sum())
     degenerate = fro_sq == 0.0
-    ratio = float("inf") if degenerate else n / fro_sq
+    ratio = float("inf") if degenerate else moments.n / fro_sq
 
-    offenders = upper > 1.0 - delta
+    rows, cols = pair_layout(moments.n)
+    offenders = mu > 1.0 - delta
     violations = tuple(
         (int(i), int(j)) for i, j in zip(rows[offenders], cols[offenders])
     )
     return BernoulliCondition(
-        n=n,
+        n=moments.n,
         mu_fro_sq=fro_sq,
         ratio=ratio,
         degenerate=degenerate,

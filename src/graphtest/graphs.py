@@ -151,9 +151,8 @@ def validate_adjacency(raw, tolerance: float = 1e-9) -> AdjacencyMatrix:
     gap = np.abs(w - w.T)
     worst = float(gap.max())
     if worst > tolerance:
+        # gap is exactly symmetric, so the first hit in row-major order has i < j.
         i, j = np.argwhere(gap == worst)[0]
-        if i > j:
-            i, j = j, i
         raise AsymmetryError(int(i), int(j), worst)
 
     # Pair midpoints where the triangles differ: (w + w.T) / 2 would overflow

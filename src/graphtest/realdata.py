@@ -153,10 +153,9 @@ def _equalize_rows(
     with replacement otherwise); ``subsample_larger`` keeps a
     without-replacement draw from the larger group; ``split_only`` requires
     already-equal groups.  A group that is not resampled gets all its rows
-    in order, and equal groups draw nothing from ``rng``.
+    in order, and equal groups draw nothing from ``rng``.  ``strategy`` is
+    one of :data:`STRATEGIES`, checked by the caller.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     rows_a, rows_b = np.arange(m_a), np.arange(m_b)
     if m_a == m_b:
         return rows_a, rows_b
@@ -185,6 +184,8 @@ def equalize(
     not resampled is returned as is, a resampled one is a copy of its
     selected rows.  Output graphs are always members of the input groups,
     never synthesized.  The split loop reads the rows in place instead."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     rows = _equalize_rows(sample_a.m, sample_b.m, strategy, rng)
     return tuple(sample if r.size == sample.m else GraphSample.from_edges(sample.edges[r])
                  for sample, r in zip((sample_a, sample_b), rows))

@@ -30,7 +30,6 @@ from . import pool
 from .diagnostics import lambda_from_moments, two_block_moments
 from .errors import ConfigError, DegenerateModelError, GraphTestError
 from .models import (
-    FAMILIES,
     TwoBlockModel,
     json_design,
     json_object,
@@ -68,8 +67,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("tn", "tfro")
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         for name, grid in (("n_grid", self.n_grid), ("m_grid", self.m_grid),
                            ("epsilon_grid", self.epsilon_grid)):
             if not grid:
@@ -89,8 +86,8 @@ class ExperimentConfig:
             if method not in METHODS:
                 raise ConfigError(f"unknown method {method!r}, expected subset of {METHODS}")
         _no_repeats("methods", self.methods)
-        # Validate the design template against every grid point up front so a
-        # bad cell fails at config time, not mid-run.
+        # Validate the design template (family included) against every grid
+        # point up front so a bad cell fails at config time, not mid-run.
         for n in self.n_grid:
             for epsilon in self.epsilon_grid:
                 self.cell_model(n, epsilon)

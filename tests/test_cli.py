@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from graphtest.cli import main
 from graphtest.graphs import AdjacencyMatrix, GraphSample, load_adjacency_csv
-from graphtest.models import TwoBlockModel, sample_population
+from graphtest.models import MeanMatrix, TwoBlockModel, sample_population
 from graphtest.realdata import load_groups, make_synthetic_groups
 from graphtest.rng import substream
 from graphtest.twosample import METHODS, random_partition, run_methods
@@ -171,6 +171,13 @@ class TestTest:
         assert capsys.readouterr().err == (
             "too-few-samples: need at least 2 graphs per group, got 1\n")
 
+    def test_odd_groups_need_drop_last(self, tmp_path, capsys):
+        a, b = _write_groups(tmp_path, (7, 7))
+        code = main(["test", "--group-a", str(a), "--group-b", str(b), "--seed", "7"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "odd-sample-size: group size 7 is odd; "
+                                           "pass --drop-last to discard one pair\n")
+
     def test_empty_file_one_error_line(self, group_dirs, capfd):
         """capfd also captures what worker processes write to stderr."""
         a, b = group_dirs
@@ -269,6 +276,28 @@ class TestTheory:
         main(["theory", "--config", str(path), "--m", "2"])
         report = json.loads(capsys.readouterr().out)
         assert report["bernoulli_condition"]["mu_fro_sq"] > 0
+
+    def test_degenerate_bernoulli_exit_2(self, tmp_path, capsys):
+        doc = {"schema": 1, "family": "bernoulli", "n": 6, "within": 0, "between": 0}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert main(["theory", "--config", str(path), "--m", "2"]) == 2
+        assert capsys.readouterr() == (
+            "", "degenerate-model: all edge variances are zero\n")
+
+    def test_bernoulli_builds_no_dense_matrix(self, tmp_path, monkeypatch, capsys):
+        """The binary simplification is a sum over pair vectors: no n x n
+        adjacency or mean matrix is built on the way."""
+        def refuse(self):
+            raise AssertionError(f"built a dense {type(self).__name__}")
+        monkeypatch.setattr(AdjacencyMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(MeanMatrix, "__post_init__", refuse)
+        doc = {"schema": 1, "family": "bernoulli", "n": 10,
+               "within": 0.5, "between": 0.4}
+        path = tmp_path / "bern.json"
+        path.write_text(json.dumps(doc))
+        assert main(["theory", "--config", str(path), "--m", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["bernoulli_condition"]["n"] == 10
 
     @pytest.mark.parametrize("delta", ["-5", "nan", "0", "1"])
     def test_delta_outside_unit_interval_exit_1(self, model_path, delta, capsys):
@@ -434,10 +463,15 @@ class TestDocumentErrors:
          "unknown design keys: ['schema']"),
         ("simulate", {**EXPERIMENT_DOC, "design": _without(_DESIGN, "between")},
          "design missing keys: ['between']"),
+        ("theory", {**MODEL_DOC, "family": "gamma"},
+         "family must be one of ('beta', 'bernoulli'), got 'gamma'"),
+        ("simulate", {**EXPERIMENT_DOC, "design": {**_DESIGN, "family": "gamma"}},
+         "family must be one of ('beta', 'bernoulli'), got 'gamma'"),
     ], ids=["model-not-object", "model-unknown-key", "model-no-schema",
             "model-missing-key", "experiment-not-object", "experiment-unknown-key",
             "experiment-no-schema", "experiment-missing-key", "design-not-object",
-            "design-unknown-key", "design-schema-key", "design-missing-key"])
+            "design-unknown-key", "design-schema-key", "design-missing-key",
+            "model-unknown-family", "design-unknown-family"])
     def test_error_line(self, tmp_path, command, doc, line, capsys):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
@@ -495,6 +529,18 @@ class TestRealdata:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 1 + 2  # header + plain row + 2 sweep rows
+
+    def test_negative_zero_tau_prints_as_zero(self, unequal_dirs, capsys):
+        """`--taus=-0` is the threshold 0: its rows are those of `--taus=0`."""
+        a, b = unequal_dirs
+        outputs = []
+        for taus in ("-0", "0"):
+            assert main(["realdata", "--group-a", str(a), "--group-b", str(b),
+                         "--reps", "3", "--seed", "3", "--method", "tfro",
+                         f"--taus={taus}"]) == 0
+            outputs.append(capsys.readouterr().out.splitlines())
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2] == "oversample_smaller,0,tfro,0,0,0,0,0,0"
 
     def test_subsample_to_one_graph_drop_last_too_few_samples(self, tmp_path,
                                                                capsys):
@@ -737,6 +783,17 @@ class TestUsageAndHelp:
         assert capsys.readouterr().err == (
             "usage-error: argument --taus: thresholds must not repeat: "
             f"{taus!r}\n")
+
+    @pytest.mark.parametrize("flag, value, line", [
+        ("--seed", "abc", "argument --seed: seed must be an unsigned 64-bit int, got abc"),
+        ("--seed", "18446744073709551616", "argument --seed: seed must be an "
+         "unsigned 64-bit int, got 18446744073709551616"),
+        ("--taus", "abc", "argument --taus: thresholds must be comma-separated reals: 'abc'"),
+    ])
+    def test_bad_value_line(self, flag, value, line, capsys):
+        assert main(["realdata", "--group-a", "a", "--group-b", "b",
+                     f"{flag}={value}"]) == 1
+        assert capsys.readouterr() == ("", f"usage-error: {line}\n")
 
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["test", "--bogus"]) == 1

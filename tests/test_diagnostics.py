@@ -28,10 +28,12 @@ from graphtest.errors import (
     DegenerateModelError,
     DimensionMismatchError,
     InvalidScenarioParamsError,
+    NonPositiveParameterError,
     OddSampleSizeError,
+    ProbabilityRangeError,
 )
 from graphtest.graphs import GraphSample, pair_layout
-from graphtest.models import TwoBlockModel, model_mean_matrix
+from graphtest.models import MeanMatrix, TwoBlockModel, model_mean_matrix
 from graphtest.rng import substream
 from oracles import exact_fourth_moment
 
@@ -120,6 +122,11 @@ class TestConditionRatios:
         with pytest.raises(DegenerateModelError):
             condition_ratios(_constant_moments(5, 2, mu=1.0, sigma2=0.0, eta=0.0))
 
+    def test_eta_required(self):
+        with pytest.raises(ValueError) as err:
+            condition_ratios(_constant_moments(5, 2, mu=0.5, sigma2=0.25))
+        assert str(err.value) == "condition_ratios needs fourth moments (eta)"
+
     def test_relabeling_invariance(self):
         """Ratios depend only on the multiset of per-pair moments."""
         model = TwoBlockModel(n=8, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
@@ -136,22 +143,27 @@ class TestConditionRatios:
             condition_ratios(moments).as_tuple(), rel=1e-12)
 
 
+def _mean_moments(mu):
+    """Null pair-vector moments of the dense mean matrix ``mu``."""
+    return mean_matrix_moments(MeanMatrix(mu, 0 * mu), 2)
+
+
 class TestBernoulliCondition:
     def test_half_mean_values(self):
         mu = 0.5 * (np.ones((100, 100)) - np.eye(100))
-        report = bernoulli_condition(mu, delta=0.05)
+        report = bernoulli_condition(_mean_moments(mu), delta=0.05)
         assert report.mu_fro_sq == pytest.approx(2475.0, rel=1e-12)
         assert report.ratio == pytest.approx(100 / 2475, rel=1e-12)
         assert report.bounded and not report.degenerate
 
     def test_zero_mean_degenerate(self):
-        report = bernoulli_condition(np.zeros((10, 10)), delta=0.05)
+        report = bernoulli_condition(_mean_moments(np.zeros((10, 10))), delta=0.05)
         assert report.degenerate
         assert report.ratio == float("inf")
 
     def test_near_one_means_flagged(self):
         mu = 0.99 * (np.ones((6, 6)) - np.eye(6))
-        report = bernoulli_condition(mu, delta=0.05)
+        report = bernoulli_condition(_mean_moments(mu), delta=0.05)
         assert not report.bounded
         assert len(report.violations) == 15
 
@@ -159,7 +171,7 @@ class TestBernoulliCondition:
     def test_delta_outside_unit_interval_rejected(self, delta):
         mu = 0.5 * (np.ones((4, 4)) - np.eye(4))
         with pytest.raises(ValueError, match="delta"):
-            bernoulli_condition(mu, delta=delta)
+            bernoulli_condition(_mean_moments(mu), delta=delta)
 
 
 class TestLambdaN:
@@ -316,6 +328,17 @@ class TestPairedDifferenceFourthMoment:
         want = paired_difference_fourth_moment(family, params)
         se = d4.std(ddof=1) / math.sqrt(size)
         assert abs(d4.mean() - want) < 3 * se
+
+    @pytest.mark.parametrize("family, params, error, message", [
+        ("beta", (0, 1), NonPositiveParameterError,
+         "beta shapes must be finite and positive, got (0, 1)"),
+        ("bernoulli", 1.5, ProbabilityRangeError,
+         "probability must lie in [0, 1], got 1.5"),
+    ])
+    def test_bad_parameters_rejected(self, family, params, error, message):
+        with pytest.raises(error) as err:
+            paired_difference_fourth_moment(family, params)
+        assert str(err.value) == message
 
 
 class TestMomentFactories:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphtest.errors import (
     AsymmetryError,
@@ -49,6 +51,24 @@ class TestValidateAdjacency:
             validate_adjacency([[0.0, 1.0], [0.5, 0.0]], tolerance=1e-9)
         assert (exc.value.i, exc.value.j) == (0, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, -2.0, 3.5]), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_asymmetry_names_first_worst_pair(self, raw):
+        """The pair named is the first largest gap in row-major order, so
+        its row index is below its column index."""
+        n = len(raw)
+        gaps = [(abs(raw[i][j] - raw[j][i]), i, j) for i in range(n) for j in range(n)]
+        worst = max(gap for gap, _, _ in gaps)
+        assume(worst > 1e-9)
+        with pytest.raises(AsymmetryError) as exc:
+            validate_adjacency(raw, tolerance=1e-9)
+        assert exc.value.i < exc.value.j
+        assert (exc.value.i, exc.value.j) == next((i, j) for gap, i, j in gaps
+                                                  if gap == worst)
+        assert exc.value.difference == worst
+
     def test_asymmetry_within_tolerance_averaged(self):
         raw = [[0.0, 1.0 + 4e-10], [1.0, 0.0]]
         g = validate_adjacency(raw, tolerance=1e-9)
@@ -89,6 +109,13 @@ class TestGraphSample:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             GraphSample(())
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3,), (0, 3)])
+    def test_from_edges_bad_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError) as exc:
+            GraphSample.from_edges(np.zeros(shape))
+        assert str(exc.value) == (
+            f"expected a non-empty (m, n(n-1)/2) edge array, got shape {shape}")
 
     def test_edges_shape(self):
         g = AdjacencyMatrix(np.zeros((4, 4)))

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 public function and class of the package has a caller outside its module,
 no module imports scipy when it is loaded, only ``pool.py`` starts
-processes or cuts work into chunks, and only ``models.py`` decodes JSON
-documents.
+processes or cuts work into chunks, only ``models.py`` decodes JSON
+documents, and every ``graphtest`` name the benchmark code in
+``perfbench/`` uses exists.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 with the standard library's ``ast``: an imported name counts as used when it
@@ -18,6 +19,7 @@ only caller.  scipy is imported inside the functions that need it, so
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -221,3 +223,77 @@ def test_detects_json_reads():
                          ids=lambda p: p.name)
 def test_only_models_decodes_json(path):
     assert json_reads(path.read_text(encoding="utf-8")) == []
+
+
+def graphtest_references(source: str) -> set[str]:
+    """The dotted ``graphtest`` names ``source`` uses: each module it imports,
+    each name it imports from a ``graphtest`` module, and each attribute it
+    reads through a name bound by one of those imports, such as
+    ``realdata.equalize`` after ``from graphtest import realdata``."""
+    tree = ast.parse(source)
+    bound, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "graphtest":
+                    found.add(alias.name)
+                    local = alias.asname or "graphtest"
+                    bound[local] = alias.name if alias.asname else "graphtest"
+        elif (isinstance(node, ast.ImportFrom) and not node.level and node.module
+              and node.module.split(".")[0] == "graphtest"):
+            for alias in node.names:
+                found.add(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            found.add(".".join([bound[node.id], *reversed(chain)]))
+    return found
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute reached from one."""
+    parts = dotted.split(".")
+    target = importlib.import_module(parts[0])
+    for k, part in enumerate(parts[1:], start=2):
+        if hasattr(target, part):
+            target = getattr(target, part)
+            continue
+        try:
+            target = importlib.import_module(".".join(parts[:k]))
+        except ModuleNotFoundError:
+            return False
+    return True
+
+
+def test_detects_missing_graphtest_name():
+    source = ("import graphtest.cli\nimport graphtest.gone\n"
+              "from graphtest import models, rng as r\n"
+              "from graphtest.graphs import pair_layout, removed\n"
+              "def f(config):\n"
+              "    models.sample_population(config.anything)\n"
+              "    r.substream(1).random()\n"
+              "    models.no_such_name\n"
+              "    return graphtest.cli.main, graphtest.cli.gone\n")
+    refs = graphtest_references(source)
+    assert refs == {
+        "graphtest.cli", "graphtest.gone", "graphtest.models", "graphtest.rng",
+        "graphtest.graphs.pair_layout", "graphtest.graphs.removed",
+        "graphtest.models.sample_population", "graphtest.rng.substream",
+        "graphtest.models.no_such_name", "graphtest.cli.main",
+        "graphtest.cli.gone"}
+    assert sorted(name for name in refs if not resolves(name)) == [
+        "graphtest.cli.gone", "graphtest.gone", "graphtest.graphs.removed",
+        "graphtest.models.no_such_name"]
+
+
+def test_benchmark_names_exist():
+    """The benchmark calls the package by name: a rename or deletion here
+    must not silently break it."""
+    refs = set().union(*(graphtest_references(path.read_text(encoding="utf-8"))
+                         for path in sorted((ROOT / "perfbench").glob("*.py"))))
+    assert refs
+    assert sorted(name for name in refs if not resolves(name)) == []

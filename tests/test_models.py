@@ -18,6 +18,7 @@ from graphtest.models import (
     MeanMatrix,
     TwoBlockModel,
     _model_from_json,
+    bernoulli_moments,
     beta_moments,
     beta_params_from_moments,
     model_mean_matrix,
@@ -139,6 +140,18 @@ class TestModelValidation:
         with pytest.raises(error):
             TwoBlockModel(n=4, family=family, within=within, between=between)
 
+    @pytest.mark.parametrize("n, family, within, message", [
+        (0, "beta", (2.0, 3.0), "node count must be at least 2, got 0"),
+        (4, "beta", (2.0,), "beta parameters must be an (a, b) pair, got (2.0,)"),
+        (4, "beta", [2.0, 3.0], "beta parameters must be an (a, b) pair, got [2.0, 3.0]"),
+        (4, "bernoulli", "0.5", "bernoulli parameter must be a probability, got '0.5'"),
+    ])
+    def test_malformed_model_message(self, n, family, within, message):
+        between = (1.0, 3.0) if family == "beta" else 0.5
+        with pytest.raises(ConfigError) as err:
+            TwoBlockModel(n=n, family=family, within=within, between=between)
+        assert str(err.value) == message
+
     def test_non_finite_beta_message(self):
         with pytest.raises(NonPositiveParameterError,
                            match="beta shapes must be finite and positive"):
@@ -196,6 +209,19 @@ class TestMeanMatrixValidation:
         assert (err.value.i, err.value.j) == (1, 2)
         assert err.value.value == value or math.isnan(value)
 
+    @pytest.mark.parametrize("mu, sigma2, message", [
+        (np.zeros((2, 3)), np.zeros((2, 3)), "mu must be square, got shape (2, 3)"),
+        (np.zeros((3, 3)), np.zeros(3), "sigma2 must be square, got shape (3,)"),
+        (np.triu(np.ones((3, 3)), 1), np.zeros((3, 3)), "mu must be symmetric"),
+        (np.zeros((3, 3)), np.eye(3), "sigma2 must have a zero diagonal"),
+        (np.zeros((3, 3)), np.zeros((4, 4)), "mu and sigma2 must have matching shapes"),
+        (np.zeros((3, 3)), np.eye(3) - np.ones((3, 3)), "variances must be non-negative"),
+    ])
+    def test_malformed_matrix_message(self, mu, sigma2, message):
+        with pytest.raises(ConfigError) as err:
+            MeanMatrix(mu, sigma2)
+        assert str(err.value) == message
+
 
 class TestSampling:
     def test_sampled_graph_invariants(self):
@@ -220,6 +246,12 @@ class TestSampling:
         assert not g0.weights.any()
         off_diag = ~np.eye(6, dtype=bool)
         assert (g1.weights[off_diag] == 1.0).all()
+
+    def test_population_size_at_least_one(self):
+        model = TwoBlockModel(n=4, family="bernoulli", within=0.3, between=0.1)
+        with pytest.raises(ConfigError) as err:
+            sample_population(model, False, 0, substream(3, 0))
+        assert str(err.value) == "population size must be at least 1, got 0"
 
     def test_population_deterministic(self):
         model = TwoBlockModel(n=8, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
@@ -276,6 +308,29 @@ class TestInhomogeneousSampling:
     def test_variance_bound_enforced(self):
         with pytest.raises(NonPositiveParameterError):
             beta_params_from_moments(0.4, 0.4 * 0.6)  # at the Bernoulli limit
+
+    def test_mean_range_enforced(self):
+        with pytest.raises(NonPositiveParameterError) as err:
+            beta_params_from_moments([0.5, 1.0], 0.01)
+        assert str(err.value) == "beta mean must lie in (0, 1), got 1.0"
+
+    def test_bernoulli_moments_range_enforced(self):
+        with pytest.raises(ProbabilityRangeError) as err:
+            bernoulli_moments(1.5)
+        assert str(err.value) == "probability must lie in [0, 1], got 1.5"
+
+    @pytest.mark.parametrize("family, scale, error, message", [
+        ("poisson", 0.5, ConfigError,
+         "family must be one of ('beta', 'bernoulli'), got 'poisson'"),
+        ("bernoulli", 1.5, ProbabilityRangeError, "bernoulli means must lie in [0, 1]"),
+        ("bernoulli", -0.5, ProbabilityRangeError, "bernoulli means must lie in [0, 1]"),
+    ])
+    def test_mean_matrix_sampling_rejects(self, family, scale, error, message):
+        off_diagonal = np.ones((3, 3)) - np.eye(3)
+        mean = MeanMatrix(scale * off_diagonal, 0.1 * off_diagonal)
+        with pytest.raises(error) as err:
+            sample_graph_from_means(mean, family, substream(23, 0))
+        assert str(err.value) == message
 
     def test_bernoulli_mean_matrix_sampling(self):
         """Per-pair empirical frequencies track an arbitrary mean matrix."""

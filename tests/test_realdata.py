@@ -318,6 +318,21 @@ class TestEqualize:
         out_a, out_b = equalize(small, large, "subsample_larger", substream(9, 0))
         assert out_a.m == out_b.m == 6 and out_a is small
 
+    def test_unknown_strategy_rejected(self):
+        message = ("strategy must be one of ('oversample_smaller', 'subsample_larger', "
+                   "'split_only'), got 'bootstrap'")
+        with pytest.raises(ValueError) as err:
+            equalize(_population(5, 4), _population(6, 6), "bootstrap", substream(7, 0))
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            ResamplingPlan("bootstrap", repetitions=3, seed=1)
+        assert str(err.value) == message
+
+    def test_repetitions_at_least_one(self):
+        with pytest.raises(ValueError) as err:
+            ResamplingPlan("split_only", repetitions=0, seed=1)
+        assert str(err.value) == "repetitions must be at least 1, got 0"
+
 
 def _repeated(a, b, plan, **kwargs):
     """The weighted runs of :func:`run_passes`, with no threshold."""

@@ -51,6 +51,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             _beta_config(alpha=1.5)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"family": "gamma"}, "family must be one of ('beta', 'bernoulli'), got 'gamma'"),
+        ({"replications": 0}, "replications must be at least 1, got 0"),
+        ({"methods": ()}, "methods must be non-empty"),
+    ])
+    def test_rejection_message(self, overrides, message):
+        with pytest.raises(ConfigError) as err:
+            _beta_config(**overrides)
+        assert str(err.value) == message
+
     def test_invalid_cell_fails_at_config_time(self):
         # 0.5 + 0.6 > 1 would only blow up inside a cell; catch it up front.
         with pytest.raises(Exception):
