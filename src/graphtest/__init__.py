@@ -2,8 +2,9 @@
 
 Library layout:
 
-* :mod:`graphtest.graphs` - adjacency types, validation, thresholding,
-  five-number summaries, CSV format
+* :mod:`graphtest.graphs` - the one graph type, ``GraphSample`` (a single
+  graph is a one-row sample), validation, thresholding, five-number
+  summaries, CSV format
 * :mod:`graphtest.models` - two-block Beta/Bernoulli generators
 * :mod:`graphtest.twosample` - the split-sample statistics and decisions
 * :mod:`graphtest.diagnostics` - closed-form calibration/power diagnostics
@@ -24,7 +25,6 @@ from .diagnostics import (
     paired_difference_fourth_moment,
 )
 from .graphs import (
-    AdjacencyMatrix,
     FiveNumberSummary,
     GraphSample,
     five_number_summary,
@@ -57,7 +57,6 @@ from .twosample import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyMatrix",
     "BernoulliCondition",
     "ConditionRatios",
     "FiveNumberSummary",

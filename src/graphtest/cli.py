@@ -152,7 +152,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-a", required=True)
     p.add_argument("--group-b", required=True)
     p.add_argument("--strategy", choices=("oversample", "subsample", "split-only"),
-                   default="oversample")
+                   default="oversample",
+                   help="how unequal groups are equalized (default oversample). "
+                        "oversample is not a calibrated test: on null data "
+                        "(n=30, 10 v 14 graphs) it rejected 0.677 of datasets "
+                        "at alpha 0.05; subsample held its size (0.043)")
     p.add_argument("--reps", type=_int_at_least(1), default=100)
     p.add_argument("--taus", type=_tau_list, default=None,
                    help="comma-separated thresholds; adds a binarized sweep")

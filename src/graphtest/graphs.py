@@ -1,10 +1,10 @@
-"""Core graph data types and shared utilities.
+"""The graph type and shared utilities.
 
-An observed network is a symmetric ``n x n`` weight matrix with zero
-diagonal (:class:`AdjacencyMatrix`); a group of networks over a common node
-set is a :class:`GraphSample`, one array of pair weights.  This module also
-provides validation of raw matrices, absolute-value thresholding to binary
-graphs, five-number summaries, and the adjacency CSV format (dense).
+Graphs on a common node set are a :class:`GraphSample`, one row of pair
+weights per graph; a single graph is a one-row sample.  Dense ``n x n``
+matrices exist only at the CSV boundary.  This module also provides
+validation of raw matrices, absolute-value thresholding to binary graphs,
+five-number summaries, and the adjacency CSV format.
 """
 
 from __future__ import annotations
@@ -25,29 +25,7 @@ from .errors import (
     NonSquareError,
 )
 
-
-@dataclass(frozen=True, eq=False)
-class AdjacencyMatrix:
-    """One observed graph: symmetric weights, zero diagonal, finite entries.
-
-    Instances are immutable; the weight array is marked read-only.  Use
-    :func:`validate_adjacency` to build one from untrusted input.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64, copy=True)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise NonSquareError(f"expected a square matrix, got shape {w.shape}")
-        if w.shape[0] < 2:
-            raise NonSquareError("a graph needs at least 2 nodes")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
+TOLERANCE = 1e-9  # largest gap of mirrored entries repaired as round-off
 
 
 @lru_cache(maxsize=None)
@@ -63,22 +41,22 @@ def pair_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
 class GraphSample:
     """An ordered i.i.d. sample of ``m`` graphs on ``n`` common nodes, held as
     one read-only float64 ``(m, n(n-1)/2)`` array ``edges``: row ``k`` is
-    graph ``k``'s pair weights in :func:`pair_layout` order."""
+    graph ``k``'s pair weights in :func:`pair_layout` order.  A single graph
+    is a sample with ``m = 1``; ``GraphSample(samples)`` stacks samples in
+    order."""
 
     __slots__ = ("edges", "n")
 
-    def __init__(self, graphs):
-        graphs = tuple(graphs)
-        if not graphs:
+    def __init__(self, samples):
+        samples = tuple(samples)
+        if not samples:
             raise EmptyInputError("a graph sample needs at least one graph")
-        n0 = graphs[0].n
-        for k, g in enumerate(graphs):
-            if g.n != n0:
-                raise DimensionMismatchError(
-                    f"graph {k} has {g.n} nodes, expected {n0}"
-                )
-        rows, cols = pair_layout(n0)
-        self._own(np.stack([g.weights[rows, cols] for g in graphs]))
+        n0 = samples[0].n
+        for k, sample in enumerate(samples):
+            if sample.n != n0:
+                raise DimensionMismatchError(f"sample {k} has {sample.n} nodes, "
+                                             f"expected {n0}")
+        self._own(np.concatenate([sample.edges for sample in samples]))
 
     @classmethod
     def from_edges(cls, edges) -> GraphSample:
@@ -102,16 +80,20 @@ class GraphSample:
         return self.edges.shape[0]
 
     @property
-    def graphs(self) -> tuple[AdjacencyMatrix, ...]:
-        """Dense copies of the graphs, built on each access (for output)."""
+    def graphs(self) -> tuple[GraphSample, ...]:
+        """The graphs as one-row samples whose edges are read-only views of
+        this sample's rows."""
+        return tuple(GraphSample.from_edges(self.edges[k:k + 1]) for k in range(self.m))
+
+    def dense(self) -> np.ndarray:
+        """A new symmetric ``n x n`` matrix of a one-graph sample's weights,
+        with zero diagonal."""
+        if self.m != 1:
+            raise ValueError(f"dense() needs a one-graph sample, got {self.m} graphs")
         rows, cols = pair_layout(self.n)
-        graphs = []
-        for row in self.edges:
-            mat = np.zeros((self.n, self.n))
-            mat[rows, cols] = row
-            mat[cols, rows] = row
-            graphs.append(AdjacencyMatrix(mat))
-        return tuple(graphs)
+        mat = np.zeros((self.n, self.n))
+        mat[rows, cols] = mat[cols, rows] = self.edges[0]
+        return mat
 
 
 @dataclass(frozen=True)
@@ -137,43 +119,49 @@ def require_finite(matrix: np.ndarray) -> None:
         raise NonFiniteEntryError(int(i), int(j), float(matrix[i, j]))
 
 
-def validate_adjacency(raw, tolerance: float = 1e-9) -> AdjacencyMatrix:
-    """Validate a raw square array and repair benign asymmetry.
+def validate_adjacency(raw) -> GraphSample:
+    """Validate a raw square array and repair benign asymmetry; the result
+    is a one-graph sample of its pairs.
 
-    Entries must be finite.  Off-diagonal pairs that differ by at most
-    ``tolerance`` are averaged (round-off repair); larger differences raise
-    :class:`AsymmetryError` naming the first offending pair.  The diagonal
-    is forced to exactly zero.
+    Entries, the diagonal included, must be finite.  Mirrored entries that
+    differ by at most :data:`TOLERANCE` are replaced by their midpoint
+    (round-off repair); a larger gap raises :class:`AsymmetryError` naming
+    the first worst pair.  The diagonal is otherwise ignored.
     """
-    w = AdjacencyMatrix(raw).weights  # square float64, at least 2 nodes
+    w = np.asarray(raw, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise NonSquareError(f"expected a square matrix, got shape {w.shape}")
+    if w.shape[0] < 2:
+        raise NonSquareError("a graph needs at least 2 nodes")
     require_finite(w)
 
-    gap = np.abs(w - w.T)
+    rows, cols = pair_layout(w.shape[0])
+    upper, lower = w[rows, cols], w[cols, rows]
+    with np.errstate(over="ignore"):
+        # A gap beyond the float64 max is inf, reported below.
+        gap = np.abs(upper - lower)
     worst = float(gap.max())
-    if worst > tolerance:
-        # gap is exactly symmetric, so the first hit in row-major order has i < j.
-        i, j = np.argwhere(gap == worst)[0]
-        raise AsymmetryError(int(i), int(j), worst)
+    if worst > TOLERANCE:
+        # Pairs run row-major, so this is the first worst entry of the matrix.
+        k = int(np.argmax(gap == worst))
+        raise AsymmetryError(int(rows[k]), int(cols[k]), worst)
 
-    # Pair midpoints where the triangles differ: (w + w.T) / 2 would overflow
+    # Midpoints where the entries differ: (upper + lower) / 2 would overflow
     # above half the float64 max, and adding a zero gap turns -0.0 into +0.0.
-    w = np.where(gap > 0, np.minimum(w, w.T) + gap / 2.0, w)
-    np.fill_diagonal(w, 0.0)
-    return AdjacencyMatrix(w)
+    pairs = np.where(gap > 0, np.minimum(upper, lower) + gap / 2.0, upper)
+    return GraphSample.from_edges(pairs[np.newaxis])
 
 
-def threshold_binarize(graph: AdjacencyMatrix | GraphSample, tau: float):
-    """Binarize a graph, or every graph of a :class:`GraphSample`, by
-    absolute weight: 1 where ``|w| > tau``, else 0.
+def threshold_binarize(sample: GraphSample, tau: float) -> GraphSample:
+    """Binarize every graph of a sample by absolute weight: 1 where
+    ``|w| > tau``, else 0.
 
     The comparison is strict, so weights exactly at ``tau`` map to 0; ties
     at the threshold do occur with rank-transformed correlation weights.
     """
     if not np.isfinite(tau) or tau < 0:
         raise ValueError(f"threshold must be a finite non-negative real, got {tau!r}")
-    if isinstance(graph, GraphSample):
-        return GraphSample.from_edges(np.abs(graph.edges) > tau)
-    return AdjacencyMatrix(np.abs(graph.weights) > tau)
+    return GraphSample.from_edges(np.abs(sample.edges) > tau)
 
 
 def five_number_summary(values) -> FiveNumberSummary:
@@ -190,8 +178,9 @@ def five_number_summary(values) -> FiveNumberSummary:
     return FiveNumberSummary(float(lo), float(q1), float(med), float(q3), float(hi))
 
 
-def load_adjacency_csv(path, tolerance: float = 1e-9) -> AdjacencyMatrix:
-    """Read one adjacency CSV: n lines of n comma-separated floats, no header."""
+def load_adjacency_csv(path) -> GraphSample:
+    """Read one adjacency CSV, n lines of n comma-separated floats with no
+    header, as a one-graph sample."""
     with warnings.catch_warnings():
         # An empty file is reported below as EmptyInputError.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
@@ -199,9 +188,9 @@ def load_adjacency_csv(path, tolerance: float = 1e-9) -> AdjacencyMatrix:
         raw = np.loadtxt(os.fspath(path), delimiter=",", ndmin=2)
     if raw.size == 0:
         raise EmptyInputError("the file contains no data")
-    return validate_adjacency(raw, tolerance)
+    return validate_adjacency(raw)
 
 
-def save_adjacency_csv(graph: AdjacencyMatrix, path) -> None:
-    """Write the CSV form read back by :func:`load_adjacency_csv`."""
-    np.savetxt(os.fspath(path), graph.weights, delimiter=",", fmt="%.17g", newline="\n")
+def save_adjacency_csv(graph: GraphSample, path) -> None:
+    """Write a one-graph sample as the CSV that :func:`load_adjacency_csv` reads."""
+    np.savetxt(os.fspath(path), graph.dense(), delimiter=",", fmt="%.17g", newline="\n")

@@ -30,7 +30,7 @@ from .errors import (
     OddNodeCountError,
     ProbabilityRangeError,
 )
-from .graphs import AdjacencyMatrix, GraphSample, pair_layout, require_finite
+from .graphs import GraphSample, pair_layout, require_finite
 
 FAMILIES = ("beta", "bernoulli")
 
@@ -174,7 +174,7 @@ def _pair_moments(model: TwoBlockModel, shifted: bool) -> tuple[np.ndarray, np.n
 def model_mean_matrix(model: TwoBlockModel, shifted: bool = False) -> MeanMatrix:
     """Per-pair mean/variance matrices implied by the model (shift optional)."""
     mu, sigma2 = GraphSample.from_edges(np.stack(_pair_moments(model, shifted))).graphs
-    return MeanMatrix(mu.weights, sigma2.weights)
+    return MeanMatrix(mu.dense(), sigma2.dense())
 
 
 def _draw_pairs(family: str, params, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -225,8 +225,8 @@ def beta_params_from_moments(mean, variance):
 
 def sample_graph_from_means(
     mean: MeanMatrix, family: str, rng: np.random.Generator
-) -> AdjacencyMatrix:
-    """Draw one graph with an arbitrary inhomogeneous mean structure.
+) -> GraphSample:
+    """Draw a one-graph sample with an arbitrary inhomogeneous mean structure.
 
     Each pair (i, j) is drawn independently from the family member with
     mean ``mean.mu[i, j]``; the Beta family additionally matches
@@ -244,7 +244,7 @@ def sample_graph_from_means(
         vals = (rng.random(mu.size) < mu).astype(np.float64)
     else:
         vals = rng.beta(*beta_params_from_moments(mu, mean.sigma2[rows, cols]))
-    return GraphSample.from_edges(vals[np.newaxis]).graphs[0]
+    return GraphSample.from_edges(vals[np.newaxis])
 
 
 _JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),

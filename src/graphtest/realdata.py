@@ -42,7 +42,6 @@ from .graphs import (
     GraphSample,
     five_number_summary,
     load_adjacency_csv,
-    pair_layout,
     threshold_binarize,
 )
 from .models import TwoBlockModel, sample_population
@@ -98,7 +97,7 @@ def _read_files(paths, _, start: int, stop: int):
         except (GraphTestError, OSError, ValueError) as err:
             entries.append(DataLoadError(f"{path.name}: {err}"))
         else:
-            entries.append((graph.n, graph.weights[pair_layout(graph.n)]))
+            entries.append((graph.n, graph.edges[0]))
     return entries
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import pool
 from .diagnostics import lambda_from_moments, two_block_moments
-from .errors import ConfigError, DegenerateModelError, GraphTestError
+from .errors import ConfigError, DegenerateModelError
 from .models import (
     TwoBlockModel,
     json_design,
@@ -151,21 +151,16 @@ def _run_chunk(config: ExperimentConfig, cell: tuple[int, int, int, float],
             pass
     rejects = [0] * len(config.methods)
     nas = [0] * len(config.methods)
-    try:
-        for r in range(start, stop):
-            rng = substream(config.master_seed, cell_index, r)
-            group_g = sample_population(model, False, m, rng)
-            group_h = sample_population(model, True, m, rng)
-            partition = random_partition(m, rng)
-            results = run_methods(config.methods, group_g, group_h, partition,
-                                  config.alpha)
-            for i, result in enumerate(results):
-                nas[i] += result.is_na
-                rejects[i] += result.reject is True
-    except GraphTestError as err:
-        raise GraphTestError(
-            f"cell n={n} m={m} epsilon={epsilon:g} failed: {err}"
-        ) from err
+    for r in range(start, stop):
+        rng = substream(config.master_seed, cell_index, r)
+        group_g = sample_population(model, False, m, rng)
+        group_h = sample_population(model, True, m, rng)
+        partition = random_partition(m, rng)
+        results = run_methods(config.methods, group_g, group_h, partition,
+                              config.alpha)
+        for i, result in enumerate(results):
+            nas[i] += result.is_na
+            rejects[i] += result.reject is True
     return lam, tuple(zip(rejects, nas))
 
 

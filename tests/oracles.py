@@ -1,8 +1,10 @@
 """Reference computations that the tests check the package against.
 
-None is part of the package's interface: ``edge_statistics`` exposes the
-per-pair products that :func:`graphtest.twosample.run_methods` reduces
-without keeping, ``exact_fourth_moment`` is the closed form that the Monte
+None is part of the package's interface: ``dense_validate`` is the
+whole-matrix validation that :func:`graphtest.graphs.validate_adjacency`
+does on pair vectors, ``edge_statistics`` exposes the per-pair products
+that :func:`graphtest.twosample.run_methods` reduces without keeping,
+``exact_fourth_moment`` is the closed form that the Monte
 Carlo moment checks compare with, ``run_cell`` runs one ``simulate`` cell
 as a single replicate chunk, and ``repeated_splits`` is the split loop of
 :func:`graphtest.realdata.run_passes` written out serially, one pass at a
@@ -13,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphtest.errors import OddSampleSizeError
-from graphtest.graphs import GraphSample
+from graphtest.errors import AsymmetryError, NonSquareError, OddSampleSizeError
+from graphtest.graphs import TOLERANCE, GraphSample, require_finite
 from graphtest.realdata import ResamplingPlan, _equalize_rows
 from graphtest.rng import substream
 from graphtest.simulate import ExperimentConfig, _cell_results, _run_chunk
@@ -25,6 +27,28 @@ from graphtest.twosample import (
     random_partition,
     run_methods,
 )
+
+
+def dense_validate(raw) -> np.ndarray:
+    """The validated ``n x n`` matrix, checked and repaired as a whole: the
+    first worst gap of ``|w - w.T|`` in row-major order is the
+    :class:`AsymmetryError`, and mirrored entries within tolerance become
+    their midpoint."""
+    w = np.array(raw, dtype=np.float64, copy=True)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise NonSquareError(f"expected a square matrix, got shape {w.shape}")
+    if w.shape[0] < 2:
+        raise NonSquareError("a graph needs at least 2 nodes")
+    require_finite(w)
+    with np.errstate(over="ignore"):
+        gap = np.abs(w - w.T)
+    worst = float(gap.max())
+    if worst > TOLERANCE:
+        i, j = np.argwhere(gap == worst)[0]
+        raise AsymmetryError(int(i), int(j), worst)
+    w = np.where(gap > 0, np.minimum(w, w.T) + gap / 2.0, w)
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 def edge_statistics(

@@ -26,7 +26,7 @@ from graphtest.diagnostics import (
     paired_difference_fourth_moment,
     two_block_moments,
 )
-from graphtest.graphs import AdjacencyMatrix, GraphSample, save_adjacency_csv
+from graphtest.graphs import GraphSample, save_adjacency_csv, validate_adjacency
 from graphtest.models import TwoBlockModel, sample_population
 from graphtest.realdata import ResamplingPlan, make_synthetic_groups, run_passes
 from graphtest.rng import substream
@@ -267,8 +267,8 @@ def test_criterion_07_oracle_equivalence():
     mismatches = 0
     for bits in itertools.product((0.0, 1.0), repeat=12):
         mats = [_symmetric_from_bits(bits[3 * k: 3 * k + 3]) for k in range(4)]
-        g = GraphSample((AdjacencyMatrix(mats[0]), AdjacencyMatrix(mats[1])))
-        h = GraphSample((AdjacencyMatrix(mats[2]), AdjacencyMatrix(mats[3])))
+        g = GraphSample((validate_adjacency(mats[0]), validate_adjacency(mats[1])))
+        h = GraphSample((validate_adjacency(mats[2]), validate_adjacency(mats[3])))
         want = _brute_force_tn([m.tolist() for m in mats[:2]],
                                [m.tolist() for m in mats[2:]], (0,), (1,))
         got = run_method("tn", g, h, partition, 0.05)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtest.cli import main
-from graphtest.graphs import AdjacencyMatrix, GraphSample, load_adjacency_csv
+from graphtest.graphs import GraphSample, load_adjacency_csv, validate_adjacency
 from graphtest.models import MeanMatrix, TwoBlockModel, sample_population
 from graphtest.realdata import load_groups, make_synthetic_groups
 from graphtest.rng import substream
@@ -188,6 +188,24 @@ class TestTest:
         assert capfd.readouterr() == (
             "", "data-load: g2.csv: the file contains no data\n")
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflowing_gap_one_error_line(self, group_dirs, monkeypatch, capfd,
+                                            cpus):
+        """Mirrored entries 1e308 and -1e308 differ by more than the float64
+        maximum: one data-load line and no numpy warning, whether the file
+        is read in process or on a worker."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        a, b = group_dirs
+        weights = load_adjacency_csv(a / "g0.csv").dense()
+        weights[0, 1], weights[1, 0] = 1e308, -1e308
+        np.savetxt(a / "g0.csv", weights, delimiter=",", fmt="%.17g")
+        code = main(["test", "--group-a", str(a), "--group-b", str(b),
+                     "--seed", "7"])
+        assert code == 2
+        assert capfd.readouterr() == ("", "data-load: g0.csv: entries (0, 1) and "
+                                          "(1, 0) differ by inf, beyond tolerance\n")
+
     def test_table_format(self, group_dirs, capsys):
         a, b = group_dirs
         code = main(["test", "--group-a", str(a), "--group-b", str(b),
@@ -290,7 +308,7 @@ class TestTheory:
         adjacency or mean matrix is built on the way."""
         def refuse(self):
             raise AssertionError(f"built a dense {type(self).__name__}")
-        monkeypatch.setattr(AdjacencyMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(GraphSample, "dense", refuse)
         monkeypatch.setattr(MeanMatrix, "__post_init__", refuse)
         doc = {"schema": 1, "family": "bernoulli", "n": 10,
                "within": 0.5, "between": 0.4}
@@ -673,7 +691,7 @@ def _write_scaled_groups(tmp_path, scale):
         directory = tmp_path / f"{label}_{scale:g}"
         directory.mkdir()
         for k, graph in enumerate(sample.graphs):
-            save_adjacency_csv(AdjacencyMatrix(graph.weights * scale),
+            save_adjacency_csv(validate_adjacency(graph.dense() * scale),
                                directory / f"s{k}.csv")
         dirs.append(directory)
     return dirs
@@ -727,7 +745,7 @@ class TestNonFiniteStatistic:
             directory = tmp_path / label
             directory.mkdir()
             for k in range(4):
-                save_adjacency_csv(AdjacencyMatrix(full * sign * 1e308),
+                save_adjacency_csv(validate_adjacency(full * sign * 1e308),
                                    directory / f"s{k}.csv")
             dirs.append(directory)
         return dirs

@@ -137,7 +137,7 @@ class TestConditionRatios:
             np.stack([getattr(moments, f) for f in fields])).graphs
         rows, cols = pair_layout(8)
         shuffled = ModelMoments(n=8, m=4, **{
-            f: g.weights[np.ix_(perm, perm)][rows, cols]
+            f: g.dense()[np.ix_(perm, perm)][rows, cols]
             for f, g in zip(fields, dense)})
         assert condition_ratios(shuffled).as_tuple() == pytest.approx(
             condition_ratios(moments).as_tuple(), rel=1e-12)
@@ -364,7 +364,7 @@ class TestMomentFactories:
             n=6, family="beta", within=(2.0, 3.0), between=(1.0, 3.0)), 2)
         dense = GraphSample.from_edges(getattr(moments, field)[np.newaxis])
         with pytest.raises(DimensionMismatchError, match=field):
-            dataclasses.replace(moments, **{field: dense.graphs[0].weights})
+            dataclasses.replace(moments, **{field: dense.graphs[0].dense()})
 
     def test_lambda_memory_is_a_few_pair_vectors(self):
         """At n=1000 the moments and lambda take at most 9 (P,) float64

@@ -130,7 +130,7 @@ def _means(family) -> bytes:
     mu[rows, cols] = np.random.default_rng(17).uniform(0.1, 0.9, size=rows.size)
     mu += mu.T
     mean = MeanMatrix(mu, 0.5 * mu * (1.0 - mu))
-    return sample_graph_from_means(mean, family, substream(13, 0)).weights.tobytes()
+    return sample_graph_from_means(mean, family, substream(13, 0)).dense().tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))

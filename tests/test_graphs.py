@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -17,8 +18,8 @@ from graphtest.errors import (
     NonSquareError,
 )
 from graphtest.graphs import (
-    AdjacencyMatrix,
     GraphSample,
+    pair_layout,
     five_number_summary,
     load_adjacency_csv,
     save_adjacency_csv,
@@ -26,16 +27,37 @@ from graphtest.graphs import (
     validate_adjacency,
 )
 
+from oracles import dense_validate
+
+FLOAT_MAX = np.finfo(np.float64).max
+# Zeros of both signs, subnormals, and magnitudes whose sum or difference
+# overflows, besides ordinary floats.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1.7e308, -1.7e308,
+                     FLOAT_MAX, -FLOAT_MAX]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _mirror(upper: float):
+    """An entry for the transposed position: equal, of the other sign, one
+    ulp away (inf past the float64 max), within or just beyond tolerance,
+    or unrelated."""
+    return st.one_of(
+        st.just(upper), st.just(-upper),
+        st.sampled_from([math.nextafter(upper, -math.inf), math.nextafter(upper, math.inf)]),
+        st.sampled_from([4e-10, -4e-10, 1e-9, -1e-9, 2e-9]).map(lambda d: upper + d),
+        _ENTRIES)
+
 
 class TestValidateAdjacency:
     def test_zero_matrix_valid(self):
-        g = validate_adjacency(np.zeros((3, 3)), tolerance=1e-9)
+        g = validate_adjacency(np.zeros((3, 3)))
         assert g.n == 3
-        assert not g.weights.any()
+        assert not g.dense().any()
 
     def test_symmetric_input_unchanged(self):
-        g = validate_adjacency([[0.0, 1.0], [1.0, 0.0]], tolerance=1e-9)
-        assert g.weights.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        g = validate_adjacency([[0.0, 1.0], [1.0, 0.0]])
+        assert g.dense().tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_weights_near_float64_max_kept(self):
         """Repairing symmetry must not overflow finite weights into inf."""
@@ -43,12 +65,12 @@ class TestValidateAdjacency:
                [-1.5e308, 2.0, 0.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = validate_adjacency(raw, tolerance=1e-9)
-        assert g.weights.tolist() == raw
+            g = validate_adjacency(raw)
+        assert g.dense().tolist() == raw
 
     def test_asymmetry_beyond_tolerance(self):
         with pytest.raises(AsymmetryError) as exc:
-            validate_adjacency([[0.0, 1.0], [0.5, 0.0]], tolerance=1e-9)
+            validate_adjacency([[0.0, 1.0], [0.5, 0.0]])
         assert (exc.value.i, exc.value.j) == (0, 1)
 
     @settings(max_examples=200, deadline=None)
@@ -63,20 +85,50 @@ class TestValidateAdjacency:
         worst = max(gap for gap, _, _ in gaps)
         assume(worst > 1e-9)
         with pytest.raises(AsymmetryError) as exc:
-            validate_adjacency(raw, tolerance=1e-9)
+            validate_adjacency(raw)
         assert exc.value.i < exc.value.j
         assert (exc.value.i, exc.value.j) == next((i, j) for gap, i, j in gaps
                                                   if gap == worst)
         assert exc.value.difference == worst
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 5))
+    def test_pairs_match_dense_oracle(self, data, n):
+        """Validating pair vectors gives the whole-matrix validation's pairs
+        bit for bit, or the same error with the same pair and gap, and
+        never a floating-point warning."""
+        raw = np.zeros((n, n))
+        for i in range(n):
+            raw[i, i] = data.draw(_ENTRIES)
+            for j in range(i + 1, n):
+                raw[i, j] = data.draw(_ENTRIES)
+                raw[j, i] = data.draw(_mirror(raw[i, j]))
+        try:
+            want = dense_validate(raw)
+        except (AsymmetryError, NonFiniteEntryError) as err:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(type(err)) as got:
+                    validate_adjacency(raw)
+            if isinstance(err, AsymmetryError):
+                assert ((got.value.i, got.value.j, got.value.difference)
+                        == (err.i, err.j, err.difference))
+            assert str(got.value) == str(err)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = validate_adjacency(raw)
+        assert g.m == 1 and g.n == n
+        assert g.edges[0].tobytes() == want[pair_layout(n)].tobytes()
+
     def test_asymmetry_within_tolerance_averaged(self):
         raw = [[0.0, 1.0 + 4e-10], [1.0, 0.0]]
-        g = validate_adjacency(raw, tolerance=1e-9)
-        assert g.weights[0, 1] == g.weights[1, 0] == pytest.approx(1.0 + 2e-10, abs=0)
+        g = validate_adjacency(raw)
+        assert g.dense()[0, 1] == g.dense()[1, 0] == pytest.approx(1.0 + 2e-10, abs=0)
 
     def test_diagonal_forced_to_zero(self):
-        g = validate_adjacency([[5.0, 1.0], [1.0, -2.0]], tolerance=1e-9)
-        assert g.weights[0, 0] == 0.0 and g.weights[1, 1] == 0.0
+        g = validate_adjacency([[5.0, 1.0], [1.0, -2.0]])
+        assert g.dense()[0, 0] == 0.0 and g.dense()[1, 1] == 0.0
 
     def test_non_finite_entry_located(self):
         raw = np.zeros((3, 3))
@@ -96,19 +148,55 @@ class TestValidateAdjacency:
     def test_weights_are_read_only(self):
         g = validate_adjacency(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            g.weights[0, 1] = 1.0
+            g.edges[0, 0] = 1.0
 
 
 class TestGraphSample:
     def test_mixed_dimensions_rejected(self):
-        g2 = AdjacencyMatrix(np.zeros((2, 2)))
-        g3 = AdjacencyMatrix(np.zeros((3, 3)))
+        g2 = validate_adjacency(np.zeros((2, 2)))
+        g3 = validate_adjacency(np.zeros((3, 3)))
         with pytest.raises(DimensionMismatchError):
             GraphSample((g2, g3))
+        with pytest.raises(DimensionMismatchError) as exc:
+            GraphSample((g3, GraphSample((g3, g3)), g2))
+        assert str(exc.value) == "sample 2 has 2 nodes, expected 3"
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             GraphSample(())
+
+    def test_stacks_samples_in_order(self):
+        edges = np.arange(15.0).reshape(5, 3)
+        parts = [GraphSample.from_edges(edges[:2]), GraphSample.from_edges(edges[2:3]),
+                 GraphSample.from_edges(edges[3:])]
+        sample = GraphSample(parts)
+        assert sample.m == 5 and sample.n == 3
+        assert sample.edges.tobytes() == edges.tobytes()
+        assert not sample.edges.flags.writeable
+        assert GraphSample(sample.graphs).edges.tobytes() == edges.tobytes()
+
+    def test_graphs_are_read_only_row_views(self):
+        sample = GraphSample.from_edges(np.arange(12.0).reshape(2, 6))
+        graphs = sample.graphs
+        assert len(graphs) == 2
+        for k, graph in enumerate(graphs):
+            assert graph.m == 1 and graph.n == 4
+            assert np.shares_memory(graph.edges, sample.edges)
+            assert graph.edges.tobytes() == sample.edges[k].tobytes()
+            with pytest.raises(ValueError):
+                graph.edges[0, 0] = -1.0
+
+    def test_dense_is_symmetric_with_zero_diagonal(self):
+        graph = GraphSample.from_edges([[1.0, -2.0, 3.0]])
+        assert graph.dense().tolist() == [[0.0, 1.0, -2.0], [1.0, 0.0, 3.0],
+                                          [-2.0, 3.0, 0.0]]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_dense_needs_one_graph(self, m):
+        sample = GraphSample.from_edges(np.zeros((m, 3)))
+        with pytest.raises(ValueError) as exc:
+            sample.dense()
+        assert str(exc.value) == f"dense() needs a one-graph sample, got {m} graphs"
 
     @pytest.mark.parametrize("shape", [(2, 4), (3,), (0, 3)])
     def test_from_edges_bad_shape_rejected(self, shape):
@@ -118,7 +206,7 @@ class TestGraphSample:
             f"expected a non-empty (m, n(n-1)/2) edge array, got shape {shape}")
 
     def test_edges_shape(self):
-        g = AdjacencyMatrix(np.zeros((4, 4)))
+        g = validate_adjacency(np.zeros((4, 4)))
         sample = GraphSample((g, g, g))
         assert sample.edges.shape == (3, 6)
         assert sample.m == 3 and sample.n == 4
@@ -129,14 +217,14 @@ class TestThresholdBinarize:
         return validate_adjacency([[0.0, value], [value, 0.0]])
 
     def test_above_threshold_is_one(self):
-        assert threshold_binarize(self._graph(0.35), 0.3).weights[0, 1] == 1.0
+        assert threshold_binarize(self._graph(0.35), 0.3).dense()[0, 1] == 1.0
 
     def test_absolute_value_used(self):
-        assert threshold_binarize(self._graph(-0.35), 0.3).weights[0, 1] == 1.0
+        assert threshold_binarize(self._graph(-0.35), 0.3).dense()[0, 1] == 1.0
 
     def test_boundary_is_strict(self):
         # Equality at the threshold maps to 0 ("greater than", not ">=").
-        assert threshold_binarize(self._graph(0.3), 0.3).weights[0, 1] == 0.0
+        assert threshold_binarize(self._graph(0.3), 0.3).dense()[0, 1] == 0.0
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -147,9 +235,9 @@ class TestThresholdBinarize:
         raw = rng.normal(size=(8, 8))
         g = validate_adjacency((raw + raw.T) / 2)
         out = threshold_binarize(g, 0.4)
-        assert set(np.unique(out.weights)) <= {0.0, 1.0}
-        assert not np.diagonal(out.weights).any()
-        assert np.array_equal(out.weights, out.weights.T)
+        assert set(np.unique(out.dense())) <= {0.0, 1.0}
+        assert not np.diagonal(out.dense()).any()
+        assert np.array_equal(out.dense(), out.dense().T)
 
     def test_antitone_in_threshold(self):
         """Raising tau can only remove edges, never add them."""
@@ -157,9 +245,9 @@ class TestThresholdBinarize:
         raw = rng.normal(size=(10, 10))
         g = validate_adjacency((raw + raw.T) / 2)
         taus = [0.0, 0.1, 0.3, 0.5, 0.9, 2.0]
-        previous = threshold_binarize(g, taus[0]).weights
+        previous = threshold_binarize(g, taus[0]).dense()
         for tau in taus[1:]:
-            current = threshold_binarize(g, tau).weights
+            current = threshold_binarize(g, tau).dense()
             assert (current <= previous).all(), f"gained an edge moving to tau={tau}"
             previous = current
 
@@ -220,7 +308,7 @@ class TestAdjacencyCsv:
         path = tmp_path / "graph.csv"
         save_adjacency_csv(g, path)
         back = load_adjacency_csv(path)
-        assert np.array_equal(back.weights, g.weights)
+        assert np.array_equal(back.dense(), g.dense())
 
     @pytest.mark.parametrize("text", ["", "# no rows\n"])
     def test_file_without_data_is_empty_input(self, tmp_path, text):

@@ -2,8 +2,9 @@
 public function and class of the package has a caller outside its module,
 no module imports scipy when it is loaded, only ``pool.py`` starts
 processes or cuts work into chunks, only ``models.py`` decodes JSON
-documents, and every ``graphtest`` name the benchmark code in
-``perfbench/`` uses exists.
+documents, only ``graphs.pair_layout`` calls numpy's triangle helpers, no
+module names the retired dense type ``AdjacencyMatrix``, and every
+``graphtest`` name the benchmark code in ``perfbench/`` uses exists.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 with the standard library's ``ast``: an imported name counts as used when it
@@ -297,3 +298,57 @@ def test_benchmark_names_exist():
                          for path in sorted((ROOT / "perfbench").glob("*.py"))))
     assert refs
     assert sorted(name for name in refs if not resolves(name)) == []
+
+
+TRIANGLE_HELPERS = {"triu", "tril", "triu_indices", "tril_indices",
+                    "triu_indices_from", "tril_indices_from"}
+RETIRED_NAMES = {"AdjacencyMatrix"}
+
+
+def layout_leaks(source: str, layout_function: str | None = None) -> list[str]:
+    """The uses in ``source`` of numpy's triangle helpers, as a name, an
+    attribute or an imported name, outside the top-level function
+    ``layout_function``; and every mention of a retired name, in code or in
+    a string.  The package has one pair layout and one graph type."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == layout_function
+              for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [name for name in RETIRED_NAMES if name in node.value]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name in RETIRED_NAMES
+                  or (name in TRIANGLE_HELPERS and id(node) not in inside)]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detects_layout_leaks():
+    source = ("import numpy as np\nfrom numpy import tril\n"
+              "def pair_layout(n):\n    return np.triu_indices(n, k=1)\n"
+              "def other(w):\n    return np.triu(w), np.tril_indices(3)\n"
+              'class AdjacencyMatrix:\n    """Once the AdjacencyMatrix type."""\n'
+              "dense = graphs.AdjacencyMatrix\n")
+    assert layout_leaks(source, "pair_layout") == [
+        "line 2: tril", "line 6: tril_indices", "line 6: triu",
+        "line 7: AdjacencyMatrix", "line 8: AdjacencyMatrix",
+        "line 9: AdjacencyMatrix"]
+    assert layout_leaks(source)[:2] == ["line 2: tril", "line 4: triu_indices"]
+    assert layout_leaks("rows, cols = pair_layout(n)\nw[rows, cols]\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_pair_layout_and_one_graph_type(path):
+    layout_function = "pair_layout" if path.name == "graphs.py" else None
+    assert layout_leaks(path.read_text(encoding="utf-8"), layout_function) == []

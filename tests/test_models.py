@@ -227,7 +227,7 @@ class TestSampling:
     def test_sampled_graph_invariants(self):
         model = TwoBlockModel(n=10, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
         g = sample_population(model, False, 1, substream(1, 0)).graphs[0]
-        w = g.weights
+        w = g.dense()
         assert np.array_equal(w, w.T)
         assert not np.diagonal(w).any()
         off = w[np.triu_indices(10, 1)]
@@ -236,16 +236,16 @@ class TestSampling:
     def test_bernoulli_values_binary(self):
         model = TwoBlockModel(n=10, family="bernoulli", within=0.3, between=0.1)
         g = sample_population(model, False, 1, substream(2, 0)).graphs[0]
-        assert set(np.unique(g.weights)) <= {0.0, 1.0}
+        assert set(np.unique(g.dense())) <= {0.0, 1.0}
 
     def test_degenerate_probabilities(self):
         zero = TwoBlockModel(n=6, family="bernoulli", within=0.0, between=0.0)
         ones = TwoBlockModel(n=6, family="bernoulli", within=1.0, between=1.0)
         g0 = sample_population(zero, False, 1, substream(3, 0)).graphs[0]
         g1 = sample_population(ones, False, 1, substream(3, 0)).graphs[0]
-        assert not g0.weights.any()
+        assert not g0.dense().any()
         off_diag = ~np.eye(6, dtype=bool)
-        assert (g1.weights[off_diag] == 1.0).all()
+        assert (g1.dense()[off_diag] == 1.0).all()
 
     def test_population_size_at_least_one(self):
         model = TwoBlockModel(n=4, family="bernoulli", within=0.3, between=0.1)
@@ -258,9 +258,9 @@ class TestSampling:
         a = sample_population(model, False, 4, substream(42, 5))
         b = sample_population(model, False, 4, substream(42, 5))
         for ga, gb in zip(a.graphs, b.graphs):
-            assert np.array_equal(ga.weights, gb.weights)
+            assert np.array_equal(ga.dense(), gb.dense())
         c = sample_population(model, False, 4, substream(42, 6))
-        assert not np.array_equal(a.graphs[0].weights, c.graphs[0].weights)
+        assert not np.array_equal(a.graphs[0].dense(), c.graphs[0].dense())
 
     def test_within_block_mean_matches_moments(self):
         """Empirical within-block mean over 200 graphs within 3 SE of 0.4."""
@@ -342,7 +342,7 @@ class TestInhomogeneousSampling:
         mu += mu.T
         mean = MeanMatrix(mu, mu * (1 - mu))
         draws = np.stack([
-            sample_graph_from_means(mean, "bernoulli", substream(22, k)).weights
+            sample_graph_from_means(mean, "bernoulli", substream(22, k)).dense()
             for k in range(4000)
         ])
         freq = draws.mean(axis=0)[rows, cols]
@@ -356,7 +356,7 @@ class TestInhomogeneousSampling:
                               between=(1.0, 3.0))
         mean = model_mean_matrix(model)
         draws = np.stack([
-            sample_graph_from_means(mean, "beta", substream(23, k)).weights
+            sample_graph_from_means(mean, "beta", substream(23, k)).dense()
             for k in range(800)
         ])
         within_vals = draws[:, 0, 1]

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import csv
-import multiprocessing
 import os
 
 import pytest
 
-from graphtest import pool, simulate
-from graphtest.errors import ConfigError, GraphTestError
+from graphtest import pool
+from graphtest.errors import ConfigError
 from graphtest.models import sample_population
 from graphtest.rng import substream
 from graphtest.simulate import (
@@ -259,24 +258,6 @@ class TestSchedule:
         whole_cells = tuple(result for idx, n, m, eps in config.cells()
                             for result in run_cell(config, n, m, eps, idx))
         assert serial.cells == whole_cells
-
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers see the patched kernel only when forked")
-    def test_worker_error_names_its_cell(self, monkeypatch):
-        parent = os.getpid()
-
-        def failing(methods, sample_g, *args):
-            if sample_g.n == 10 and os.getpid() != parent:
-                raise GraphTestError("boom")
-            return run_methods_orig(methods, sample_g, *args)
-
-        run_methods_orig = simulate.run_methods
-        monkeypatch.setattr(simulate, "run_methods", failing)
-        config = _beta_config(n_grid=(6, 10), epsilon_grid=(0.5,),
-                              replications=3)
-        with pytest.raises(GraphTestError,
-                           match=r"cell n=10 m=2 epsilon=0.5 failed: boom"):
-            run_experiment(config, threads=2)
 
 
 class TestEmitReport:

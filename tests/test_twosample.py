@@ -28,7 +28,7 @@ from graphtest.errors import (
     SampleSizeMismatchError,
     TooFewSamplesError,
 )
-from graphtest.graphs import AdjacencyMatrix, GraphSample, save_adjacency_csv
+from graphtest.graphs import GraphSample, save_adjacency_csv, validate_adjacency
 from graphtest.models import TwoBlockModel, sample_population
 from graphtest.rng import substream
 from graphtest.twosample import (
@@ -50,7 +50,7 @@ from oracles import edge_statistics
 
 
 def _sample_from_arrays(arrays) -> GraphSample:
-    return GraphSample(tuple(AdjacencyMatrix(np.asarray(a, dtype=float)) for a in arrays))
+    return GraphSample(tuple(validate_adjacency(np.asarray(a, dtype=float)) for a in arrays))
 
 
 def _single_edge_graph(value: float) -> list:
@@ -424,7 +424,7 @@ class TestInvariances:
         (its forward-error bound), which matters when the sum cancels."""
         g, h, part = _random_pair(seed)
         relabel = lambda s: _sample_from_arrays(
-            [gr.weights[np.ix_(perm, perm)] for gr in s.graphs])
+            [gr.dense()[np.ix_(perm, perm)] for gr in s.graphs])
         base = run_methods(METHODS, g, h, part, 0.05)
         moved = run_methods(METHODS, relabel(g), relabel(h), part, 0.05)
         t = edge_statistics(g, h, part)
@@ -437,7 +437,7 @@ class TestInvariances:
         g, h, part = _random_pair(37)
         perm = np.random.default_rng(38).permutation(8)
         relabel = lambda s: _sample_from_arrays(
-            [gr.weights[np.ix_(perm, perm)] for gr in s.graphs])
+            [gr.dense()[np.ix_(perm, perm)] for gr in s.graphs])
         base = run_method("tn", g, h, part, 0.05)
         moved = run_method("tn", relabel(g), relabel(h), part, 0.05)
         assert moved.statistic == pytest.approx(base.statistic, rel=1e-12)
@@ -447,7 +447,7 @@ class TestInvariances:
         """Multiplying all weights by c != 0 leaves the statistic unchanged."""
         g, h, part = _random_pair(41)
         rescale = lambda s: _sample_from_arrays(
-            [gr.weights * scale for gr in s.graphs])
+            [gr.dense() * scale for gr in s.graphs])
         base = run_method("tn", g, h, part, 0.05)
         scaled = run_method("tn", rescale(g), rescale(h), part, 0.05)
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-10)
