@@ -1,8 +1,9 @@
 """The graph type and shared utilities.
 
 Graphs on a common node set are a :class:`GraphSample`, one row of pair
-weights per graph; a single graph is a one-row sample.  Dense ``n x n``
-matrices exist only at the CSV boundary.  This module also provides
+weights per graph; a single graph is a one-row sample.  Weights are
+float64, or bool for binary graphs.  Dense ``n x n`` matrices, always
+float64, exist only at the CSV boundary.  This module also provides
 validation of raw matrices, absolute-value thresholding to binary graphs,
 five-number summaries, and the adjacency CSV format.
 """
@@ -40,10 +41,11 @@ def pair_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 class GraphSample:
     """An ordered i.i.d. sample of ``m`` graphs on ``n`` common nodes, held as
-    one read-only float64 ``(m, n(n-1)/2)`` array ``edges``: row ``k`` is
-    graph ``k``'s pair weights in :func:`pair_layout` order.  A single graph
-    is a sample with ``m = 1``; ``GraphSample(samples)`` stacks samples in
-    order."""
+    one read-only ``(m, n(n-1)/2)`` array ``edges``: row ``k`` is graph
+    ``k``'s pair weights in :func:`pair_layout` order.  ``edges`` is float64
+    weights, or bool for binary graphs.  A single graph is a sample with
+    ``m = 1``; ``GraphSample(samples)`` stacks samples in order, as bool if
+    all of them are bool and as float64 otherwise."""
 
     __slots__ = ("edges", "n")
 
@@ -60,10 +62,13 @@ class GraphSample:
 
     @classmethod
     def from_edges(cls, edges) -> GraphSample:
-        """Wrap an ``(m, P)`` array, which becomes read-only; it is copied
-        only if it is not already float64 and C-contiguous."""
+        """Wrap an ``(m, P)`` array, which becomes read-only.  A bool array
+        stays bool and any other becomes float64; it is copied only if it
+        is not already of that type and C-contiguous."""
+        edges = np.asarray(edges)
         sample = cls.__new__(cls)
-        sample._own(np.ascontiguousarray(edges, dtype=np.float64))
+        sample._own(np.ascontiguousarray(
+            edges, dtype=bool if edges.dtype == bool else np.float64))
         return sample
 
     def _own(self, edges: np.ndarray) -> None:
@@ -86,8 +91,8 @@ class GraphSample:
         return tuple(GraphSample.from_edges(self.edges[k:k + 1]) for k in range(self.m))
 
     def dense(self) -> np.ndarray:
-        """A new symmetric ``n x n`` matrix of a one-graph sample's weights,
-        with zero diagonal."""
+        """A new symmetric float64 ``n x n`` matrix of a one-graph sample's
+        weights, with zero diagonal; a bool graph's edges become 1.0."""
         if self.m != 1:
             raise ValueError(f"dense() needs a one-graph sample, got {self.m} graphs")
         rows, cols = pair_layout(self.n)
@@ -153,8 +158,8 @@ def validate_adjacency(raw) -> GraphSample:
 
 
 def threshold_binarize(sample: GraphSample, tau: float) -> GraphSample:
-    """Binarize every graph of a sample by absolute weight: 1 where
-    ``|w| > tau``, else 0.
+    """Binarize every graph of a sample by absolute weight: a bool sample,
+    True where ``|w| > tau``.
 
     The comparison is strict, so weights exactly at ``tau`` map to 0; ties
     at the threshold do occur with rank-transformed correlation weights.

@@ -5,7 +5,8 @@ and draws each edge weight independently from a Beta or Bernoulli
 distribution: one parameter set for within-block pairs, another for
 between-block pairs.  A non-negative shift ``epsilon`` defines the second
 population (``Beta(a+eps, b+eps)`` / ``Bern(p+eps)``), so ``epsilon = 0``
-is the null configuration.
+is the null configuration.  Beta graphs are drawn as float64 weights and
+Bernoulli graphs as bool, which the statistics sum exactly in integers.
 
 Arbitrary inhomogeneous means enter through :class:`MeanMatrix`, from
 which :func:`~graphtest.diagnostics.mean_matrix_moments` takes the pairs.
@@ -182,7 +183,7 @@ def _draw_pairs(family: str, params, size: int, rng: np.random.Generator) -> np.
         a, b = params
         return rng.beta(a, b, size=size)
     # Bern(p) as a thresholded uniform; exact at p = 0 and p = 1.
-    return (rng.random(size) < params).astype(np.float64)
+    return rng.random(size) < params
 
 
 def sample_population(
@@ -190,11 +191,12 @@ def sample_population(
 ) -> GraphSample:
     """Draw ``m`` i.i.d. graphs from the model, graph by graph: within-block
     pairs first, then between-block pairs, so a given stream state always
-    produces the same sample."""
+    produces the same sample.  Bernoulli graphs are a bool sample."""
     if m < 1:
         raise ConfigError(f"population size must be at least 1, got {m}")
     blocks = tuple(zip(_blocks(model.n), model.params(shifted)))
-    edges = np.empty((m, model.n * (model.n - 1) // 2))
+    edges = np.empty((m, model.n * (model.n - 1) // 2),
+                     dtype=bool if model.family == "bernoulli" else np.float64)
     for row in edges:
         for (mask, size), params in blocks:
             row[mask] = _draw_pairs(model.family, params, size, rng)
@@ -231,8 +233,8 @@ def sample_graph_from_means(
     Each pair (i, j) is drawn independently from the family member with
     mean ``mean.mu[i, j]``; the Beta family additionally matches
     ``mean.sigma2[i, j]`` (method of moments), while the Bernoulli family's
-    variance is implied by its mean.  Pairs are drawn in
-    :func:`pair_layout` order.
+    variance is implied by its mean, and its graph is bool.  Pairs are
+    drawn in :func:`pair_layout` order.
     """
     if family not in FAMILIES:
         raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -241,7 +243,7 @@ def sample_graph_from_means(
     if family == "bernoulli":
         if ((mu < 0) | (mu > 1)).any():
             raise ProbabilityRangeError("bernoulli means must lie in [0, 1]")
-        vals = (rng.random(mu.size) < mu).astype(np.float64)
+        vals = rng.random(mu.size) < mu
     else:
         vals = rng.beta(*beta_params_from_moments(mu, mean.sigma2[rows, cols]))
     return GraphSample.from_edges(vals[np.newaxis])

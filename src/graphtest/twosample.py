@@ -22,7 +22,12 @@ It is calibrated only when edge variances track squared means (see
 
 Both statistics are computed from four ``(P,)`` half-sum vectors, one per
 pair of nodes: each is accumulated one graph at a time from the rows of
-the groups' edge arrays, so no ``(m, P)`` temporary is formed.
+the groups' edge arrays, so no ``(m, P)`` temporary is formed.  When both
+groups are bool (binary graphs), each half's G rows and H rows are instead
+counted in int32 and the half sums of D and S are formed from the counts.
+Every partial sum of 0/1 values is a small integer, exact in float64 in
+any order, so ``sum(G) - sum(H)`` is bit for bit the float sum of
+``G - H`` and the results equal those of the same graphs as float64.
 
 Either denominator can vanish on very sparse or identical samples, and
 half sums of weights of opposite sign near the float64 limit overflow;
@@ -168,8 +173,22 @@ def _check_samples(sample_g: GraphSample, sample_h: GraphSample, partition: Part
     return tuple((rows[0][half].tolist(), rows[1][half].tolist()) for half in halves)
 
 
+def _half_counts(g_edges: np.ndarray, h_edges: np.ndarray, halves) -> np.ndarray:
+    """The int32 ``(4, P)`` block of per-pair counts of bool ``g_edges``
+    and ``h_edges`` over the row pairs of each half of the split (``halves``
+    from :func:`_check_samples`): the G rows and the H rows of the first
+    half, then of the second.  Rows are added one at a time, so only
+    ``(P,)`` vectors are held; int32 is exact below 2**30 graphs a half."""
+    counts = np.zeros((4, g_edges.shape[1]), dtype=np.int32)
+    for (g_rows, h_rows), g_acc, h_acc in zip(halves, counts[0::2], counts[1::2]):
+        for i, j in zip(g_rows, h_rows):
+            np.add(g_acc, g_edges[i], out=g_acc)
+            np.add(h_acc, h_edges[j], out=h_acc)
+    return counts
+
+
 def _scaled_half_sums(g_edges: np.ndarray, h_edges: np.ndarray, op, halves,
-                      work: np.ndarray):
+                      work: np.ndarray, counts: np.ndarray | None = None):
     """Per-pair sums of ``op(g_edges[i], h_edges[j])`` (``op`` is
     ``np.subtract`` or ``np.add``) over the row pairs of each half of the
     split (``halves`` from :func:`_check_samples`), times ``2**-e``, and
@@ -179,16 +198,21 @@ def _scaled_half_sums(g_edges: np.ndarray, h_edges: np.ndarray, op, halves,
     Each sum has the arithmetic of numpy's axis-0 sum while holding only
     ``(P,)`` vectors: it starts at +0.0 and adds one row at a time in the
     half's order.  A single column (P = 1) numpy sums pairwise, so that
-    case sums the column itself.  The sums are the first two rows of
-    ``work``, a ``(3, P)`` block that is overwritten."""
-    work.fill(0.0)
+    case sums the column itself.  Given the :func:`_half_counts` of bool
+    edges, each sum is instead ``op`` of the half's G and H counts, which
+    is the same integer.  The sums are the first two rows of ``work``, a
+    ``(3, P)`` block that is overwritten."""
     s1, s2, tmp = work
-    for acc, (g_rows, h_rows) in zip((s1, s2), halves):
-        if acc.size == 1:
-            op(g_edges[g_rows], h_edges[h_rows]).sum(axis=0, out=acc)
-        else:
-            for i, j in zip(g_rows, h_rows):
-                acc += op(g_edges[i], h_edges[j], out=tmp)
+    if counts is not None:
+        op(counts[0::2], counts[1::2], out=work[:2])
+    else:
+        work.fill(0.0)
+        for acc, (g_rows, h_rows) in zip((s1, s2), halves):
+            if acc.size == 1:
+                op(g_edges[g_rows], h_edges[h_rows]).sum(axis=0, out=acc)
+            else:
+                for i, j in zip(g_rows, h_rows):
+                    acc += op(g_edges[i], h_edges[j], out=tmp)
     e = int(np.frexp(max(np.abs(s1, out=tmp).max(), np.abs(s2, out=tmp).max()))[1])
     return np.ldexp(s1, -e, out=s1), np.ldexp(s2, -e, out=s2), e
 
@@ -272,20 +296,24 @@ def run_methods(
     D = G - H, its half sums and T are formed once; S = G + H only for
     ``tfro``.  Half sums are streamed from the groups' edge arrays one
     graph at a time, so the kernel holds a few ``(P,)`` vectors whatever
-    ``m`` is.  They are scaled by a power of two before any product, so
-    ``tn`` is the same for weights of any magnitude and ``tfro`` scales
-    exactly with them.  No floating-point warning escapes.
+    ``m`` is.  When both samples are bool, the rows are counted once in
+    integers and both D's and S's half sums come from the counts, with
+    the same bits as the float sums.  Half sums are scaled by a power of
+    two before any product, so ``tn`` is the same for weights of any
+    magnitude and ``tfro`` scales exactly with them.  No floating-point
+    warning escapes.
     """
     if not set(methods) <= set(METHODS):
         raise ValueError(f"unknown method in {methods!r}, expected a subset of {METHODS}")
     halves = _check_samples(sample_g, sample_h, partition, rows)
     g, h = sample_g.edges, sample_h.edges
+    counts = _half_counts(g, h, halves) if g.dtype == h.dtype == bool else None
     results = {}
     # One work block per split: D's half sums, then S's once T is reduced.
     work = np.empty((3, g.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        d1, d2, e_d = _scaled_half_sums(g, h, np.subtract, halves, work)
-        # Products go into spent buffers: the peak stays at three (P,) vectors.
+        d1, d2, e_d = _scaled_half_sums(g, h, np.subtract, halves, work, counts)
+        # Products go into spent buffers: the float peak stays at three (P,) vectors.
         t = np.multiply(d1, d2, out=d1)
         numerator = float(t.sum())
         if "tn" in methods:
@@ -293,7 +321,7 @@ def run_methods(
                                     float(np.square(t, out=d2).sum()),
                                     2 * e_d, 4 * e_d)
         if "tfro" in methods:
-            s1, s2, e_s = _scaled_half_sums(g, h, np.add, halves, work)
+            s1, s2, e_s = _scaled_half_sums(g, h, np.add, halves, work, counts)
             results["tfro"] = _result("tfro", numerator,
                                       float(np.multiply(s1, s2, out=s1).sum()),
                                       2 * e_d, 2 * e_s)

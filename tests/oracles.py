@@ -6,9 +6,10 @@ does on pair vectors, ``edge_statistics`` exposes the per-pair products
 that :func:`graphtest.twosample.run_methods` reduces without keeping,
 ``exact_fourth_moment`` is the closed form that the Monte
 Carlo moment checks compare with, ``run_cell`` runs one ``simulate`` cell
-as a single replicate chunk, and ``repeated_splits`` is the split loop of
+as a single replicate chunk, ``repeated_splits`` is the split loop of
 :func:`graphtest.realdata.run_passes` written out serially, one pass at a
-time.
+time, and ``float_bernoulli_population`` and ``float_bernoulli_from_means``
+are the Bernoulli samplers as they were when they drew float64 edges.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from graphtest.errors import AsymmetryError, NonSquareError, OddSampleSizeError
-from graphtest.graphs import TOLERANCE, GraphSample, require_finite
+from graphtest.graphs import TOLERANCE, GraphSample, pair_layout, require_finite
+from graphtest.models import MeanMatrix, TwoBlockModel, _blocks
 from graphtest.realdata import ResamplingPlan, _equalize_rows
 from graphtest.rng import substream
 from graphtest.simulate import ExperimentConfig, _cell_results, _run_chunk
@@ -55,13 +57,14 @@ def edge_statistics(
     sample_g: GraphSample, sample_h: GraphSample, partition: Partition
 ) -> np.ndarray:
     """Per-pair products T_ij, a ``(P,)`` vector in ``pair_layout`` order,
-    from the kernel's own scaled half sums.
+    from the kernel's own scaled float half sums; bool edges are read as
+    float64.
 
     A pair whose product overflows float64 (half sums of opposite-sign
     weights near the float64 limit) comes back as ±inf or nan, without a
     floating-point warning."""
     halves = _check_samples(sample_g, sample_h, partition)
-    g, h = sample_g.edges, sample_h.edges
+    g, h = (sample.edges.astype(np.float64) for sample in (sample_g, sample_h))
     with np.errstate(over="ignore", invalid="ignore"):
         d1, d2, e = _scaled_half_sums(g, h, np.subtract, halves,
                                       np.empty((3, g.shape[1])))
@@ -118,3 +121,22 @@ def repeated_splits(sample_a: GraphSample, sample_b: GraphSample,
         partition = random_partition(eq_a.m, rng)
         replicates.append(run_methods(methods, eq_a, eq_b, partition, alpha))
     return dict(zip(methods, zip(*replicates)))
+
+
+def float_bernoulli_population(model: TwoBlockModel, shifted: bool, m: int,
+                               rng: np.random.Generator) -> np.ndarray:
+    """The float64 ``(m, P)`` edges of ``m`` Bernoulli graphs, each drawn
+    within-block pairs first as thresholded uniforms cast to 0.0/1.0."""
+    blocks = tuple(zip(_blocks(model.n), model.params(shifted)))
+    edges = np.empty((m, model.n * (model.n - 1) // 2))
+    for row in edges:
+        for (mask, size), p in blocks:
+            row[mask] = (rng.random(size) < p).astype(np.float64)
+    return edges
+
+
+def float_bernoulli_from_means(mean: MeanMatrix, rng: np.random.Generator) -> np.ndarray:
+    """The float64 ``(1, P)`` edges of one Bernoulli graph with per-pair
+    means ``mean.mu``, drawn in ``pair_layout`` order."""
+    rows, cols = pair_layout(mean.n)
+    return (rng.random(rows.size) < mean.mu[rows, cols]).astype(np.float64)[np.newaxis]

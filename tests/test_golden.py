@@ -33,6 +33,8 @@ DIGESTS = {
         "d847811547714068a9a4bcaf7b3617c4123f981f6ff884adfe8fb962a1e7d181",
     "generate-csv":
         "2c65bff9d80f49b2934a0b4494f3a8e671c6dd73fe9a71bc4c617f99a90451de",
+    "generate-bernoulli":
+        "897ac61341d3f283d8676ef02ac8dc08f847ef4bac22bd96777f80c24293708e",
     "test-stdout":
         "63cba22f6bcd0b18f5d7c68a921ebb2969edc7489d7026fb34bef7e6fab05a12",
     "means-beta":
@@ -87,10 +89,10 @@ def _realdata(tmp_path) -> bytes:
     return out.read_bytes()
 
 
-def _generate(tmp_path) -> bytes:
+def _generate(tmp_path, family) -> bytes:
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"schema": 1, "n": 8, "epsilon": 0.4,
-                                 **DESIGNS["beta"]}))
+                                 **DESIGNS[family]}))
     out = tmp_path / "out"
     assert main(["generate", "--model", str(model), "--m", "3", "--seed", "9",
                  "--shifted", "--out", str(out)]) == 0
@@ -140,7 +142,9 @@ def test_digest_unchanged(name, tmp_path, capsys):
     elif name == "realdata-taus":
         data = _realdata(tmp_path)
     elif name == "generate-csv":
-        data = _generate(tmp_path)
+        data = _generate(tmp_path, "beta")
+    elif name == "generate-bernoulli":
+        data = _generate(tmp_path, "bernoulli")
     elif name == "test-stdout":
         data = _test_stdout(tmp_path, capsys)
     elif name.startswith("theory-"):

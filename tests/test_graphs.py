@@ -205,6 +205,44 @@ class TestGraphSample:
         assert str(exc.value) == (
             f"expected a non-empty (m, n(n-1)/2) edge array, got shape {shape}")
 
+    @pytest.mark.parametrize("edges, dtype", [
+        ([[True, False, True]], np.bool_), ([[1, 0, 2]], np.float64),
+        (np.array([[1, 0, 2]], dtype=np.int8), np.float64),
+        (np.array([[0.5, 0.0, 2.0]], dtype=np.float32), np.float64),
+    ], ids=["bool", "int-list", "int8", "float32"])
+    def test_from_edges_keeps_bool_and_makes_the_rest_float64(self, edges, dtype):
+        sample = GraphSample.from_edges(edges)
+        assert sample.edges.dtype == dtype
+        assert sample.edges.tolist() == np.asarray(edges, dtype=dtype).tolist()
+
+    def test_from_edges_wraps_a_contiguous_bool_array_without_copying(self):
+        edges = np.array([[True, False, True], [False, False, True]])
+        assert GraphSample.from_edges(edges).edges is edges
+
+    def test_stacking_bool_with_float_gives_float64(self):
+        binary = GraphSample.from_edges([[True, False, True]])
+        weighted = GraphSample.from_edges([[0.5, -1.0, 0.0]])
+        assert GraphSample((binary, binary)).edges.dtype == bool
+        mixed = GraphSample((binary, weighted, binary))
+        assert mixed.edges.dtype == np.float64
+        assert mixed.edges.tolist() == [[1.0, 0.0, 1.0], [0.5, -1.0, 0.0],
+                                        [1.0, 0.0, 1.0]]
+
+    def test_graphs_of_a_bool_sample_are_read_only_bool_views(self):
+        sample = GraphSample.from_edges(np.array([[True, False, True], [False, True, True]]))
+        for k, graph in enumerate(sample.graphs):
+            assert graph.edges.dtype == bool
+            assert np.shares_memory(graph.edges, sample.edges)
+            assert graph.edges.tolist() == [sample.edges[k].tolist()]
+            with pytest.raises(ValueError):
+                graph.edges[0, 0] = False
+
+    def test_dense_of_a_bool_graph_has_the_float_graph_bytes(self):
+        edges = np.random.default_rng(3).random((1, 15)) < 0.4
+        binary = GraphSample.from_edges(edges).dense()
+        assert binary.dtype == np.float64
+        assert binary.tobytes() == GraphSample.from_edges(edges * 1.0).dense().tobytes()
+
     def test_edges_shape(self):
         g = validate_adjacency(np.zeros((4, 4)))
         sample = GraphSample((g, g, g))
@@ -238,6 +276,11 @@ class TestThresholdBinarize:
         assert set(np.unique(out.dense())) <= {0.0, 1.0}
         assert not np.diagonal(out.dense()).any()
         assert np.array_equal(out.dense(), out.dense().T)
+
+    def test_output_is_bool(self):
+        out = threshold_binarize(self._graph(0.35), 0.3)
+        assert out.edges.dtype == bool
+        assert threshold_binarize(out, 0.5).edges.tolist() == [[True]]
 
     def test_antitone_in_threshold(self):
         """Raising tau can only remove edges, never add them."""

@@ -14,6 +14,7 @@ from graphtest.errors import (
     OddNodeCountError,
     ProbabilityRangeError,
 )
+from graphtest.graphs import GraphSample
 from graphtest.models import (
     MeanMatrix,
     TwoBlockModel,
@@ -26,6 +27,7 @@ from graphtest.models import (
     sample_population,
 )
 from graphtest.rng import substream
+from oracles import float_bernoulli_from_means, float_bernoulli_population
 
 
 class TestBlockOfPair:
@@ -288,6 +290,23 @@ class TestSampling:
         se = math.sqrt(variance / 14)
         assert abs(observed - expected) < 3 * se
 
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_bernoulli_draws_the_float_sampler_as_bool(self, shifted):
+        """Bernoulli edges are bool, the former float64 draws cast to bool,
+        and the sampler leaves the stream where the float one did."""
+        model = TwoBlockModel(n=12, family="bernoulli", within=0.3, between=0.1,
+                              epsilon=0.4)
+        got_rng, want_rng = substream(5, 1), substream(5, 1)
+        sample = sample_population(model, shifted, 6, got_rng)
+        want = float_bernoulli_population(model, shifted, 6, want_rng)
+        assert sample.edges.dtype == bool
+        assert sample.edges.tobytes() == want.astype(bool).tobytes()
+        assert got_rng.random() == want_rng.random()
+
+    def test_beta_edges_stay_float64(self):
+        model = TwoBlockModel(n=6, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
+        assert sample_population(model, False, 2, substream(5, 2)).edges.dtype == np.float64
+
     def test_shifted_flag_changes_distribution(self):
         model = TwoBlockModel(n=20, family="bernoulli", within=0.1, between=0.1,
                               epsilon=0.8)
@@ -348,6 +367,17 @@ class TestInhomogeneousSampling:
         freq = draws.mean(axis=0)[rows, cols]
         se = np.sqrt(mu[rows, cols] * (1 - mu[rows, cols]) / 4000)
         assert (np.abs(freq - mu[rows, cols]) < 4 * se).all()
+
+    def test_bernoulli_mean_matrix_draws_the_float_sampler_as_bool(self):
+        model = TwoBlockModel(n=10, family="bernoulli", within=0.6, between=0.2)
+        mean = model_mean_matrix(model)
+        got_rng, want_rng = substream(24, 0), substream(24, 0)
+        graph = sample_graph_from_means(mean, "bernoulli", got_rng)
+        want = float_bernoulli_from_means(mean, want_rng)
+        assert graph.edges.dtype == bool
+        assert graph.edges.tobytes() == want.astype(bool).tobytes()
+        assert graph.dense().tobytes() == GraphSample.from_edges(want).dense().tobytes()
+        assert got_rng.random() == want_rng.random()
 
     def test_beta_mean_matrix_sampling_matches_two_block(self):
         """Sampling from a two-block model's mean matrix reproduces its

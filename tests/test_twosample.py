@@ -615,16 +615,18 @@ class TestStreamedKernel:
     @pytest.mark.parametrize("m", [4, 14, 70])
     def test_peak_memory_does_not_grow_with_m(self, m):
         """Both methods on one split allocate at most eight (P,) vectors,
-        where whole-array half sums took several (m, P) arrays."""
+        where whole-array half sums took several (m, P) arrays; so do the
+        integer counts of bool groups."""
         g, h, part = _random_pair(53, n=100, m=m)
         p = g.edges.shape[1]
-        tracemalloc.start()
-        try:
-            run_methods(METHODS, g, h, part, 0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * p * 8
+        for pair in ((g, h), [GraphSample.from_edges(s.edges > 0.4) for s in (g, h)]):
+            tracemalloc.start()
+            try:
+                run_methods(METHODS, *pair, part, 0.05)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * p * 8
 
 
 @st.composite
@@ -676,6 +678,52 @@ class TestRowVectors:
         rows = tuple(np.array(r) for r in rows)
         with pytest.raises(SampleSizeMismatchError, match=message):
             run_methods(METHODS, g, h, part, 0.05, rows)
+
+
+@st.composite
+def binary_groups(draw):
+    """Two groups of 1..70 bool graphs on 2..5 nodes, row vectors of one
+    even length up to 70 into each (repeats allowed, as oversampling makes
+    them), and a split of that length whose halves are in arbitrary order.
+    Sometimes H is G and selects G's rows, so every D is zero."""
+    n = draw(st.integers(2, 5))
+    g = draw(arrays(bool, (draw(st.integers(1, 70)), n * (n - 1) // 2)))
+    same = draw(st.booleans())
+    h = g if same else draw(arrays(bool, (draw(st.integers(1, 70)), g.shape[1])))
+    m = draw(st.sampled_from(range(2, 71, 2)))
+    rows_g, rows_h = (np.array(draw(st.lists(st.integers(0, len(x) - 1), min_size=m,
+                                             max_size=m))) for x in (g, h))
+    perm = draw(st.permutations(range(m)))
+    return (g, h, Partition(tuple(perm[: m // 2]), tuple(perm[m // 2:])),
+            (rows_g, rows_g if same else rows_h))
+
+
+class TestBinaryGroups:
+    """Bool groups are counted in integers; every bit of the results must be
+    what the float path gives for the same graphs as float64.  A bool pair
+    must take the integer path, since the float path cannot subtract bool
+    rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(binary_groups(), st.booleans())
+    def test_matches_the_float_path(self, case, mixed):
+        """With ``mixed``, H is float64: a bool/float pair runs the float
+        path, promoting G's rows one at a time."""
+        g, h, part, rows = case
+        binary = [GraphSample.from_edges(g),
+                  GraphSample.from_edges(h.astype(np.float64) if mixed else h)]
+        floats = [GraphSample.from_edges(x.astype(np.float64)) for x in (g, h)]
+        for methods in (("tn",), ("tfro",), ("tn", "tfro")):
+            got = run_methods(methods, *binary, part, 0.05, rows)
+            want = run_methods(methods, *floats, part, 0.05, rows)
+            assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
+    def test_equal_groups_are_na_zero_denominator(self):
+        g = GraphSample.from_edges(np.random.default_rng(4).random((4, 10)) < 0.5)
+        part = Partition((0, 3), (1, 2))
+        tn, tfro = run_methods(METHODS, g, g, part, 0.05)
+        assert tn.na_reason == ZERO_DENOMINATOR and tn.numerator == 0.0
+        assert tfro.statistic == 0.0 and tfro.reject is False
 
 
 class TestNormalTails:
