@@ -22,7 +22,6 @@ from .diagnostics import (
     lambda_n,
     lambda_sparse_bernoulli,
     mean_matrix_moments,
-    paired_difference_fourth_moment,
 )
 from .graphs import (
     FiveNumberSummary,
@@ -41,6 +40,7 @@ from .models import (
     beta_moments,
     beta_params_from_moments,
     model_mean_matrix,
+    paired_difference_fourth_moment,
     sample_graph_from_means,
     sample_population,
 )

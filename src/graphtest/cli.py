@@ -11,7 +11,9 @@ One executable with five subcommands:
 Exit codes: 0 success, 1 usage error, 2 runtime error.  Errors are printed
 to stderr as one line, ``<code>: <message>``.  A subcommand takes only the
 flags it reads: ``--seed`` all but ``theory``, ``--output-format`` the
-three that print records, ``--threads`` ``simulate``.  Without ``--seed``,
+three that print records, the group flags ``test`` and ``realdata`` (each
+set declared once, in a parent parser), ``--threads`` ``simulate``.  An
+``--out`` that cannot be created fails before the run.  Without ``--seed``,
 ``generate``, ``test`` and ``realdata`` draw a seed from OS entropy and
 print it to stderr as ``graphtest: seed <N> (from OS entropy)``;
 ``simulate`` uses its config's ``master_seed``.  ``test`` and ``realdata``
@@ -28,11 +30,10 @@ repetition of every method is NA.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .errors import (
     OddSampleSizeError,
     SampleSizeMismatchError,
 )
-from .graphs import save_adjacency_csv
+from .graphs import save_adjacency_csv, write_csv
 from .models import load_model_json, sample_population
 from .pool import usable_cpus
 from .realdata import RepeatedRun, ResamplingPlan, load_groups, run_passes
@@ -109,6 +110,17 @@ def _build_parser() -> argparse.ArgumentParser:
     printing.add_argument("--output-format", choices=("json", "csv", "table"),
                           default="json", help="stdout format for printed results")
 
+    def grouped(method: str) -> argparse.ArgumentParser:
+        # One per command: set_defaults on a shared parent changes both.
+        groups = _Parser(add_help=False)
+        groups.add_argument("--group-a", required=True)
+        groups.add_argument("--group-b", required=True)
+        groups.add_argument("--method", choices=("tn", "tfro", "both"), default=method)
+        groups.add_argument("--alpha", type=_open_unit("alpha"), default=0.05)
+        groups.add_argument("--drop-last", action="store_true",
+                            help="drop the last graph of each group when sizes are odd")
+        return groups
+
     parser = _Parser(prog="graphtest",
                      description="Two-sample testing for weighted networks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -121,16 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shifted", action="store_true",
                    help="sample the epsilon-shifted population")
 
-    p = sub.add_parser("test", parents=[seeded, printing],
+    p = sub.add_parser("test", parents=[seeded, printing, grouped("tn")],
                        help="test two equally sized groups of adjacency CSVs")
-    p.add_argument("--group-a", required=True)
-    p.add_argument("--group-b", required=True)
-    p.add_argument("--method", choices=("tn", "tfro", "both"), default="tn")
-    p.add_argument("--alpha", type=_open_unit("alpha"), default=0.05)
     p.add_argument("--splits", type=_int_at_least(1), default=1,
                    help="number of random-split repetitions")
-    p.add_argument("--drop-last", action="store_true",
-                   help="drop the last graph of each group when sizes are odd")
 
     p = sub.add_parser("theory", parents=[printing],
                        help="closed-form diagnostics for a model document")
@@ -147,10 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_int_at_least(0), default=1,
                    help="worker processes for replicate chunks (0 = one per usable CPU)")
 
-    p = sub.add_parser("realdata", parents=[seeded],
+    p = sub.add_parser("realdata", parents=[seeded, grouped("both")],
                        help="resampling pipeline for unequal-size groups")
-    p.add_argument("--group-a", required=True)
-    p.add_argument("--group-b", required=True)
     p.add_argument("--strategy", choices=("oversample", "subsample", "split-only"),
                    default="oversample",
                    help="how unequal groups are equalized (default oversample). "
@@ -160,10 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_int_at_least(1), default=100)
     p.add_argument("--taus", type=_tau_list, default=None,
                    help="comma-separated thresholds; adds a binarized sweep")
-    p.add_argument("--method", choices=("tn", "tfro", "both"), default="both")
-    p.add_argument("--alpha", type=_open_unit("alpha"), default=0.05)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.add_argument("--drop-last", action="store_true")
 
     return parser
 
@@ -188,7 +189,7 @@ def _print_records(records: list[dict], fmt: str) -> None:
         for record in records:
             print(json.dumps(record))
     elif fmt == "csv":
-        sys.stdout.write(_csv_text(list(records[0]), (r.values() for r in records)))
+        write_csv(list(records[0]), (r.values() for r in records))
     else:
         keys = list(records[0])
         widths = [max(len(k), *(len(_cell(r[k])) for r in records)) for k in keys]
@@ -317,6 +318,7 @@ def _cmd_simulate(args) -> int:
     config: simulate.ExperimentConfig = simulate.load_experiment_json(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
+    _check_out(args.out)
     report = simulate.run_experiment(config, threads=args.threads)
     simulate.emit_report(report, args.out)
     return 0
@@ -330,6 +332,8 @@ def _cmd_realdata(args) -> int:
     seed = _master_seed(args)
     plan = ResamplingPlan(strategy=strategy, repetitions=args.reps, seed=seed)
     methods = _methods(args.method)
+    if args.out:
+        _check_out(args.out)
 
     runs, sweep = run_passes(group_a, group_b, plan, methods, args.alpha,
                              args.drop_last, args.taus or (), usable_cpus())
@@ -339,13 +343,18 @@ def _cmd_realdata(args) -> int:
     rows = [_summary_row(strategy, "", runs[method]) for method in methods]
     rows += [_summary_row(strategy, f"{tau:g}", swept[method])
              for tau, swept in sweep for method in methods]
-
-    text = _csv_text(REALDATA_HEADER, rows)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    write_csv(REALDATA_HEADER, rows, args.out or None)
     return 0
+
+
+def _check_out(path: str) -> None:
+    """Raise now the error that creating ``path`` after the run would, by
+    creating and removing it; an existing ``path`` is left as it is."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return
+    os.unlink(path)
 
 
 REALDATA_HEADER = ("strategy", "tau", "method", "min", "q1", "median", "q3",
@@ -356,15 +365,6 @@ def _summary_row(strategy, tau: str, run: RepeatedRun) -> list[str]:
     """One output row for the repetitions of one method."""
     values = (None,) * 5 if run.summary is None else run.summary.as_tuple()
     return [strategy, tau, run.method, *map(_cell, values), str(run.na_count)]
-
-
-def _csv_text(header, rows) -> str:
-    """CSV text with LF line ends: the header, then each row's values."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
 
 
 _COMMANDS = {

@@ -17,9 +17,9 @@ Everything here is exact arithmetic on model moments, no sampling:
   miscalibrated (typically severely conservative) baseline.
 
 The model diagnostics read the ``(P,)`` pair vectors of a
-:class:`ModelMoments`; dense ``n x n`` matrices enter only through
-:func:`mean_matrix_moments` (a :class:`~graphtest.models.MeanMatrix`) and
-:func:`lambda_n`.
+:class:`ModelMoments`; the family formulas live in :mod:`graphtest.models`.
+Dense ``n x n`` matrices enter only through :func:`mean_matrix_moments`
+(a :class:`~graphtest.models.MeanMatrix`) and :func:`lambda_n`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     InvalidScenarioParamsError,
 )
 from .graphs import pair_layout
-from .models import MeanMatrix, TwoBlockModel, _blocks, _family_moments, _pair_moments
+from .models import MeanMatrix, TwoBlockModel, pair_moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,41 +72,6 @@ class ModelMoments:
             and np.array_equal(self.sigma1_sq, self.sigma2_sq)
         )
 
-    def _require_null(self, what: str) -> None:
-        if not self.is_null:
-            raise ValueError(f"{what} is a null-model diagnostic; use epsilon = 0 moments")
-
-
-def _beta_raw_moment(alpha: float, beta: float, k: int) -> float:
-    """k-th raw moment of Beta(alpha, beta)."""
-    value = 1.0
-    for r in range(k):
-        value *= (alpha + r) / (alpha + beta + r)
-    return value
-
-
-def _beta_central_fourth(alpha: float, beta: float) -> float:
-    m1 = _beta_raw_moment(alpha, beta, 1)
-    m2 = _beta_raw_moment(alpha, beta, 2)
-    m3 = _beta_raw_moment(alpha, beta, 3)
-    m4 = _beta_raw_moment(alpha, beta, 4)
-    return m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
-
-
-def paired_difference_fourth_moment(family: str, params) -> float:
-    """E[(X - Y)^4] for X, Y i.i.d. from the given edge distribution.
-
-    Expanding around the mean gives ``2*mu4 + 6*sigma^4`` with ``mu4`` the
-    central fourth moment.  Bad parameters raise as in ``beta_moments`` and
-    ``bernoulli_moments``.
-    """
-    _, var = _family_moments(family, params)
-    if family == "beta":
-        mu4 = _beta_central_fourth(*params)
-    else:
-        mu4 = var * (1.0 - 3.0 * var)
-    return 2.0 * mu4 + 6.0 * var * var
-
 
 def two_block_moments(model: TwoBlockModel, m: int) -> ModelMoments:
     """Moments for the pair (unshifted model, shifted model).
@@ -114,15 +79,8 @@ def two_block_moments(model: TwoBlockModel, m: int) -> ModelMoments:
     With ``epsilon = 0`` this is a null configuration.  ``eta`` is always
     computed from the unshifted distributions, matching its null-only role.
     """
-    mu1, sigma1_sq = _pair_moments(model, shifted=False)
-    mu2, sigma2_sq = _pair_moments(model, shifted=True)
-
-    (within, _), _ = _blocks(model.n)
-    p_within, p_between = model.params(shifted=False)
-    eta = np.where(within,
-                   paired_difference_fourth_moment(model.family, p_within),
-                   paired_difference_fourth_moment(model.family, p_between))
-
+    mu1, sigma1_sq, eta = pair_moments(model, shifted=False)
+    mu2, sigma2_sq, _ = pair_moments(model, shifted=True)
     return ModelMoments(n=model.n, m=m, mu1=mu1, mu2=mu2,
                         sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, eta=eta)
 
@@ -135,11 +93,25 @@ def mean_matrix_moments(mean: MeanMatrix, m: int) -> ModelMoments:
                         sigma1_sq=sigma2, sigma2_sq=sigma2)
 
 
-def null_variance(moments: ModelMoments) -> float:
-    """True variance of the numerator under the null: sum of m^2 sigma^4."""
-    moments._require_null("null_variance")
+def _null_sigma4(moments: ModelMoments, what: str) -> tuple[np.ndarray, float]:
+    """``sigma^4`` per pair of the null ``moments`` and its sum, for the
+    diagnostic ``what``; raises unless they are null and the sum positive."""
+    if not moments.is_null:
+        raise ValueError(f"{what} is a null-model diagnostic; use epsilon = 0 moments")
     s4 = moments.sigma1_sq ** 2
-    return float(moments.m**2 * s4.sum())
+    total_s4 = float(s4.sum())
+    if total_s4 == 0.0:
+        raise DegenerateModelError("all edge variances are zero")
+    return s4, total_s4
+
+
+def null_variance(moments: ModelMoments) -> float:
+    """True variance of the numerator under the null: sum of m^2 sigma^4,
+    0 when every variance is."""
+    try:
+        return float(moments.m**2 * _null_sigma4(moments, "null_variance")[1])
+    except DegenerateModelError:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -167,14 +139,10 @@ class ConditionRatios:
 def condition_ratios(moments: ModelMoments) -> ConditionRatios:
     """Finite-sample values of the four vanishing ratios (caller judges
     smallness; there is no universal cutoff)."""
-    moments._require_null("condition_ratios")
     if moments.eta is None:
         raise ValueError("condition_ratios needs fourth moments (eta)")
-    s4 = moments.sigma1_sq ** 2
+    s4, total_s4 = _null_sigma4(moments, "condition_ratios")
     eta = moments.eta
-    total_s4 = float(s4.sum())
-    if total_s4 == 0.0:
-        raise DegenerateModelError("all edge variances are zero")
     total_sq = total_s4 * total_s4
     return ConditionRatios(
         size_vs_sigma4=moments.n / total_s4,
@@ -293,13 +261,8 @@ def tfro_consistency_ratio(moments: ModelMoments) -> float:
     """Expected squared-denominator ratio of the baseline to the true null
     variance: ``sum(mu^2) / sum(sigma^4)``.  Far from 1 means the baseline's
     normalizer estimates the wrong scale and the test fails."""
-    moments._require_null("tfro_consistency_ratio")
-    mu_sq = moments.mu1 ** 2
-    s4 = moments.sigma1_sq ** 2
-    total_s4 = float(s4.sum())
-    if total_s4 == 0.0:
-        raise DegenerateModelError("all edge variances are zero")
-    return float(mu_sq.sum()) / total_s4
+    _, total_s4 = _null_sigma4(moments, "tfro_consistency_ratio")
+    return float((moments.mu1 ** 2).sum()) / total_s4
 
 
 def power_condition_ratios(moments: ModelMoments) -> dict[str, float]:

@@ -5,13 +5,16 @@ weights per graph; a single graph is a one-row sample.  Weights are
 float64, or bool for binary graphs.  Dense ``n x n`` matrices, always
 float64, exist only at the CSV boundary.  This module also provides
 validation of raw matrices, absolute-value thresholding to binary graphs,
-five-number summaries, and the adjacency CSV format.
+five-number summaries, and the adjacency and report CSV formats.
 """
 
 from __future__ import annotations
 
+import csv
 import os
+import sys
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -199,3 +202,13 @@ def load_adjacency_csv(path) -> GraphSample:
 def save_adjacency_csv(graph: GraphSample, path) -> None:
     """Write a one-graph sample as the CSV that :func:`load_adjacency_csv` reads."""
     np.savetxt(os.fspath(path), graph.dense(), delimiter=",", fmt="%.17g", newline="\n")
+
+
+def write_csv(header, rows, path=None) -> None:
+    """Write ``header``, then each row's values, as CSV with LF line ends:
+    to the UTF-8 file at ``path``, or to stdout when ``path`` is None."""
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

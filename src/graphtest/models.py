@@ -8,6 +8,8 @@ population (``Beta(a+eps, b+eps)`` / ``Bern(p+eps)``), so ``epsilon = 0``
 is the null configuration.  Beta graphs are drawn as float64 weights and
 Bernoulli graphs as bool, which the statistics sum exactly in integers.
 
+Each family's moments and draw rule are written here alone, and
+:func:`pair_moments` gives a two-block model's per-pair vectors.
 Arbitrary inhomogeneous means enter through :class:`MeanMatrix`, from
 which :func:`~graphtest.diagnostics.mean_matrix_moments` takes the pairs.
 
@@ -157,31 +159,55 @@ def bernoulli_moments(p: float) -> tuple[float, float]:
     return p, p * (1.0 - p)
 
 
-def _family_moments(family: str, params) -> tuple[float, float]:
+def _beta_central_fourth(alpha: float, beta: float) -> float:
+    """Central fourth moment of Beta(alpha, beta), from the raw moments
+    ``m_k = prod over r < k of (alpha + r) / (alpha + beta + r)``."""
+    raw, value = [], 1.0
+    for r in range(4):
+        value *= (alpha + r) / (alpha + beta + r)
+        raw.append(value)
+    m1, m2, m3, m4 = raw
+    return m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
+
+
+def _family_moments(family: str, params) -> tuple[float, float, float]:
+    """Mean, variance and paired-difference fourth moment of one edge distribution."""
     if family == "beta":
-        return beta_moments(*params)
-    return bernoulli_moments(params)
+        mean, var = beta_moments(*params)
+        mu4 = _beta_central_fourth(*params)
+    else:
+        mean, var = bernoulli_moments(params)
+        mu4 = var * (1.0 - 3.0 * var)
+    return mean, var, 2.0 * mu4 + 6.0 * var * var
 
 
-def _pair_moments(model: TwoBlockModel, shifted: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair ``(mean, variance)`` vectors in :func:`pair_layout` order."""
+def paired_difference_fourth_moment(family: str, params) -> float:
+    """E[(X - Y)^4] for X, Y i.i.d. from the given edge distribution.
+
+    Expanding around the mean gives ``2*mu4 + 6*sigma^4`` with ``mu4`` the
+    central fourth moment.  Bad parameters raise as in ``beta_moments`` and
+    ``bernoulli_moments``.
+    """
+    return _family_moments(family, params)[2]
+
+
+def pair_moments(model: TwoBlockModel, shifted: bool) -> tuple[np.ndarray, ...]:
+    """Per-pair ``(mean, variance, eta)`` vectors in :func:`pair_layout`
+    order, ``eta`` being :func:`paired_difference_fourth_moment`."""
     (within, _), _ = _blocks(model.n)
-    p_within, p_between = model.params(shifted)
-    mw, vw = _family_moments(model.family, p_within)
-    mb, vb = _family_moments(model.family, p_between)
-    return np.where(within, mw, mb), np.where(within, vw, vb)
+    moments = (_family_moments(model.family, p) for p in model.params(shifted))
+    return tuple(np.where(within, w, b) for w, b in zip(*moments))
 
 
 def model_mean_matrix(model: TwoBlockModel, shifted: bool = False) -> MeanMatrix:
     """Per-pair mean/variance matrices implied by the model (shift optional)."""
-    mu, sigma2 = GraphSample.from_edges(np.stack(_pair_moments(model, shifted))).graphs
+    mu, sigma2 = GraphSample.from_edges(np.stack(pair_moments(model, shifted)[:2])).graphs
     return MeanMatrix(mu.dense(), sigma2.dense())
 
 
 def _draw_pairs(family: str, params, size: int, rng: np.random.Generator) -> np.ndarray:
     if family == "beta":
-        a, b = params
-        return rng.beta(a, b, size=size)
+        return rng.beta(*params, size=size)
     # Bern(p) as a thresholded uniform; exact at p = 0 and p = 1.
     return rng.random(size) < params
 
@@ -239,14 +265,12 @@ def sample_graph_from_means(
     if family not in FAMILIES:
         raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
     rows, cols = pair_layout(mean.n)
-    mu = mean.mu[rows, cols]
-    if family == "bernoulli":
-        if ((mu < 0) | (mu > 1)).any():
-            raise ProbabilityRangeError("bernoulli means must lie in [0, 1]")
-        vals = rng.random(mu.size) < mu
-    else:
-        vals = rng.beta(*beta_params_from_moments(mu, mean.sigma2[rows, cols]))
-    return GraphSample.from_edges(vals[np.newaxis])
+    params = mu = mean.mu[rows, cols]
+    if family == "beta":
+        params = beta_params_from_moments(mu, mean.sigma2[rows, cols])
+    elif ((mu < 0) | (mu > 1)).any():
+        raise ProbabilityRangeError("bernoulli means must lie in [0, 1]")
+    return GraphSample.from_edges(_draw_pairs(family, params, mu.size, rng)[np.newaxis])
 
 
 _JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),

@@ -51,6 +51,11 @@ from .twosample import TestResult, random_partition, run_methods
 STRATEGIES = ("oversample_smaller", "subsample_larger", "split_only")
 
 
+def _check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+
+
 @dataclass(frozen=True)
 class ResamplingPlan:
     strategy: str
@@ -58,10 +63,7 @@ class ResamplingPlan:
     seed: int
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
+        _check_strategy(self.strategy)
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be at least 1, got {self.repetitions}")
 
@@ -183,8 +185,7 @@ def equalize(
     not resampled is returned as is, a resampled one is a copy of its
     selected rows.  Output graphs are always members of the input groups,
     never synthesized.  The split loop reads the rows in place instead."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    _check_strategy(strategy)
     rows = _equalize_rows(sample_a.m, sample_b.m, strategy, rng)
     return tuple(sample if r.size == sample.m else GraphSample.from_edges(sample.edges[r])
                  for sample, r in zip((sample_a, sample_b), rows))

@@ -23,12 +23,12 @@ boundary in :mod:`graphtest.models`; this module parses its grids into an
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from . import pool
 from .diagnostics import lambda_from_moments, two_block_moments
 from .errors import ConfigError, DegenerateModelError
+from .graphs import write_csv
 from .models import (
     TwoBlockModel,
     json_design,
@@ -206,16 +206,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> SimulationRepo
 
 def emit_report(report: SimulationReport, path) -> None:
     """Write the report as CSV (UTF-8, LF endings, rates at 4 decimals)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        for cell in report.cells:
-            rate = "NA" if cell.rejection_rate is None else f"{cell.rejection_rate:.4f}"
-            lam = "NA" if cell.lambda_theoretical is None else f"{cell.lambda_theoretical:.6g}"
-            writer.writerow([
-                cell.n, cell.m, f"{cell.epsilon:g}", cell.method,
-                cell.reject_count, cell.na_count, cell.replications, rate, lam,
-            ])
+    write_csv(REPORT_HEADER, ([
+        cell.n, cell.m, f"{cell.epsilon:g}", cell.method,
+        cell.reject_count, cell.na_count, cell.replications,
+        "NA" if cell.rejection_rate is None else f"{cell.rejection_rate:.4f}",
+        "NA" if cell.lambda_theoretical is None else f"{cell.lambda_theoretical:.6g}",
+    ] for cell in report.cells), path)
 
 
 def _experiment_from_json(doc) -> ExperimentConfig:

@@ -21,13 +21,13 @@ import pytest
 from scipy.stats import kendalltau, kstest
 
 from graphtest.cli import main
-from graphtest.diagnostics import (
-    null_variance,
-    paired_difference_fourth_moment,
-    two_block_moments,
-)
+from graphtest.diagnostics import null_variance, two_block_moments
 from graphtest.graphs import GraphSample, save_adjacency_csv, validate_adjacency
-from graphtest.models import TwoBlockModel, sample_population
+from graphtest.models import (
+    TwoBlockModel,
+    paired_difference_fourth_moment,
+    sample_population,
+)
 from graphtest.realdata import ResamplingPlan, make_synthetic_groups, run_passes
 from graphtest.rng import substream
 from graphtest.simulate import ExperimentConfig, run_experiment

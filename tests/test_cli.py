@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtest.cli import main
+from graphtest.errors import GraphTestError
 from graphtest.graphs import GraphSample, load_adjacency_csv, validate_adjacency
 from graphtest.models import MeanMatrix, TwoBlockModel, sample_population
 from graphtest.realdata import load_groups, make_synthetic_groups
@@ -361,6 +362,51 @@ class TestSimulate:
               "--seed", "123"])
         assert out2.read_bytes() == out3.read_bytes()
         assert out1.read_bytes() != out2.read_bytes()
+
+
+class TestReportPath:
+    """``simulate`` and ``realdata`` check that ``--out`` can be created
+    before the run, and change no file when the run fails."""
+
+    @staticmethod
+    def _argv(command, tmp_path, out):
+        if command == "simulate":
+            config = tmp_path / "experiment.json"
+            config.write_text(json.dumps(EXPERIMENT_DOC))
+            return ["simulate", "--config", str(config), "--out", str(out)]
+        a, b = _write_groups(tmp_path, (2, 2))
+        return ["realdata", "--group-a", str(a), "--group-b", str(b),
+                "--seed", "3", "--out", str(out)]
+
+    @staticmethod
+    def _refuse_runs(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise GraphTestError("the run started")
+        monkeypatch.setattr("graphtest.simulate.run_experiment", refuse)
+        monkeypatch.setattr("graphtest.cli.run_passes", refuse)
+
+    @pytest.mark.parametrize("command", ["simulate", "realdata"])
+    def test_bad_out_fails_before_the_run(self, command, tmp_path, monkeypatch,
+                                          capsys):
+        out = tmp_path / "missing" / "r.csv"
+        argv = self._argv(command, tmp_path, out)
+        self._refuse_runs(monkeypatch)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"io-error: [Errno 2] No such file or directory: '{out}'\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "realdata"])
+    @pytest.mark.parametrize("earlier", [None, b"earlier report\r\n"])
+    def test_failed_run_leaves_out_as_it_was(self, command, earlier, tmp_path,
+                                             monkeypatch, capsys):
+        out = tmp_path / "r.csv"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        argv = self._argv(command, tmp_path, out)
+        self._refuse_runs(monkeypatch)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: the run started\n"
+        assert (out.read_bytes() if out.exists() else None) == earlier
 
 
 class TestConfigTypes:

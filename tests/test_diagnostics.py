@@ -19,7 +19,6 @@ from graphtest.diagnostics import (
     lambda_sparse_bernoulli,
     mean_matrix_moments,
     null_variance,
-    paired_difference_fourth_moment,
     power_condition_ratios,
     tfro_consistency_ratio,
     two_block_moments,
@@ -33,7 +32,12 @@ from graphtest.errors import (
     ProbabilityRangeError,
 )
 from graphtest.graphs import GraphSample, pair_layout
-from graphtest.models import MeanMatrix, TwoBlockModel, model_mean_matrix
+from graphtest.models import (
+    MeanMatrix,
+    TwoBlockModel,
+    model_mean_matrix,
+    paired_difference_fourth_moment,
+)
 from graphtest.rng import substream
 from oracles import exact_fourth_moment
 

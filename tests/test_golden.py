@@ -1,8 +1,8 @@
 """Byte-level regression guard: fixed-seed outputs must keep their digests.
 
 Each case produces the exact bytes a user would see (a report file, the
-CSVs written by ``generate``, stdout of ``test`` or ``theory``, or a
-sampled weight matrix) and compares their SHA-256 with a digest recorded from an earlier
+CSVs written by ``generate``, stdout of ``test``, ``theory`` or
+``realdata``, or a sampled weight matrix) and compares their SHA-256 with a digest recorded from an earlier
 version of the package.  A refactor that changes any number, any summation
 order, or any random-stream use shows up here as a digest mismatch.
 
@@ -45,6 +45,12 @@ DIGESTS = {
         "5ad8210c355a8e83ae392b847f0a9d605a293c4bd3d5fc9ec982fd6b706e00b6",
     "theory-bernoulli":
         "993f8d54d94c368b4bcade1dce719b5673c0efc243b84df997f364377a84a658",
+    "test-csv":
+        "029b0680693711467da5a975a6f33491c62c1f5e99bdf4ad8531204f629474b6",
+    "theory-csv":
+        "67c2771ad5501053b5d849ed1df9d0081ed2ec2dfe3da86a275bec08948b64ea",
+    "realdata-stdout":
+        "d847811547714068a9a4bcaf7b3617c4123f981f6ff884adfe8fb962a1e7d181",
 }
 
 DESIGNS = {
@@ -77,16 +83,19 @@ def _simulate(tmp_path, family) -> bytes:
     return out.read_bytes()
 
 
-def _realdata(tmp_path) -> bytes:
+def _realdata(tmp_path, capsys, to_stdout=False) -> bytes:
+    """The ``realdata`` report, written to ``--out`` or to stdout."""
     a, b = make_synthetic_groups(n=12, size_a=5, size_b=8, seed=31)
     _write_group(tmp_path / "a", a, "a")
     _write_group(tmp_path / "b", b, "b")
     out = tmp_path / "summary.csv"
+    capsys.readouterr()
     assert main(["realdata", "--group-a", str(tmp_path / "a"),
                  "--group-b", str(tmp_path / "b"), "--strategy", "oversample",
                  "--reps", "8", "--seed", "5", "--method", "both",
-                 "--taus", "0.2,0.5,0.9", "--out", str(out)]) == 0
-    return out.read_bytes()
+                 "--taus", "0.2,0.5,0.9",
+                 *([] if to_stdout else ["--out", str(out)])]) == 0
+    return capsys.readouterr().out.encode() if to_stdout else out.read_bytes()
 
 
 def _generate(tmp_path, family) -> bytes:
@@ -100,26 +109,27 @@ def _generate(tmp_path, family) -> bytes:
                     for p in sorted(out.glob("*.csv")))
 
 
-def _test_stdout(tmp_path, capsys) -> bytes:
+def _test_stdout(tmp_path, capsys, fmt="json") -> bytes:
     a, b = make_synthetic_groups(n=10, size_a=5, size_b=5, seed=41)
     _write_group(tmp_path / "a", a, "a")
     _write_group(tmp_path / "b", b, "b")
     capsys.readouterr()
     assert main(["test", "--group-a", str(tmp_path / "a"),
                  "--group-b", str(tmp_path / "b"), "--method", "both",
-                 "--splits", "3", "--seed", "6", "--drop-last"]) == 0
+                 "--splits", "3", "--seed", "6", "--drop-last",
+                 "--output-format", fmt]) == 0
     return capsys.readouterr().out.encode()
 
 
-def _theory(tmp_path, capsys, family) -> bytes:
-    """``theory`` JSON for a shifted model; the Bernoulli one also carries
+def _theory(tmp_path, capsys, family, fmt="json") -> bytes:
+    """``theory`` output for a shifted model; the Bernoulli one also carries
     the ``bernoulli_condition`` block."""
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"schema": 1, "n": 20, "epsilon": 0.2,
                                  **DESIGNS[family]}))
     capsys.readouterr()
     assert main(["theory", "--config", str(model), "--m", "6",
-                 "--output-format", "json"]) == 0
+                 "--output-format", fmt]) == 0
     return capsys.readouterr().out.encode()
 
 
@@ -140,13 +150,19 @@ def test_digest_unchanged(name, tmp_path, capsys):
     if name.startswith("simulate-"):
         data = _simulate(tmp_path, name.split("-", 1)[1])
     elif name == "realdata-taus":
-        data = _realdata(tmp_path)
+        data = _realdata(tmp_path, capsys)
+    elif name == "realdata-stdout":
+        data = _realdata(tmp_path, capsys, to_stdout=True)
     elif name == "generate-csv":
         data = _generate(tmp_path, "beta")
     elif name == "generate-bernoulli":
         data = _generate(tmp_path, "bernoulli")
     elif name == "test-stdout":
         data = _test_stdout(tmp_path, capsys)
+    elif name == "test-csv":
+        data = _test_stdout(tmp_path, capsys, "csv")
+    elif name == "theory-csv":
+        data = _theory(tmp_path, capsys, "bernoulli", "csv")
     elif name.startswith("theory-"):
         data = _theory(tmp_path, capsys, name.split("-", 1)[1])
     else:

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
 public function and class of the package has a caller outside its module,
-no module imports scipy when it is loaded, only ``pool.py`` starts
+no module imports or reads another package module's private names, no
+module imports scipy when it is loaded, only ``pool.py`` starts
 processes or cuts work into chunks, only ``models.py`` decodes JSON
 documents, only ``graphs.pair_layout`` calls numpy's triangle helpers, no
 module names the retired dense type ``AdjacencyMatrix``, and every
@@ -64,6 +65,51 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names of other package modules that ``source``
+    imports (``from .models import _blocks``) or reads through a module it
+    imports (``pool._plan`` after ``from . import pool``), relative or as
+    ``graphtest``.  A module's own private names are its business alone."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "graphtest")):
+            continue
+        for alias in node.names:
+            if node.module in (None, "graphtest"):
+                modules.add(alias.asname or alias.name)
+            if _private(alias.name):
+                found.append((node.lineno, f"{node.module or ''}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detects_private_imports():
+    source = ("from __future__ import annotations\nimport os\n"
+              "from .models import TwoBlockModel, _blocks as blocks\n"
+              "from . import pool, rng as r\nfrom graphtest.graphs import _own\n"
+              "from graphtest import twosample\n"
+              "chunks = pool._plan([1], 3, 2)\nr._key(1)\ntwosample._half_sums\n"
+              "pool.run(f, None, [1], [1], 2, 1)\nos._exit(0)\nself._cache\n"
+              "def _local(): return _local\nversion = pool.__name__\n")
+    assert private_imports(source) == [
+        "line 3: models._blocks", "line 5: graphtest.graphs._own",
+        "line 7: pool._plan", "line 8: r._key", "line 9: twosample._half_sums"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _referenced(tree) -> set[str]:
