@@ -10,8 +10,8 @@ Library layout:
 * :mod:`graphtest.diagnostics` - closed-form calibration/power diagnostics
 * :mod:`graphtest.simulate` - replicated Monte Carlo experiment grids
 * :mod:`graphtest.realdata` - resampling pipeline for unequal groups
-* :mod:`graphtest.pool` - the one worker pool entry point, ``run``, behind
-  simulate, realdata and test
+* :mod:`graphtest.pool` - the one worker pool, ``stream`` and its join
+  ``run``, behind simulate, realdata and test
 * :mod:`graphtest.cli` - the ``graphtest`` executable
 """
 

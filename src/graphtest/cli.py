@@ -20,7 +20,7 @@ print it to stderr as ``graphtest: seed <N> (from OS entropy)``;
 read the group files and run their splits (through
 :func:`graphtest.realdata.run_passes`) on one worker process per usable CPU
 (the affinity mask), and ``simulate`` its cells on ``--threads`` workers;
-:func:`graphtest.pool.run` cuts all of this work into chunks by one rule,
+:mod:`graphtest.pool` cuts all of this work into chunks by one rule,
 and output does not depend on the worker count.  ``test`` prints each
 split's results, so its splits are those of ``realdata --strategy
 split-only``; ``realdata`` fails with ``all-na`` when every weighted

@@ -1,15 +1,16 @@
 """The worker pool behind every parallel phase, and the one rule that cuts
 repeated work into its tasks.
 
-:func:`run` cuts units of repeated work (the cells of ``simulate``, the
+:func:`stream` cuts units of repeated work (the cells of ``simulate``, the
 passes of ``realdata`` and ``test``, the files of ``load_groups``) into
 repetition chunks, runs them costliest first on worker processes, and
-returns each unit's chunk results in repetition order, so a caller that
-reduces them in that order gets the same output for any worker count.
-With one worker or one chunk it runs in this process.  The ``shared``
-value reaches each worker once, through the pool initializer (inherited,
-not pickled, where the pool forks), instead of being pickled with every
-chunk.
+yields each chunk's value in that plan order as it is ready, so a caller
+can store it and let it go at once.  :func:`run` joins the stream into
+each unit's chunk results in repetition order, so a caller that reduces
+them in that order gets the same output for any worker count.  With one
+worker or one chunk the chunks run in this process.  The ``shared`` value
+reaches each worker once, through the pool initializer (inherited, not
+pickled, where the pool forks), instead of being pickled with every chunk.
 """
 
 from __future__ import annotations
@@ -57,27 +58,42 @@ def _plan(costs, reps: int, workers: int) -> list[tuple[int, int, int]]:
     return sorted(chunks, key=lambda c: (-(c[2] - c[1]) * costs[c[0]], c[0], c[1]))
 
 
-def run(fn, shared, units, costs, reps: int, workers: int) -> list[list]:
-    """For each of ``units`` in order, ``fn(shared, unit, start, stop)`` of
-    each of its chunks in ``start`` order.  A unit's chunks cover its
-    repetitions ``0..reps-1``; one repetition of ``units[i]`` costs ``costs[i]``.
+def stream(fn, shared, units, costs, reps: int, workers: int):
+    """Yield ``(unit, start, stop, fn(shared, units[unit], start, stop))``
+    for each chunk of :func:`_plan`, in plan order, as soon as it and every
+    chunk before it have run.  A unit's chunks cover its repetitions
+    ``0..reps-1``; one repetition of ``units[i]`` costs ``costs[i]``.
 
-    The chunks run in :func:`_plan` order on at most ``workers`` processes
-    (never more than there are chunks).  Every worker is joined before this
-    returns, also when a chunk raises; the first chunk in plan order that
-    raised re-raises here."""
+    The chunks run on at most ``workers`` processes (never more than there
+    are chunks).  The first chunk in plan order that raised re-raises here.
+    When the stream ends, raises, or is closed early, chunks that have not
+    started are cancelled and every worker is joined."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     chunks = _plan(costs, reps, workers) if reps else []
-    tasks = [(units[unit], start, stop) for unit, start, stop in chunks]
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(chunks))
     if workers <= 1:
-        done = [fn(shared, *task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_shared,
-                                 initargs=(shared,)) as pool:
-            done = list(pool.map(_call_shared, repeat(fn), *zip(*tasks)))
+        for unit, start, stop in chunks:
+            yield unit, start, stop, fn(shared, units[unit], start, stop)
+        return
+    tasks = [(units[unit], start, stop) for unit, start, stop in chunks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_shared,
+                             initargs=(shared,)) as executor:
+        values = executor.map(_call_shared, repeat(fn), *zip(*tasks))
+        try:
+            for chunk, value in zip(chunks, values):
+                yield *chunk, value
+        finally:
+            # The map's iterator cancels the chunks not yet started when it
+            # is dropped, so leaving the block waits only for those running.
+            del values
+
+
+def run(fn, shared, units, costs, reps: int, workers: int) -> list[list]:
+    """For each of ``units`` in order, the values of its chunks from
+    :func:`stream` in ``start`` order."""
     joined = [[] for _ in units]
-    for (unit, _, _), value in sorted(zip(chunks, done), key=lambda p: p[0]):
+    for unit, _, _, value in sorted(stream(fn, shared, units, costs, reps, workers),
+                                    key=lambda chunk: chunk[:2]):
         joined[unit].append(value)
     return joined

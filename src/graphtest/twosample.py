@@ -177,13 +177,20 @@ def _half_counts(g_edges: np.ndarray, h_edges: np.ndarray, halves) -> np.ndarray
     """The int32 ``(4, P)`` block of per-pair counts of bool ``g_edges``
     and ``h_edges`` over the row pairs of each half of the split (``halves``
     from :func:`_check_samples`): the G rows and the H rows of the first
-    half, then of the second.  Rows are added one at a time, so only
-    ``(P,)`` vectors are held; int32 is exact below 2**30 graphs a half."""
+    half, then of the second.  Rows are added one at a time, as bytes, into
+    one uint8 ``(P,)`` buffer; a run of at most 255 rows cannot overflow it,
+    and each run is then added into the counts, so only ``(P,)`` vectors are
+    held.  int32 is exact below 2**30 graphs a half."""
     counts = np.zeros((4, g_edges.shape[1]), dtype=np.int32)
-    for (g_rows, h_rows), g_acc, h_acc in zip(halves, counts[0::2], counts[1::2]):
-        for i, j in zip(g_rows, h_rows):
-            np.add(g_acc, g_edges[i], out=g_acc)
-            np.add(h_acc, h_edges[j], out=h_acc)
+    run = np.empty(g_edges.shape[1], dtype=np.uint8)
+    views = (g_edges.view(np.uint8), h_edges.view(np.uint8)) * 2
+    for edges, rows, acc in zip(views, (rows for half in halves for rows in half),
+                                counts):
+        for lo in range(0, len(rows), 255):
+            run.fill(0)
+            for i in rows[lo:lo + 255]:
+                np.add(run, edges[i], out=run)
+            np.add(acc, run, out=acc)
     return counts
 
 

@@ -20,6 +20,7 @@ from graphtest.cli import main
 from graphtest.errors import GraphTestError
 from graphtest.graphs import GraphSample, load_adjacency_csv, validate_adjacency
 from graphtest.models import MeanMatrix, TwoBlockModel, sample_population
+from graphtest.pool import _plan
 from graphtest.realdata import load_groups, make_synthetic_groups
 from graphtest.rng import substream
 from graphtest.twosample import METHODS, random_partition, run_methods
@@ -706,6 +707,53 @@ class TestWorkerCount:
             assert out.read_text().splitlines()[-2:] == [
                 "oversample_smaller,9,tn,NA,NA,NA,NA,NA,4",
                 "oversample_smaller,9,tfro,NA,NA,NA,NA,NA,4"]
+
+
+class TestPlanOrderLoad:
+    """Chunks of a 124-file load come back in plan order, not file order:
+    at two workers the chunk of files 13..26 comes first and that of files
+    0..12 eighth.  A group's array is then shaped by a file that is not its
+    first, and the error line is still that of a file-by-file load."""
+
+    @pytest.fixture
+    def sweep_dirs(self, tmp_path):
+        a, b = make_synthetic_groups(n=6, size_a=54, size_b=70, seed=79)
+        dirs = []
+        for label, sample in (("a", a), ("b", b)):
+            directory = tmp_path / label
+            directory.mkdir()
+            for k, graph in enumerate(sample.graphs):
+                save_adjacency_csv(graph, directory / f"graph_{k:04d}.csv")
+            dirs.append(directory)
+        return dirs
+
+    @pytest.mark.parametrize("corrupt, expected", [
+        (None, "mixed-dimensions: graph_0013.csv has 4 nodes, expected 6 "
+               "(from graph_0000.csv)\n"),
+        (20, "mixed-dimensions: graph_0013.csv has 4 nodes, expected 6 "
+             "(from graph_0000.csv)\n"),
+        (5, "data-load: graph_0005.csv: "),
+    ], ids=["mismatch", "corrupt-behind", "corrupt-ahead"])
+    def test_error_line_identical_for_1_2_3_workers(self, sweep_dirs, tmp_path,
+                                                    corrupt, expected,
+                                                    monkeypatch, capsys):
+        chunks = _plan([1], 124, 2)
+        assert chunks.index((0, 13, 27)) == 0 and chunks.index((0, 0, 13)) == 7
+        a, b = sweep_dirs
+        save_adjacency_csv(make_synthetic_groups(n=4, size_a=1, size_b=1)[0]
+                           .graphs[0], a / "graph_0013.csv")
+        if corrupt is not None:
+            (a / f"graph_{corrupt:04d}.csv").write_text("0,1\nx,0\n")
+        argv = ["realdata", "--group-a", str(a), "--group-b", str(b),
+                "--strategy", "oversample", "--reps", "2", "--seed", "3",
+                "--out", str(tmp_path / "summary.csv")]
+        results = {TestWorkerCount._run(monkeypatch, capsys, cpus, argv)
+                   for cpus in (1, 2, 3)}
+        assert len(results) == 1
+        ((code, stdout, stderr),) = results
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(expected) and stderr.count("\n") == 1
+        assert not (tmp_path / "summary.csv").exists()
 
 
 class TestEntropySeed:

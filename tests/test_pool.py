@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
+from pathlib import Path
 
 import pytest
 
 from graphtest import pool
 from graphtest.errors import GraphTestError
-from graphtest.pool import _plan, run
+from graphtest.pool import _plan, run, stream
 
 
 def _pid_and_square(_, x, start, stop):
@@ -32,6 +34,13 @@ def _chunk(_, unit, start, stop):
 
 def _never_called(*args):
     raise AssertionError("no chunk to run")
+
+
+def _mark_and_wait(directory, unit, start, stop):
+    """Leave a file named after the unit, then take a while."""
+    (Path(directory) / str(unit)).touch()
+    time.sleep(0.05)
+    return unit
 
 
 class TestMapTasks:
@@ -119,3 +128,61 @@ class TestPlan:
         assert _plan([1] * 5, 30, 2) == [(unit, start, start + 15)
                                           for unit in range(5)
                                           for start in (0, 15)]
+
+
+class TestStream:
+    """:func:`graphtest.pool.stream` yields each chunk's value in plan order,
+    and stops every worker however its consumer ends."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_values_arrive_in_plan_order(self, workers):
+        units = ["cheap", "dear"]
+        chunks = _plan([1, 3], 7, workers)
+        got = list(stream(_chunk, None, units, [1, 3], 7, workers))
+        assert got == [(unit, start, stop, (units[unit], start, stop))
+                       for unit, start, stop in chunks]
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_chunks_run_as_consumed(self, tmp_path):
+        chunks = stream(_mark_and_wait, tmp_path, range(4), [1] * 4, 1, 1)
+        assert next(chunks)[3] == 0
+        assert sorted(os.listdir(tmp_path)) == ["0"]
+        chunks.close()
+        assert sorted(os.listdir(tmp_path)) == ["0"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_failure_in_plan_order_raises(self, workers):
+        """Unit 5 costs most, so it is planned first and its failure wins
+        over that of unit 1; the chunks planned before a failure are
+        yielded first."""
+        costs = [1, 1, 1, 1, 1, 3, 1]
+        assert _plan(costs, 1, workers)[0] == (5, 0, 1)
+        seen = []
+        with pytest.raises(GraphTestError, match="task 5 failed"):
+            for unit, _, _, _ in stream(_fail_at, (1, 5), range(7), costs, 1, workers):
+                seen.append(unit)
+        assert seen == []
+        costs[5] = 1
+        with pytest.raises(GraphTestError, match="task 1 failed"):
+            for unit, _, _, _ in stream(_fail_at, (1, 5), range(7), costs, 1, workers):
+                seen.append(unit)
+        assert seen == [0]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_consumer_error_cancels_pending_chunks(self, tmp_path, workers):
+        """A consumer that raises at the first value leaves no worker behind,
+        and the chunks that had not started never run."""
+        units = range(40)
+
+        def consume():
+            for _ in stream(_mark_and_wait, tmp_path, units, [1] * 40, 1, workers):
+                raise RuntimeError("consumer failed")
+
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            consume()
+        assert multiprocessing.active_children() == []
+        ran = len(os.listdir(tmp_path))
+        assert 1 <= ran < len(units) // 2
+        time.sleep(0.2)
+        assert len(os.listdir(tmp_path)) == ran

@@ -192,6 +192,25 @@ class TestParallelLoad:
         assert (c.m, c.n) == (3, 4)
 
 
+def test_load_holds_each_group_once(tmp_path):
+    """A one-worker load of two groups of the realdata-sweep shape (n=100,
+    54 v 70) allocates at most 1.45 times their edge arrays: each file's
+    vector goes straight into its group's array, and neither every vector
+    nor a stacked copy of a group is held beside them."""
+    groups = make_synthetic_groups(n=100, size_a=54, size_b=70, seed=501)
+    for label, sample in zip("ab", groups):
+        _write_group(tmp_path / label, sample)
+    tracemalloc.start()
+    try:
+        loaded = load_groups([tmp_path / "a", tmp_path / "b"], workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for got, want in zip(loaded, groups):
+        assert got.edges.tobytes() == want.edges.tobytes()
+    assert peak <= 1.45 * sum(sample.edges.nbytes for sample in groups)
+
+
 _EDGE_WEIGHTS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-308,

@@ -718,6 +718,27 @@ class TestBinaryGroups:
             want = run_methods(methods, *floats, part, 0.05, rows)
             assert [_bits(r) for r in got] == [_bits(r) for r in want]
 
+    @pytest.mark.parametrize("m", [254, 510, 600])
+    def test_counts_exact_past_a_uint8_run(self, m):
+        """Rows are counted as bytes in runs of at most 255: halves of up to
+        300 rows, with a pair present in every G graph, give the counts of
+        an integer sum and every bit of the float path."""
+        rng = np.random.default_rng(m)
+        g, h = rng.random((m, 15)) < 0.5, rng.random((m, 15)) < 0.3
+        g[:, 0] = True
+        part = random_partition(m, rng)
+        halves = tuple((list(half), list(half))
+                       for half in (part.first_half, part.second_half))
+        counts = twosample._half_counts(g, h, halves)
+        assert counts[0, 0] == counts[2, 0] == m // 2
+        assert np.array_equal(counts, [x[rows].sum(axis=0) for rows, _ in halves
+                                       for x in (g, h)])
+        floats = [GraphSample.from_edges(x.astype(np.float64)) for x in (g, h)]
+        got = run_methods(METHODS, GraphSample.from_edges(g), GraphSample.from_edges(h),
+                          part, 0.05)
+        want = run_methods(METHODS, *floats, part, 0.05)
+        assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
     def test_equal_groups_are_na_zero_denominator(self):
         g = GraphSample.from_edges(np.random.default_rng(4).random((4, 10)) < 0.5)
         part = Partition((0, 3), (1, 2))
