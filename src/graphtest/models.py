@@ -9,7 +9,10 @@ is the null configuration.  Beta graphs are drawn as float64 weights and
 Bernoulli graphs as bool, which the statistics sum exactly in integers.
 
 Each family's moments and draw rule are written here alone, and
-:func:`pair_moments` gives a two-block model's per-pair vectors.
+:func:`pair_moments` gives a two-block model's per-pair vectors.  Each
+parameter rule is written once: ``_check_family`` checks the family name,
+:meth:`TwoBlockModel.params` applies the shift, and each family's moment
+function checks its range, before and after the shift.
 Arbitrary inhomogeneous means enter through :class:`MeanMatrix`, from
 which :func:`~graphtest.diagnostics.mean_matrix_moments` takes the pairs.
 
@@ -34,8 +37,14 @@ from .errors import (
     ProbabilityRangeError,
 )
 from .graphs import GraphSample, pair_layout, require_finite
+from .rng import check_integer
 
 FAMILIES = ("beta", "bernoulli")
+
+
+def _check_family(family) -> None:
+    if family not in FAMILIES:
+        raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
 
 
 @dataclass(frozen=True)
@@ -53,38 +62,24 @@ class TwoBlockModel:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.n < 2:
+        _check_family(self.family)
+        if check_integer(self.n, "node count") < 2:
             raise ConfigError(f"node count must be at least 2, got {self.n}")
         if self.n % 2 != 0:
             raise OddNodeCountError(f"two-block designs need even n, got {self.n}")
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
             raise ConfigError(f"epsilon must be a non-negative real, got {self.epsilon!r}")
         for params in (self.within, self.between):
-            self._check_params(params)
-
-    def _check_params(self, params) -> None:
-        if self.family == "beta":
-            if not (isinstance(params, tuple) and len(params) == 2):
+            if self.family == "bernoulli":
+                if not isinstance(params, (int, float)):
+                    raise ConfigError(f"bernoulli parameter must be a probability, got {params!r}")
+            elif not (isinstance(params, tuple) and len(params) == 2
+                      and all(isinstance(x, (int, float)) for x in params)):
                 raise ConfigError(f"beta parameters must be an (a, b) pair, got {params!r}")
-            a, b = params
-            for shift in (0.0, self.epsilon):
-                # Chained comparisons are false for NaN as well as out of range.
-                if not (0.0 < a + shift < np.inf and 0.0 < b + shift < np.inf):
-                    raise NonPositiveParameterError(
-                        f"beta shapes must be finite and positive, got ({a}, {b}) "
-                        f"with shift {shift}"
-                    )
-        else:
-            if not isinstance(params, (int, float)):
-                raise ConfigError(f"bernoulli parameter must be a probability, got {params!r}")
-            for shift in (0.0, self.epsilon):
-                p = params + shift
-                if not 0.0 <= p <= 1.0:
-                    raise ProbabilityRangeError(
-                        f"bernoulli probability {params} + shift {shift} leaves [0, 1]"
-                    )
+        # The family's moment rule checks each range, before and after the shift.
+        for shifted in (False, True):
+            for params in self.params(shifted):
+                _family_moments(self.family, params)
 
     def params(self, shifted: bool) -> tuple:
         """(within, between) parameters, with the shift applied if requested."""
@@ -148,7 +143,8 @@ def beta_moments(alpha: float, beta: float) -> tuple[float, float]:
         )
     s = alpha + beta
     mean = alpha / s
-    var = alpha * beta / (s * s * (s + 1.0))
+    # Below about 1e-162, s * s underflows to zero; the second form does not.
+    var = alpha * beta / (s * s * (s + 1.0)) if s * s else mean * (beta / s) / (s + 1.0)
     return mean, var
 
 
@@ -262,8 +258,7 @@ def sample_graph_from_means(
     variance is implied by its mean, and its graph is bool.  Pairs are
     drawn in :func:`pair_layout` order.
     """
-    if family not in FAMILIES:
-        raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
+    _check_family(family)
     rows, cols = pair_layout(mean.n)
     params = mu = mean.mu[rows, cols]
     if family == "beta":
@@ -328,8 +323,7 @@ def json_design(doc: dict) -> tuple:
     numbers for the beta family and numbers for the Bernoulli family.
     Their ranges are checked where a :class:`TwoBlockModel` is built."""
     family = doc["family"]
-    if family not in FAMILIES:
-        raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
+    _check_family(family)
 
     def params(key):
         value = doc[key]

@@ -19,11 +19,16 @@ from .errors import ConfigError
 MAX_SEED = 2**64 - 1
 
 
+def check_integer(value, name: str) -> int:
+    """``value``, required to be an ``int`` or numpy integer (not a bool)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def check_seed(seed: int) -> int:
     """Validate and return a master seed (unsigned 64-bit integer)."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed <= MAX_SEED:
+    if not 0 <= check_integer(seed, "seed") <= MAX_SEED:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     return int(seed)
 

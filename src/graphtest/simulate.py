@@ -37,7 +37,7 @@ from .models import (
     read_json,
     sample_population,
 )
-from .rng import check_seed, substream
+from .rng import check_integer, check_seed, substream
 from .twosample import METHODS, random_partition, run_methods
 
 REPORT_HEADER = ("n", "m", "epsilon", "method", "rejections", "na",
@@ -73,9 +73,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be non-empty")
             _no_repeats(name, grid)
         for m in self.m_grid:
-            if m < 2 or m % 2 != 0:
+            if check_integer(m, "group size") < 2 or m % 2 != 0:
                 raise ConfigError(f"group sizes must be even and >= 2, got m={m}")
-        if self.replications < 1:
+        if check_integer(self.replications, "replications") < 1:
             raise ConfigError(f"replications must be at least 1, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")

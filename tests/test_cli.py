@@ -546,6 +546,36 @@ class TestDocumentErrors:
         assert capsys.readouterr() == ("", f"config: {line}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, doc, line", [
+        ("theory", {**MODEL_DOC, "family": "bernoulli", "within": 0.99,
+                    "between": 0.5, "epsilon": 0.02},
+         "probability-range: probability must lie in [0, 1], got 1.01"),
+        ("simulate", {**EXPERIMENT_DOC, "epsilon_grid": [0.0, 0.02], "design": {
+            "family": "bernoulli", "within": 0.99, "between": 0.5}},
+         "probability-range: probability must lie in [0, 1], got 1.01"),
+        ("theory", {**MODEL_DOC, "within": [0, 1]},
+         "non-positive-parameter: beta shapes must be finite and positive, got (0.0, 1.0)"),
+        ("simulate", {**EXPERIMENT_DOC, "design": {**_DESIGN, "within": [0, 1]}},
+         "non-positive-parameter: beta shapes must be finite and positive, got (0.0, 1.0)"),
+        ("theory", {**MODEL_DOC, "family": "bernoulli", "within": 0.99,
+                    "between": -0.1, "epsilon": 0.02},
+         "probability-range: probability must lie in [0, 1], got -0.1"),
+        ("simulate", {**EXPERIMENT_DOC, "epsilon_grid": [0.02], "design": {
+            "family": "bernoulli", "within": 0.99, "between": -0.1}},
+         "probability-range: probability must lie in [0, 1], got -0.1"),
+    ], ids=["model-shifted-bernoulli", "design-shifted-bernoulli", "model-beta",
+            "design-beta", "model-two-faults", "design-two-faults"])
+    def test_range_error_line(self, tmp_path, command, doc, line, capsys):
+        """The line names the value out of range, shifted if the shift put
+        it there; both ranges are checked before the shift, then after."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.csv"
+        extra = ["--m", "4"] if command == "theory" else ["--out", str(out)]
+        assert main([command, "--config", str(path), *extra]) == 2
+        assert capsys.readouterr() == ("", f"{line}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         b"\xff{}", b'{"n": ' + b"1" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000,
     ], ids=["bad-utf8", "integer-digits", "deep-nesting"])

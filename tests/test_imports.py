@@ -4,7 +4,8 @@ no module imports or reads another package module's private names, no
 module imports scipy when it is loaded, only ``pool.py`` starts
 processes or cuts work into chunks, only ``models.py`` decodes JSON
 documents, only ``graphs.pair_layout`` calls numpy's triangle helpers, no
-module names the retired dense type ``AdjacencyMatrix``, and every
+module names the retired dense type ``AdjacencyMatrix``, only
+``models._check_family`` tests membership in ``FAMILIES``, and every
 ``graphtest`` name the benchmark code in ``perfbench/`` uses exists.
 
 No linter ships with the test dependencies, so this walks the syntax tree
@@ -346,6 +347,13 @@ def test_benchmark_names_exist():
     assert sorted(name for name in refs if not resolves(name)) == []
 
 
+def _nodes_inside(tree, function: str | None) -> set[int]:
+    """The ``id`` of every node of the top-level function ``function``."""
+    return {id(node) for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name == function
+            for node in ast.walk(top)}
+
+
 TRIANGLE_HELPERS = {"triu", "tril", "triu_indices", "tril_indices",
                     "triu_indices_from", "tril_indices_from"}
 RETIRED_NAMES = {"AdjacencyMatrix"}
@@ -357,9 +365,7 @@ def layout_leaks(source: str, layout_function: str | None = None) -> list[str]:
     ``layout_function``; and every mention of a retired name, in code or in
     a string.  The package has one pair layout and one graph type."""
     tree = ast.parse(source)
-    inside = {id(node) for top in tree.body
-              if isinstance(top, ast.FunctionDef) and top.name == layout_function
-              for node in ast.walk(top)}
+    inside = _nodes_inside(tree, layout_function)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -398,3 +404,45 @@ def test_detects_layout_leaks():
 def test_one_pair_layout_and_one_graph_type(path):
     layout_function = "pair_layout" if path.name == "graphs.py" else None
     assert layout_leaks(path.read_text(encoding="utf-8"), layout_function) == []
+
+
+def family_checks(source: str, check_function: str | None = None) -> list[str]:
+    """The membership tests (``in`` or ``not in``) of ``FAMILIES``, as a
+    name or an attribute, in ``source`` outside the top-level function
+    ``check_function``.  The package checks a family name in one place."""
+    tree = ast.parse(source)
+    inside = _nodes_inside(tree, check_function)
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Compare) and id(node) not in inside
+             and any(isinstance(op, (ast.In, ast.NotIn))
+                     and (getattr(right, "id", None) == "FAMILIES"
+                          or getattr(right, "attr", None) == "FAMILIES")
+                     for op, right in zip(node.ops, node.comparators))]
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_detects_family_checks():
+    """Lines 4, 8 and 12 are the three checks the model module once had, in
+    ``TwoBlockModel.__post_init__``, ``sample_graph_from_means`` and
+    ``json_design``."""
+    source = ("FAMILIES = ('beta', 'bernoulli')\n"
+              "class TwoBlockModel:\n    def __post_init__(self):\n"
+              "        if self.family not in FAMILIES:\n            raise ConfigError\n"
+              "def sample_graph_from_means(mean, family, rng):\n"
+              '    """family in FAMILIES"""\n'
+              "    if family not in FAMILIES:\n        raise ConfigError\n"
+              "def json_design(doc):\n    family = doc['family']\n"
+              "    if family not in FAMILIES:\n        raise ConfigError\n"
+              "def _check_family(family):\n    if family not in FAMILIES:\n"
+              "        raise ConfigError(f'one of {FAMILIES}')\n"
+              "ok = [f for f in families if f in models.FAMILIES]\n"
+              "beta = family == 'beta' or FAMILIES[0] in names\n")
+    assert family_checks(source, "_check_family") == [
+        "line 4", "line 8", "line 12", "line 17"]
+    assert family_checks(source)[-2:] == ["line 15", "line 17"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_family_check(path):
+    check_function = "_check_family" if path.name == "models.py" else None
+    assert family_checks(path.read_text(encoding="utf-8"), check_function) == []

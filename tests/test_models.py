@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtest.errors import (
     ConfigError,
+    GraphTestError,
     NonFiniteEntryError,
     NonPositiveParameterError,
     OddNodeCountError,
@@ -147,6 +150,15 @@ class TestModelValidation:
         (4, "beta", (2.0,), "beta parameters must be an (a, b) pair, got (2.0,)"),
         (4, "beta", [2.0, 3.0], "beta parameters must be an (a, b) pair, got [2.0, 3.0]"),
         (4, "bernoulli", "0.5", "bernoulli parameter must be a probability, got '0.5'"),
+        # A float n used to pass and fail later inside the sampler.
+        (4.0, "beta", (2.0, 3.0), "node count must be an integer, got 4.0"),
+        (np.float64(4.0), "beta", (2.0, 3.0),
+         f"node count must be an integer, got {np.float64(4.0)!r}"),
+        (True, "beta", (2.0, 3.0), "node count must be an integer, got True"),
+        ("4", "beta", (2.0, 3.0), "node count must be an integer, got '4'"),
+        (4, "beta", ("2", 3.0), "beta parameters must be an (a, b) pair, got ('2', 3.0)"),
+        (4, "beta", (None, 3.0), "beta parameters must be an (a, b) pair, got (None, 3.0)"),
+        (4, "beta", (2.0, [3.0]), "beta parameters must be an (a, b) pair, got (2.0, [3.0])"),
     ])
     def test_malformed_model_message(self, n, family, within, message):
         between = (1.0, 3.0) if family == "beta" else 0.5
@@ -165,6 +177,78 @@ class TestModelValidation:
                               between=(1.0, 3.0), epsilon=0.5)
         assert model.params(False) == ((2.0, 3.0), (1.0, 3.0))
         assert model.params(True) == ((2.5, 3.5), (1.5, 3.5))
+
+    def test_numpy_integer_n_accepted(self):
+        model = TwoBlockModel(n=np.int64(4), family="bernoulli", within=0.5, between=0.4)
+        assert sample_population(model, False, 1, substream(1, 0)).n == 4
+
+    @pytest.mark.parametrize("family, within, between, epsilon, error, message", [
+        ("bernoulli", 0.99, 0.5, 0.02, ProbabilityRangeError,
+         "probability must lie in [0, 1], got 1.01"),
+        ("beta", (0.0, 1.0), (1.0, 3.0), 0.0, NonPositiveParameterError,
+         "beta shapes must be finite and positive, got (0.0, 1.0)"),
+        ("beta", (1e308, 1.0), (1.0, 3.0), 1e308, NonPositiveParameterError,
+         "beta shapes must be finite and positive, got (inf, 1e+308)"),
+        # Both ranges before the shift are checked before either after it.
+        ("bernoulli", 0.99, -0.1, 0.02, ProbabilityRangeError,
+         "probability must lie in [0, 1], got -0.1"),
+    ], ids=["shifted-bernoulli", "beta", "shifted-beta", "unshifted-first"])
+    def test_range_error_names_the_value(self, family, within, between, epsilon,
+                                         error, message):
+        with pytest.raises(error) as err:
+            TwoBlockModel(n=4, family=family, within=within, between=between,
+                          epsilon=epsilon)
+        assert str(err.value) == message
+
+    def test_subnormal_beta_shapes_accepted(self):
+        """Their variance once divided by an s * s that underflows to zero."""
+        model = TwoBlockModel(n=4, family="beta", within=(5e-324, 5e-324),
+                              between=(1.0, 3.0))
+        assert model_mean_matrix(model).sigma2[0, 1] == 0.25
+
+
+_EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0, 1,
+                                5e-324, 2.2250738585072014e-308, 0.5, 0.99, 1.0,
+                                2.0, 1e300, 1.7e308])
+_VALUES = st.one_of(_EDGE_VALUES, st.floats())
+
+
+def _moment_rule_error(family, within, between, epsilon):
+    """``(class, message)`` of the first error a model must raise, or None:
+    the epsilon rule, then the family's moment function on the unshifted
+    and on the shifted parameters, within before between."""
+    if not 0.0 <= epsilon < math.inf:
+        return ConfigError, f"epsilon must be a non-negative real, got {epsilon!r}"
+    if family == "beta":
+        def rule(shapes):
+            beta_moments(*shapes)
+        shifted = [tuple(x + epsilon for x in shapes) for shapes in (within, between)]
+    else:
+        rule = bernoulli_moments
+        shifted = [p + epsilon for p in (within, between)]
+    for params in (within, between, *shifted):
+        try:
+            rule(params)
+        except GraphTestError as err:
+            return type(err), str(err)
+    return None
+
+
+@settings(deadline=None, max_examples=400)
+@given(family=st.sampled_from(["beta", "bernoulli"]), data=st.data(), epsilon=_VALUES)
+def test_model_raises_exactly_as_the_moment_rule(family, data, epsilon):
+    """A model is refused exactly when the moment rule refuses one of its
+    parameters before or after the shift, with the same class and message."""
+    param = st.tuples(_VALUES, _VALUES) if family == "beta" else _VALUES
+    within, between = data.draw(param), data.draw(param)
+    expected = _moment_rule_error(family, within, between, epsilon)
+    try:
+        TwoBlockModel(n=4, family=family, within=within, between=between,
+                      epsilon=epsilon)
+    except GraphTestError as err:
+        assert (type(err), str(err)) == expected
+    else:
+        assert expected is None
 
 
 class TestModelMeanMatrix:

@@ -54,6 +54,9 @@ class TestConfigValidation:
         ({"family": "gamma"}, "family must be one of ('beta', 'bernoulli'), got 'gamma'"),
         ({"replications": 0}, "replications must be at least 1, got 0"),
         ({"methods": ()}, "methods must be non-empty"),
+        ({"n_grid": (10.0,)}, "node count must be an integer, got 10.0"),
+        ({"m_grid": (2.0,)}, "group size must be an integer, got 2.0"),
+        ({"replications": 20.0}, "replications must be an integer, got 20.0"),
     ])
     def test_rejection_message(self, overrides, message):
         with pytest.raises(ConfigError) as err:
