@@ -24,7 +24,8 @@ read the group files and run their splits (through
 and output does not depend on the worker count.  ``test`` prints each
 split's results, so its splits are those of ``realdata --strategy
 split-only``; ``realdata`` fails with ``all-na`` when every weighted
-repetition of every method is NA.
+repetition of every method is NA.  ``run_passes`` checks the group sizes
+of both commands by one rule, before the first split.
 """
 
 from __future__ import annotations
@@ -38,12 +39,7 @@ import sys
 from pathlib import Path
 
 from . import diagnostics, simulate
-from .errors import (
-    AllNAError,
-    GraphTestError,
-    OddSampleSizeError,
-    SampleSizeMismatchError,
-)
+from .errors import AllNAError, GraphTestError
 from .graphs import save_adjacency_csv, write_csv
 from .models import load_model_json, sample_population
 from .pool import usable_cpus
@@ -234,17 +230,6 @@ def _cmd_generate(args) -> int:
 
 def _cmd_test(args) -> int:
     group_a, group_b = load_groups((args.group_a, args.group_b), usable_cpus())
-    if group_a.m != group_b.m:
-        raise SampleSizeMismatchError(
-            f"groups have {group_a.m} and {group_b.m} graphs; equalize them "
-            "first (see the realdata subcommand)"
-        )
-    if group_a.m % 2 != 0 and group_a.m > 1 and not args.drop_last:
-        raise OddSampleSizeError(
-            f"group size {group_a.m} is odd; pass --drop-last to discard "
-            "one pair"
-        )
-
     plan = ResamplingPlan("split_only", args.splits, _master_seed(args))
     methods = _methods(args.method)
     runs, _ = run_passes(group_a, group_b, plan, methods, args.alpha,

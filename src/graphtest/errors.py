@@ -129,12 +129,6 @@ class MixedDimensionsError(DataLoadError):
     code = "mixed-dimensions"
 
 
-class UnequalWithSplitOnlyError(GraphTestError):
-    """split_only resampling requires groups that are already the same size."""
-
-    code = "unequal-split-only"
-
-
 class AllNAError(GraphTestError):
     """Every repetition produced an undefined statistic (zero denominator)."""
 

@@ -40,6 +40,7 @@ from .graphs import GraphSample, pair_layout, require_finite
 from .rng import check_integer
 
 FAMILIES = ("beta", "bernoulli")
+_NUMBER = (int, float)  # a model parameter or shift; NaN and inf are range errors
 
 
 def _check_family(family) -> None:
@@ -67,14 +68,14 @@ class TwoBlockModel:
             raise ConfigError(f"node count must be at least 2, got {self.n}")
         if self.n % 2 != 0:
             raise OddNodeCountError(f"two-block designs need even n, got {self.n}")
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
+        if not (isinstance(self.epsilon, _NUMBER) and 0 <= self.epsilon < np.inf):
             raise ConfigError(f"epsilon must be a non-negative real, got {self.epsilon!r}")
         for params in (self.within, self.between):
             if self.family == "bernoulli":
-                if not isinstance(params, (int, float)):
+                if not isinstance(params, _NUMBER):
                     raise ConfigError(f"bernoulli parameter must be a probability, got {params!r}")
             elif not (isinstance(params, tuple) and len(params) == 2
-                      and all(isinstance(x, (int, float)) for x in params)):
+                      and all(isinstance(x, _NUMBER) for x in params)):
                 raise ConfigError(f"beta parameters must be an (a, b) pair, got {params!r}")
         # The family's moment rule checks each range, before and after the shift.
         for shifted in (False, True):
@@ -143,8 +144,10 @@ def beta_moments(alpha: float, beta: float) -> tuple[float, float]:
         )
     s = alpha + beta
     mean = alpha / s
-    # Below about 1e-162, s * s underflows to zero; the second form does not.
-    var = alpha * beta / (s * s * (s + 1.0)) if s * s else mean * (beta / s) / (s + 1.0)
+    # Below about 1e-162 s * s underflows to zero, and above about 1e154 it
+    # (and alpha * beta) overflows; the second form does neither.
+    var = (alpha * beta / (s * s * (s + 1.0)) if 0.0 < s * s < np.inf
+           else mean * (beta / s) / (s + 1.0))
     return mean, var
 
 

@@ -1,17 +1,18 @@
 """Pipeline for observed weighted-network groups of unequal size.
 
-The paired statistics need equally sized groups, so unequal groups are
-equalized per repetition, either by oversampling the smaller group up to
-the larger size or by subsampling the larger group down.  A repetition
-selects rows without copying them: it draws one row-index vector per
-group, and the statistics read the split's graphs through them from the
-loaded samples.  Each repetition then draws a fresh random split and
-computes the requested statistics, and the batch of statistics is reduced
-to a five-number summary (NA repetitions are excluded and counted).
-:func:`run_passes` is the one split loop: it runs the repetitions on the
-weighted groups and again on absolute-value binarized copies of the graphs
-for each threshold.  ``graphtest test`` runs it too, with the
-``split_only`` strategy on equal groups and no threshold.
+The paired statistics need two equally sized, even groups.  A strategy
+only picks the common size (the larger group size to oversample to, the
+smaller to subsample to, or the shared size of ``split_only``), and
+:func:`run_passes` checks it once, before any repetition.  A repetition
+selects rows of that size without copying them: it draws one row-index
+vector per group, each group on its own, and the statistics read the
+split's graphs through them from the loaded samples.  It then draws a fresh
+random split and computes the requested statistics, and the batch of
+statistics is reduced to a five-number summary (NA repetitions are
+excluded and counted).  :func:`run_passes` is the one split loop: it runs
+the repetitions on the weighted groups and again on absolute-value
+binarized copies of the graphs for each threshold.  ``graphtest test``
+runs it too, with the ``split_only`` strategy and no threshold.
 
 Loading and the passes run on worker processes through
 :mod:`graphtest.pool`, which cuts both into chunks by one rule.  The files
@@ -37,7 +38,8 @@ from .errors import (
     DataLoadError,
     GraphTestError,
     MixedDimensionsError,
-    UnequalWithSplitOnlyError,
+    OddSampleSizeError,
+    SampleSizeMismatchError,
 )
 from .graphs import (
     FiveNumberSummary,
@@ -158,36 +160,36 @@ def load_groups(directories, workers: int = 1) -> tuple[GraphSample, ...]:
     return tuple(map(GraphSample.from_edges, edges))
 
 
-def _equalize_rows(
-    m_a: int, m_b: int, strategy: str, rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-index vectors of equal length into groups of ``m_a`` and ``m_b``
-    graphs: the rows each group has after resampling to a common size.
-
-    ``oversample_smaller`` keeps the smaller group's rows in order and
-    appends draws from them (without replacement while the deficit fits,
-    with replacement otherwise); ``subsample_larger`` keeps a
-    without-replacement draw from the larger group; ``split_only`` requires
-    already-equal groups.  A group that is not resampled gets all its rows
-    in order, and equal groups draw nothing from ``rng``.  ``strategy`` is
-    one of :data:`STRATEGIES`, checked by the caller.
-    """
-    rows_a, rows_b = np.arange(m_a), np.arange(m_b)
-    if m_a == m_b:
-        return rows_a, rows_b
-    if strategy == "split_only":
-        raise UnequalWithSplitOnlyError(
-            f"groups have {m_a} and {m_b} graphs; split_only needs equal sizes"
-        )
-
-    small, large = (rows_a, rows_b) if m_a < m_b else (rows_b, rows_a)
+def _common_size(m_a: int, m_b: int, strategy: str) -> int:
+    """The group size after resampling by ``strategy``, one of
+    :data:`STRATEGIES`; ``split_only`` needs equal groups."""
     if strategy == "oversample_smaller":
-        deficit = large.size - small.size
-        extra = rng.choice(small.size, size=deficit, replace=deficit > small.size)
-        small = np.concatenate((small, extra))
-    else:  # subsample_larger
-        large = rng.choice(large.size, size=small.size, replace=False)
-    return (small, large) if m_a < m_b else (large, small)
+        return max(m_a, m_b)
+    if strategy == "subsample_larger":
+        return min(m_a, m_b)
+    if m_a != m_b:
+        raise SampleSizeMismatchError(
+            f"groups have {m_a} and {m_b} graphs; equalize them first (see the "
+            "realdata subcommand)")
+    return m_a
+
+
+def _equalize_rows(m_a: int, m_b: int, size: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Row-index vectors of ``size`` entries into groups of ``m_a`` and
+    ``m_b`` graphs, each group resampled on its own.  A smaller group keeps
+    its rows in order and appends draws from them (without replacement
+    while the deficit fits, with replacement otherwise), a larger group
+    keeps a without-replacement draw, and a group of ``size`` graphs gets
+    all its rows in order and draws nothing from ``rng``."""
+    def rows(m: int) -> np.ndarray:
+        if m == size:
+            return np.arange(m)
+        if m > size:
+            return rng.choice(m, size=size, replace=False)
+        extra = rng.choice(m, size=size - m, replace=size - m > m)
+        return np.concatenate((np.arange(m), extra))
+    return rows(m_a), rows(m_b)
 
 
 def equalize(
@@ -201,7 +203,8 @@ def equalize(
     selected rows.  Output graphs are always members of the input groups,
     never synthesized.  The split loop reads the rows in place instead."""
     _check_strategy(strategy)
-    rows = _equalize_rows(sample_a.m, sample_b.m, strategy, rng)
+    size = _common_size(sample_a.m, sample_b.m, strategy)
+    rows = _equalize_rows(sample_a.m, sample_b.m, size, rng)
     return tuple(sample if r.size == sample.m else GraphSample.from_edges(sample.edges[r])
                  for sample, r in zip((sample_a, sample_b), rows))
 
@@ -209,25 +212,22 @@ def equalize(
 def _run_chunk(groups, tau: float | None, start: int, stop: int) -> list:
     """The ``run_methods`` results of repetitions ``start..stop-1`` on
     ``groups`` (both samples and the test settings), binarized at ``tau``
-    unless it is None.  Repetition ``r`` equalizes and then draws one split
-    that every method shares, both from ``substream(plan.seed, r)``; equal
-    groups draw nothing in :func:`_equalize_rows`.  The split is tested on
-    the selected rows of the samples, which are not copied.  ``drop_last``
-    drops the last selected row of odd groups, unless that would empty
-    them."""
-    sample_a, sample_b, plan, methods, alpha, drop_last = groups
+    unless it is None.  Repetition ``r`` selects ``size`` rows of each group
+    and then draws one split of the first ``keep`` that every method
+    shares, both from ``substream(seed, r)``; a group of ``size`` graphs
+    draws nothing in :func:`_equalize_rows`.  The split is tested on the
+    selected rows of the samples, which are not copied."""
+    sample_a, sample_b, (seed, size, keep), methods, alpha = groups
     if tau is not None:
         sample_a = threshold_binarize(sample_a, tau)
         sample_b = threshold_binarize(sample_b, tau)
     replicates = []
     for rep in range(start, stop):
-        rng = substream(plan.seed, rep)
-        rows_a, rows_b = _equalize_rows(sample_a.m, sample_b.m, plan.strategy, rng)
-        if drop_last and rows_a.size % 2 != 0 and rows_a.size > 1:
-            rows_a, rows_b = rows_a[:-1], rows_b[:-1]
-        partition = random_partition(rows_a.size, rng)
+        rng = substream(seed, rep)
+        rows_a, rows_b = _equalize_rows(sample_a.m, sample_b.m, size, rng)
+        partition = random_partition(keep, rng)
         replicates.append(run_methods(methods, sample_a, sample_b, partition, alpha,
-                                      (rows_a, rows_b)))
+                                      (rows_a[:keep], rows_b[:keep])))
     return replicates
 
 
@@ -257,9 +257,16 @@ def run_passes(
     results are joined in repetition order, so nothing depends on
     ``workers``.  Returns the weighted runs and ``(tau, runs)`` per
     threshold; a method that is NA in every repetition of a pass gets a
-    None summary."""
+    None summary.  Before any repetition, ``drop_last`` drops the last
+    selected graph of an odd common size above 1, which is otherwise an
+    :class:`OddSampleSizeError`."""
+    size = _common_size(sample_a.m, sample_b.m, plan.strategy)
+    keep = size - 1 if drop_last and size % 2 and size > 1 else size
+    if keep % 2 and keep > 1:
+        raise OddSampleSizeError(
+            f"group size {size} is odd; pass --drop-last to discard one pair")
     passes = (None, *taus)
-    groups = (sample_a, sample_b, plan, methods, alpha, drop_last)
+    groups = (sample_a, sample_b, (plan.seed, size, keep), methods, alpha)
     runs = pool.run(_run_chunk, groups, passes, [1] * len(passes),
                     plan.repetitions, workers)
     weighted, *swept = ({method: _repeated_run(method, results) for method, results

@@ -8,18 +8,25 @@ that :func:`graphtest.twosample.run_methods` reduces without keeping,
 Carlo moment checks compare with, ``run_cell`` runs one ``simulate`` cell
 as a single replicate chunk, ``repeated_splits`` is the split loop of
 :func:`graphtest.realdata.run_passes` written out serially, one pass at a
-time, and ``float_bernoulli_population`` and ``float_bernoulli_from_means``
-are the Bernoulli samplers as they were when they drew float64 edges.
+time, on rows from ``strategy_rows``, the selection by strategy that the
+package once made, and ``float_bernoulli_population`` and
+``float_bernoulli_from_means`` are the Bernoulli samplers as they were
+when they drew float64 edges.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from graphtest.errors import AsymmetryError, NonSquareError, OddSampleSizeError
+from graphtest.errors import (
+    AsymmetryError,
+    NonSquareError,
+    OddSampleSizeError,
+    SampleSizeMismatchError,
+)
 from graphtest.graphs import TOLERANCE, GraphSample, pair_layout, require_finite
 from graphtest.models import MeanMatrix, TwoBlockModel, _blocks
-from graphtest.realdata import ResamplingPlan, _equalize_rows
+from graphtest.realdata import ResamplingPlan
 from graphtest.rng import substream
 from graphtest.simulate import ExperimentConfig, _cell_results, _run_chunk
 from graphtest.twosample import (
@@ -101,18 +108,55 @@ def run_cell(config: ExperimentConfig, n: int, m: int, epsilon: float,
     return _cell_results(config, n, m, epsilon, lam, tallies)
 
 
+def strategy_rows(m_a: int, m_b: int, strategy: str,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Row-index vectors of equal length into groups of ``m_a`` and ``m_b``
+    graphs, selected by ``strategy`` with the smaller and larger group
+    swapped into place, as the package once selected them.
+
+    ``oversample_smaller`` keeps the smaller group's rows in order and
+    appends draws from them (without replacement while the deficit fits,
+    with replacement otherwise); ``subsample_larger`` keeps a
+    without-replacement draw from the larger group.  Equal groups get all
+    their rows in order and draw nothing from ``rng``; unequal groups under
+    ``split_only`` are refused before this is called."""
+    rows_a, rows_b = np.arange(m_a), np.arange(m_b)
+    if m_a == m_b:
+        return rows_a, rows_b
+
+    small, large = (rows_a, rows_b) if m_a < m_b else (rows_b, rows_a)
+    if strategy == "oversample_smaller":
+        deficit = large.size - small.size
+        extra = rng.choice(small.size, size=deficit, replace=deficit > small.size)
+        small = np.concatenate((small, extra))
+    else:  # subsample_larger
+        large = rng.choice(large.size, size=small.size, replace=False)
+    return (small, large) if m_a < m_b else (large, small)
+
+
 def repeated_splits(sample_a: GraphSample, sample_b: GraphSample,
                     plan: ResamplingPlan, methods: tuple[str, ...],
                     alpha: float = 0.05, drop_last: bool = False):
     """``{method: results}`` of every repetition in order: repetition ``r``
     equalizes and splits with ``substream(plan.seed, r)`` and evaluates
     every method on that one split.  Each repetition copies the rows that
-    :func:`graphtest.realdata._equalize_rows` selects into new samples, and
-    ``drop_last`` copies them again without the last graph."""
+    :func:`strategy_rows` selects into new samples, and ``drop_last``
+    copies them again without the last graph.  Before the first
+    repetition, unequal groups under ``split_only`` and an odd equalized
+    size above 1 without ``drop_last`` raise the package's size errors."""
+    m_a, m_b = sample_a.m, sample_b.m
+    if plan.strategy == "split_only" and m_a != m_b:
+        raise SampleSizeMismatchError(
+            f"groups have {m_a} and {m_b} graphs; equalize them first (see the "
+            "realdata subcommand)")
+    size = (min if plan.strategy == "subsample_larger" else max)(m_a, m_b)
+    if size % 2 != 0 and size > 1 and not drop_last:
+        raise OddSampleSizeError(
+            f"group size {size} is odd; pass --drop-last to discard one pair")
     replicates = []
     for rep in range(plan.repetitions):
         rng = substream(plan.seed, rep)
-        rows = _equalize_rows(sample_a.m, sample_b.m, plan.strategy, rng)
+        rows = strategy_rows(m_a, m_b, plan.strategy, rng)
         eq_a, eq_b = (GraphSample.from_edges(sample.edges[r])
                       for sample, r in zip((sample_a, sample_b), rows))
         if drop_last and eq_a.m % 2 != 0 and eq_a.m > 1:

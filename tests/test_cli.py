@@ -158,9 +158,12 @@ class TestTest:
             save_adjacency_csv(graph, small / f"g{k}.csv")
         code = main(["test", "--group-a", str(a), "--group-b", str(small)])
         assert code == 2
-        assert capsys.readouterr().err == (
+        # Without --seed the entropy seed line comes first, as in realdata.
+        seed_line, error_line = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"graphtest: seed \d+ \(from OS entropy\)", seed_line)
+        assert error_line == (
             "sample-size-mismatch: groups have 4 and 2 graphs; equalize them "
-            "first (see the realdata subcommand)\n")
+            "first (see the realdata subcommand)")
 
     @pytest.mark.parametrize("drop_last", [[], ["--drop-last"]])
     def test_one_graph_groups_too_few_samples(self, tmp_path, drop_last, capsys):
@@ -297,6 +300,18 @@ class TestTheory:
         report = json.loads(capsys.readouterr().out)
         assert report["bernoulli_condition"]["mu_fro_sq"] > 0
 
+    def test_huge_beta_shapes(self, tmp_path, capsys):
+        """Shapes above about 1e154 once overflowed alpha * beta, and the NaN
+        variance ended the run with a traceback."""
+        doc = {"schema": 1, "family": "beta", "n": 4,
+               "within": [1e200, 1e200], "between": [1, 3]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["theory", "--config", str(path), "--m", "4"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["lambda_n"] == 0.0
+        assert all(math.isfinite(v) for v in report["condition_ratios"].values())
+
     def test_degenerate_bernoulli_exit_2(self, tmp_path, capsys):
         doc = {"schema": 1, "family": "bernoulli", "n": 6, "within": 0, "between": 0}
         path = tmp_path / "zero.json"
@@ -346,6 +361,19 @@ class TestSimulate:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "n,m,epsilon,method,rejections,na,replications,rate,lambda"
         assert len(lines) == 1 + 2 * 2  # 2 cells x 2 methods
+
+    def test_huge_beta_shapes_report_lambda(self, tmp_path, capsys):
+        """At shapes of 1e200 lambda was once written as nan."""
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(
+            {**EXPERIMENT_DOC, "replications": 2,
+             "design": {"family": "beta", "within": [1e200, 1e200],
+                        "between": [1, 3]}}))
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[-1] for row in rows if row[2] == "0"] == ["0", "0"]
+        assert "nan" not in out.read_text()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "missing.json"),
@@ -652,7 +680,24 @@ class TestRealdata:
         code = main(["realdata", "--group-a", str(a), "--group-b", str(b),
                      "--strategy", "split-only", "--reps", "2", "--seed", "3"])
         assert code == 2
-        assert "unequal-split-only" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "sample-size-mismatch: groups have 4 and 6 graphs; equalize them "
+                "first (see the realdata subcommand)\n")
+
+    def test_odd_common_size_fails_before_any_pass(self, tmp_path, monkeypatch,
+                                                   capsys):
+        """Oversampling 5 graphs to 7 leaves an odd size: one error line, and
+        the passes never start."""
+        def no_pass(*args):
+            raise AssertionError("a pass ran")
+        monkeypatch.setattr("graphtest.realdata.pool.run", no_pass)
+        a, b = _write_groups(tmp_path, (5, 7))
+        code = main(["realdata", "--group-a", str(a), "--group-b", str(b),
+                     "--reps", "2", "--seed", "3"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "odd-sample-size: group size 7 is odd; pass --drop-last to "
+                "discard one pair\n")
 
 
 class TestWorkerCount:

@@ -5,7 +5,8 @@ module imports scipy when it is loaded, only ``pool.py`` starts
 processes or cuts work into chunks, only ``models.py`` decodes JSON
 documents, only ``graphs.pair_layout`` calls numpy's triangle helpers, no
 module names the retired dense type ``AdjacencyMatrix``, only
-``models._check_family`` tests membership in ``FAMILIES``, and every
+``models._check_family`` tests membership in ``FAMILIES``, only
+``twosample`` and ``realdata`` name the group-size errors, and every
 ``graphtest`` name the benchmark code in ``perfbench/`` uses exists.
 
 No linter ships with the test dependencies, so this walks the syntax tree
@@ -446,3 +447,50 @@ def test_detects_family_checks():
 def test_one_family_check(path):
     check_function = "_check_family" if path.name == "models.py" else None
     assert family_checks(path.read_text(encoding="utf-8"), check_function) == []
+
+
+SIZE_ERRORS = {"SampleSizeMismatchError", "OddSampleSizeError"}
+
+
+def size_error_names(source: str) -> list[str]:
+    """The uses in ``source`` of :data:`SIZE_ERRORS` as a name, an
+    attribute or an imported name.  The kernel (``twosample``) and the one
+    group-size rule (``realdata.run_passes``) raise them; ``errors`` only
+    defines them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in SIZE_ERRORS]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detects_size_error_names():
+    """Lines 9 and 12 are the size checks ``cli._cmd_test`` once made on
+    its own, and line 1 their import."""
+    source = ("from .errors import (\n    AllNAError,\n    GraphTestError,\n"
+              "    OddSampleSizeError,\n    SampleSizeMismatchError,\n)\n"
+              "def _cmd_test(args):\n    if group_a.m != group_b.m:\n"
+              "        raise SampleSizeMismatchError(f'groups have {group_a.m}')\n"
+              "    if group_a.m % 2 != 0 and group_a.m > 1 and not args.drop_last:\n"
+              '        """OddSampleSizeError, named only in a docstring."""\n'
+              "        raise errors.OddSampleSizeError(f'group size {group_a.m}')\n"
+              "class SampleSizeMismatchError(GraphTestError):\n    pass\n")
+    assert size_error_names(source) == [
+        "line 1: OddSampleSizeError", "line 1: SampleSizeMismatchError",
+        "line 9: SampleSizeMismatchError", "line 12: OddSampleSizeError"]
+    assert size_error_names("from .errors import AllNAError\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py"))
+                                         - {PACKAGE / "twosample.py",
+                                            PACKAGE / "realdata.py"}),
+                         ids=lambda p: p.name)
+def test_one_group_size_rule(path):
+    assert size_error_names(path.read_text(encoding="utf-8")) == []

@@ -206,6 +206,23 @@ class TestModelValidation:
                               between=(1.0, 3.0))
         assert model_mean_matrix(model).sigma2[0, 1] == 0.25
 
+    @pytest.mark.parametrize("epsilon", [None, "0.1", (0.1,)])
+    def test_non_numeric_epsilon_rejected(self, epsilon):
+        """epsilon takes the number rule of a Bernoulli probability; it once
+        reached np.isfinite and raised a bare TypeError."""
+        with pytest.raises(ConfigError) as err:
+            TwoBlockModel(n=4, family="beta", within=(2.0, 3.0), between=(1.0, 3.0),
+                          epsilon=epsilon)
+        assert str(err.value) == f"epsilon must be a non-negative real, got {epsilon!r}"
+
+    def test_huge_beta_shapes_have_finite_moments(self):
+        """Above about 1e154, s * s and alpha * beta overflow; the variance
+        was NaN."""
+        assert beta_moments(1e200, 1e200) == (0.5, 0.5 * 0.5 / (2e200 + 1.0))
+        model = TwoBlockModel(n=4, family="beta", within=(1e200, 1e200),
+                              between=(1.0, 3.0))
+        assert np.isfinite(model_mean_matrix(model).sigma2).all()
+
 
 _EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0, 1,
                                 5e-324, 2.2250738585072014e-308, 0.5, 0.99, 1.0,

@@ -17,7 +17,8 @@ from graphtest.errors import (
     DataLoadError,
     GraphTestError,
     MixedDimensionsError,
-    UnequalWithSplitOnlyError,
+    OddSampleSizeError,
+    SampleSizeMismatchError,
 )
 from graphtest.graphs import (
     GraphSample,
@@ -30,6 +31,7 @@ from graphtest.pool import _plan
 from graphtest.realdata import (
     STRATEGIES,
     ResamplingPlan,
+    _common_size,
     _equalize_rows,
     equalize,
     load_groups,
@@ -38,7 +40,7 @@ from graphtest.realdata import (
 )
 from graphtest.rng import substream
 
-from oracles import repeated_splits
+from oracles import repeated_splits, strategy_rows
 
 FLOAT_MAX = np.finfo(np.float64).max
 
@@ -256,14 +258,18 @@ def test_equalize_returns_input_rows_at_target_size(m_a, m_b, strategy, seed):
     a = GraphSample.from_edges(rng.random((m_a, 6)))
     b = GraphSample.from_edges(rng.random((m_b, 6)))
     if strategy == "split_only" and m_a != m_b:
-        with pytest.raises(UnequalWithSplitOnlyError):
-            _equalize_rows(m_a, m_b, strategy, substream(seed, 0))
-        with pytest.raises(UnequalWithSplitOnlyError):
+        with pytest.raises(SampleSizeMismatchError):
+            _common_size(m_a, m_b, strategy)
+        with pytest.raises(SampleSizeMismatchError):
             equalize(a, b, strategy, substream(seed, 0))
         return
-    rows = _equalize_rows(m_a, m_b, strategy, substream(seed, 0))
     target = min(m_a, m_b) if strategy == "subsample_larger" else max(m_a, m_b)
+    assert _common_size(m_a, m_b, strategy) == target
+    rows = _equalize_rows(m_a, m_b, target, substream(seed, 0))
     _check_rows(rows, (m_a, m_b), target)
+    # The same rows, from the same draws, as the selection by strategy.
+    for r, want in zip(rows, strategy_rows(m_a, m_b, strategy, substream(seed, 0))):
+        assert r.tobytes() == want.tobytes()
     for r, m in zip(rows, (m_a, m_b)):
         if m <= target:  # a group that is not shrunk keeps its rows first, in order
             assert np.array_equal(r[:m], np.arange(m))
@@ -278,19 +284,19 @@ def test_equalize_returns_input_rows_at_target_size(m_a, m_b, strategy, seed):
 
 class TestEqualize:
     def test_oversample_smaller(self):
-        rows_a, rows_b = _equalize_rows(6, 10, "oversample_smaller", substream(7, 0))
+        rows_a, rows_b = _equalize_rows(6, 10, 10, substream(7, 0))
         _check_rows((rows_a, rows_b), (6, 10), 10)
         # Originals are kept in order, extras appended.
         assert np.array_equal(rows_a[:6], np.arange(6))
         assert np.array_equal(rows_b, np.arange(10))
 
     def test_oversample_with_replacement_on_large_deficit(self):
-        rows_a, _ = _equalize_rows(3, 10, "oversample_smaller", substream(8, 0))
+        rows_a, _ = _equalize_rows(3, 10, 10, substream(8, 0))
         assert rows_a.size == 10  # deficit 7 > 3 forces replacement
         assert ((0 <= rows_a) & (rows_a < 3)).all()
 
     def test_subsample_larger(self):
-        rows_a, rows_b = _equalize_rows(6, 10, "subsample_larger", substream(9, 0))
+        rows_a, rows_b = _equalize_rows(6, 10, 6, substream(9, 0))
         _check_rows((rows_a, rows_b), (6, 10), 6)
         assert np.array_equal(rows_a, np.arange(6))
         assert len(set(rows_b.tolist())) == 6, "subsample must not duplicate members"
@@ -299,8 +305,8 @@ class TestEqualize:
         """Equalization never fabricates graphs: every index selects a row of
         its own group, and ``equalize`` copies those rows bit for bit."""
         small, large = _population(12, 4), _population(13, 9)
-        for strategy in ("oversample_smaller", "subsample_larger"):
-            rows = _equalize_rows(4, 9, strategy, substream(14, 0))
+        for strategy, size in (("oversample_smaller", 9), ("subsample_larger", 4)):
+            rows = _equalize_rows(4, 9, size, substream(14, 0))
             for r, m in zip(rows, (4, 9)):
                 assert ((0 <= r) & (r < m)).all()
             out_a, out_b = equalize(small, large, strategy, substream(14, 0))
@@ -310,7 +316,7 @@ class TestEqualize:
     def test_split_only_equal_passthrough(self):
         rng = substream(17, 0)
         state = rng.bit_generator.state
-        rows_a, rows_b = _equalize_rows(4, 4, "split_only", rng)
+        rows_a, rows_b = _equalize_rows(4, 4, _common_size(4, 4, "split_only"), rng)
         assert np.array_equal(rows_a, np.arange(4))
         assert np.array_equal(rows_b, np.arange(4))
         assert rng.bit_generator.state == state  # equal groups draw nothing
@@ -318,11 +324,16 @@ class TestEqualize:
         assert equalize(a, b, "split_only", substream(17, 0)) == (a, b)
 
     def test_split_only_unequal_rejected(self):
-        with pytest.raises(UnequalWithSplitOnlyError):
-            _equalize_rows(4, 6, "split_only", substream(20, 0))
+        with pytest.raises(SampleSizeMismatchError) as err:
+            _common_size(4, 6, "split_only")
+        assert str(err.value) == ("groups have 4 and 6 graphs; equalize them first "
+                                  "(see the realdata subcommand)")
+        with pytest.raises(SampleSizeMismatchError):
+            equalize(_population(18, 4), _population(19, 6), "split_only",
+                     substream(20, 0))
 
     def test_order_preserved_when_b_is_smaller(self):
-        rows_a, rows_b = _equalize_rows(10, 6, "oversample_smaller", substream(23, 0))
+        rows_a, rows_b = _equalize_rows(10, 6, 10, substream(23, 0))
         assert np.array_equal(rows_a, np.arange(10))
         assert rows_b.size == 10 and np.array_equal(rows_b[:6], np.arange(6))
 
@@ -351,6 +362,31 @@ class TestEqualize:
         with pytest.raises(ValueError) as err:
             ResamplingPlan("split_only", repetitions=0, seed=1)
         assert str(err.value) == "repetitions must be at least 1, got 0"
+
+
+class TestSizeRule:
+    """:func:`run_passes` checks the common size once, before any
+    repetition runs."""
+
+    @pytest.mark.parametrize("sizes, strategy, error", [
+        ((4, 6), "split_only", (SampleSizeMismatchError, "sample-size-mismatch",
+                                "groups have 4 and 6 graphs; equalize them first "
+                                "(see the realdata subcommand)")),
+        ((5, 5), "split_only", (OddSampleSizeError, "odd-sample-size",
+                                "group size 5 is odd; pass --drop-last to "
+                                "discard one pair")),
+        ((3, 6), "subsample_larger", (OddSampleSizeError, "odd-sample-size",
+                                      "group size 3 is odd; pass --drop-last to "
+                                      "discard one pair")),
+    ], ids=["unequal-split-only", "odd-split-only", "odd-subsample"])
+    def test_size_errors_before_any_repetition(self, monkeypatch, sizes, strategy,
+                                               error):
+        def no_pass(*args):
+            raise AssertionError("a pass ran")
+        monkeypatch.setattr("graphtest.realdata.pool.run", no_pass)
+        a, b = _population(80, sizes[0]), _population(81, sizes[1])
+        plan = ResamplingPlan(strategy, repetitions=2, seed=82)
+        assert _error(run_passes, a, b, plan, taus=(0.5,), workers=2) == error
 
 
 def _repeated(a, b, plan, **kwargs):
@@ -489,7 +525,7 @@ class TestParallelPasses:
         plan = ResamplingPlan("split_only", repetitions=2, seed=77)
         serial = _error(run_passes, a, b, plan, taus=(0.1, 0.2))
         assert _error(run_passes, a, b, plan, taus=(0.1, 0.2), workers=3) == serial
-        assert serial[0] is UnequalWithSplitOnlyError
+        assert serial[0] is SampleSizeMismatchError
 
 
 def _serial_passes(a, b, plan, methods, drop_last, taus):
@@ -524,6 +560,15 @@ class TestRowResampling:
              workers=2, repetitions=2, taus=(), seed=5)
     @example(sizes=(4, 6), strategy="split_only", drop_last=False,
              workers=3, repetitions=2, taus=(0.5,), seed=6)
+    # An odd common size under each strategy, without and with drop_last.
+    @example(sizes=(3, 5), strategy="oversample_smaller", drop_last=False,
+             workers=2, repetitions=2, taus=(), seed=7)
+    @example(sizes=(7, 5), strategy="subsample_larger", drop_last=False,
+             workers=1, repetitions=2, taus=(0.5,), seed=8)
+    @example(sizes=(7, 5), strategy="subsample_larger", drop_last=True,
+             workers=3, repetitions=3, taus=(0.5,), seed=9)
+    @example(sizes=(5, 5), strategy="split_only", drop_last=False,
+             workers=2, repetitions=2, taus=(), seed=10)
     def test_passes_equal_the_copying_loop(self, sizes, strategy, drop_last,
                                            workers, repetitions, taus, seed):
         """Equal sizes (half the draws), unequal and odd ones, each strategy,

@@ -63,6 +63,11 @@ class TestConfigValidation:
             _beta_config(**overrides)
         assert str(err.value) == message
 
+    def test_non_numeric_epsilon_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            _beta_config(epsilon_grid=("0.1",))
+        assert str(err.value) == "epsilon must be a non-negative real, got '0.1'"
+
     def test_invalid_cell_fails_at_config_time(self):
         # 0.5 + 0.6 > 1 would only blow up inside a cell; catch it up front.
         with pytest.raises(Exception):
