@@ -5,7 +5,10 @@ weights per graph; a single graph is a one-row sample.  Weights are
 float64, or bool for binary graphs.  Dense ``n x n`` matrices, always
 float64, exist only at the CSV boundary.  This module also provides
 validation of raw matrices, absolute-value thresholding to binary graphs,
-five-number summaries, and the adjacency and report CSV formats.
+five-number summaries, and the adjacency and report CSV formats.  An
+adjacency CSV in the canonical form the writer uses is parsed without
+``np.loadtxt``, above the diagonal only, to the same values; any other
+goes through ``np.loadtxt`` and :func:`validate_adjacency`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isfinite, isqrt
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,6 +34,10 @@ from .errors import (
 )
 
 TOLERANCE = 1e-9  # largest gap of mirrored entries repaired as round-off
+
+# The bytes a canonical adjacency CSV may hold: those of the numbers that
+# save_adjacency_csv writes, commas and LF.
+_CANONICAL_BYTES = b"0123456789.eE+-,\n"
 
 
 @lru_cache(maxsize=None)
@@ -175,6 +183,10 @@ def threshold_binarize(sample: GraphSample, tau: float) -> GraphSample:
 def five_number_summary(values) -> FiveNumberSummary:
     """Five-number summary with quartiles linearly interpolated between
     order statistics (median of an even-length batch is the central midpoint).
+
+    These are the steps, and so the bits, of ``np.percentile(v, [0, 25, 50,
+    75, 100])`` without its ``np.unique`` call, which imports ``numpy.ma``
+    (about 15 ms).
     """
     v = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                    dtype=np.float64)
@@ -182,13 +194,91 @@ def five_number_summary(values) -> FiveNumberSummary:
         raise EmptyInputError("five_number_summary needs at least one value")
     if not np.isfinite(v).all():
         raise ValueError("five_number_summary requires finite values")
-    lo, q1, med, q3, hi = np.percentile(v, [0, 25, 50, 75, 100])
-    return FiveNumberSummary(float(lo), float(q1), float(med), float(q3), float(hi))
+    index = (v.size - 1) * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    top = index >= v.size - 1  # numpy reads these at index -1
+    below = np.where(top, -1, np.floor(index)).astype(np.intp)
+    above = np.where(top, -1, below + 1)
+    ordered = np.partition(v, sorted({0, -1, *below.tolist(), *above.tolist()}))
+    low, high = ordered[below], ordered[above]
+    # numpy's lerp: from the lower order statistic below the midpoint, from
+    # the upper one at and above it.
+    weight = index - below
+    diff = high - low
+    quartiles = np.add(low, diff * weight)
+    np.subtract(high, diff * (1 - weight), out=quartiles, where=weight >= 0.5)
+    return FiveNumberSummary(*map(float, quartiles))
+
+
+@lru_cache(maxsize=None)
+def _mirror_gathers(n: int) -> tuple:
+    """For each row ``i`` of an ``n x n`` matrix, a function that takes the
+    pair vector of the rows above it and returns, as a tuple, the entries
+    ``(j, i)`` for ``j < i``: the mirrors of row ``i``'s entries left of
+    the diagonal, in column order."""
+    _, cols = pair_layout(n)
+    # Pair positions column by column; the rows ascend within a column.
+    order = np.argsort(cols, kind="stable").tolist()
+    gathers = []
+    for i in range(n):
+        positions = order[i * (i - 1) // 2:i * (i + 1) // 2]
+        # itemgetter returns a bare item, not a tuple, for one position.
+        gathers.append(itemgetter(*positions) if len(positions) > 1
+                       else lambda seq, positions=positions: tuple(seq[p] for p in positions))
+    return tuple(gathers)
+
+
+def _read_canonical(path) -> np.ndarray | None:
+    """The pair vector of a canonical adjacency CSV, or None for any other
+    file.
+
+    A canonical file holds only the bytes of :data:`_CANONICAL_BYTES` in
+    ``n >= 2`` lines (the last one may lack its LF) of ``n`` comma-separated
+    tokens; each token left of the diagonal is byte-equal to its mirror,
+    and every token parses to a finite float.  It needs no repair, so only
+    the tokens above the diagonal and on it are parsed.  On these bytes
+    ``float`` and ``np.loadtxt`` both parse with CPython's
+    ``PyOS_string_to_double``, so the values have ``np.loadtxt``'s bits.
+    """
+    upper, diagonal, n = [], [], 0
+    try:
+        with open(path, "rb") as fh:
+            for i, line in enumerate(fh):
+                tokens = line.rstrip(b"\n").split(b",")
+                if i == 0:
+                    n = len(tokens)
+                    # n lines of n tokens need n * n bytes at least; checked
+                    # before the layout of n is built.
+                    if n * n > os.fstat(fh.fileno()).st_size:
+                        return None
+                    gathers = _mirror_gathers(n)
+                if (line.translate(None, _CANONICAL_BYTES) or i >= n
+                        or len(tokens) != n or gathers[i](upper) != tuple(tokens[:i])):
+                    return None
+                diagonal.append(tokens[i])
+                upper += tokens[i + 1:]
+    except OSError:
+        return None  # np.loadtxt raises it again, with its own message
+    if n < 2 or len(diagonal) != n:
+        return None
+    try:
+        pairs = np.fromiter(map(float, upper), np.float64, len(upper))
+        finite = np.isfinite(pairs).all() and all(map(isfinite, map(float, diagonal)))
+    except ValueError:
+        return None
+    return pairs if finite else None
 
 
 def load_adjacency_csv(path) -> GraphSample:
     """Read one adjacency CSV, n lines of n comma-separated floats with no
-    header, as a one-graph sample."""
+    header, as a one-graph sample.
+
+    A canonical file (:func:`_read_canonical`), as :func:`save_adjacency_csv`
+    writes, is parsed without ``np.loadtxt``; any other file is read by
+    ``np.loadtxt`` and :func:`validate_adjacency`, which raise every error.
+    """
+    pairs = _read_canonical(path)
+    if pairs is not None:
+        return GraphSample.from_edges(pairs[np.newaxis])
     with warnings.catch_warnings():
         # An empty file is reported below as EmptyInputError.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",

@@ -143,7 +143,9 @@ def beta_moments(alpha: float, beta: float) -> tuple[float, float]:
             f"beta shapes must be finite and positive, got ({alpha}, {beta})"
         )
     s = alpha + beta
-    mean = alpha / s
+    # Above the float64 max s overflows to inf, but the sum of the halves
+    # does not, and halving is exact at that size, so the mean keeps its bits.
+    mean = alpha / s if s < np.inf else (alpha / 2) / (alpha / 2 + beta / 2)
     # Below about 1e-162 s * s underflows to zero, and above about 1e154 it
     # (and alpha * beta) overflows; the second form does neither.
     var = (alpha * beta / (s * s * (s + 1.0)) if 0.0 < s * s < np.inf

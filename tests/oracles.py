@@ -2,7 +2,9 @@
 
 None is part of the package's interface: ``dense_validate`` is the
 whole-matrix validation that :func:`graphtest.graphs.validate_adjacency`
-does on pair vectors, ``edge_statistics`` exposes the per-pair products
+does on pair vectors, ``loadtxt_adjacency`` is
+:func:`graphtest.graphs.load_adjacency_csv` without its canonical-file
+reader, ``edge_statistics`` exposes the per-pair products
 that :func:`graphtest.twosample.run_methods` reduces without keeping,
 ``exact_fourth_moment`` is the closed form that the Monte
 Carlo moment checks compare with, ``run_cell`` runs one ``simulate`` cell
@@ -16,15 +18,25 @@ when they drew float64 edges.
 
 from __future__ import annotations
 
+import os
+import warnings
+
 import numpy as np
 
 from graphtest.errors import (
     AsymmetryError,
+    EmptyInputError,
     NonSquareError,
     OddSampleSizeError,
     SampleSizeMismatchError,
 )
-from graphtest.graphs import TOLERANCE, GraphSample, pair_layout, require_finite
+from graphtest.graphs import (
+    TOLERANCE,
+    GraphSample,
+    pair_layout,
+    require_finite,
+    validate_adjacency,
+)
 from graphtest.models import MeanMatrix, TwoBlockModel, _blocks
 from graphtest.realdata import ResamplingPlan
 from graphtest.rng import substream
@@ -58,6 +70,19 @@ def dense_validate(raw) -> np.ndarray:
     w = np.where(gap > 0, np.minimum(w, w.T) + gap / 2.0, w)
     np.fill_diagonal(w, 0.0)
     return w
+
+
+def loadtxt_adjacency(path) -> GraphSample:
+    """One adjacency CSV read by ``np.loadtxt`` and checked by
+    ``validate_adjacency``, whatever its bytes: the package's reader before
+    it parsed canonical files itself."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        raw = np.loadtxt(os.fspath(path), delimiter=",", ndmin=2)
+    if raw.size == 0:
+        raise EmptyInputError("the file contains no data")
+    return validate_adjacency(raw)
 
 
 def edge_statistics(

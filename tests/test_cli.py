@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from graphtest.cli import main
 from graphtest.errors import GraphTestError
 from graphtest.graphs import GraphSample, load_adjacency_csv, validate_adjacency
-from graphtest.models import MeanMatrix, TwoBlockModel, sample_population
+from graphtest.models import MeanMatrix, TwoBlockModel, beta_moments, sample_population
 from graphtest.pool import _plan
 from graphtest.realdata import load_groups, make_synthetic_groups
 from graphtest.rng import substream
@@ -311,6 +311,21 @@ class TestTheory:
         report = json.loads(capsys.readouterr().out)
         assert report["lambda_n"] == 0.0
         assert all(math.isfinite(v) for v in report["condition_ratios"].values())
+
+    def test_shapes_whose_sum_overflows(self, tmp_path, capsys):
+        """At shapes of 1e308 alpha + beta overflowed and the within-block
+        mean came out 0.  The consistency ratio sum(mu^2) / sum(sigma^4)
+        carries it: 2 within-block pairs of mean 0.5 and no variance, and 4
+        Beta(1, 3) pairs."""
+        doc = {"schema": 1, "family": "beta", "n": 4,
+               "within": [1e308, 1e308], "between": [1, 3]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["theory", "--config", str(path), "--m", "4"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        mean, var = beta_moments(1.0, 3.0)
+        assert report["tfro_consistency_ratio"] == pytest.approx(
+            (2 * 0.5**2 + 4 * mean**2) / (4 * var**2), rel=1e-12)
 
     def test_degenerate_bernoulli_exit_2(self, tmp_path, capsys):
         doc = {"schema": 1, "family": "bernoulli", "n": 6, "within": 0, "between": 0}

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from graphtest.errors import (
     NonSquareError,
 )
 from graphtest.graphs import (
+    TOLERANCE,
     GraphSample,
+    _read_canonical,
     pair_layout,
     five_number_summary,
     load_adjacency_csv,
@@ -27,7 +31,7 @@ from graphtest.graphs import (
     validate_adjacency,
 )
 
-from oracles import dense_validate
+from oracles import dense_validate, loadtxt_adjacency
 
 FLOAT_MAX = np.finfo(np.float64).max
 # Zeros of both signs, subnormals, and magnitudes whose sum or difference
@@ -342,6 +346,17 @@ class TestFiveNumberSummary:
         with pytest.raises(ValueError):
             five_number_summary([1.0, np.nan])
 
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                                     _ENTRIES), min_size=1, max_size=50))
+    def test_bits_match_numpy_percentile(self, values):
+        """Signed zeros, duplicates, and gaps that overflow (whose nan and
+        inf quartiles must match too)."""
+        with np.errstate(all="ignore"):
+            got = five_number_summary(values).as_tuple()
+            want = np.percentile(np.array(values), [0, 25, 50, 75, 100])
+        assert np.array(got).tobytes() == want.tobytes()
+
 
 class TestAdjacencyCsv:
     def test_round_trip_exact(self, tmp_path):
@@ -360,6 +375,37 @@ class TestAdjacencyCsv:
         with pytest.raises(EmptyInputError, match="the file contains no data"):
             load_adjacency_csv(path)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6))
+    def test_saved_files_never_reach_loadtxt(self, data, n):
+        """Every file save_adjacency_csv writes is canonical: np.loadtxt,
+        patched to raise, is never called, and the pairs come back bit for
+        bit."""
+        edges = np.array(data.draw(st.lists(_ENTRIES, min_size=n * (n - 1) // 2,
+                                            max_size=n * (n - 1) // 2)))
+        graph = GraphSample.from_edges(edges[np.newaxis])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt was called")
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "g.csv"
+            save_adjacency_csv(graph, path)
+            mp.setattr(np, "loadtxt", refuse)
+            assert load_adjacency_csv(path).edges.tobytes() == graph.edges.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_loadtxt_oracle(self, data):
+        """Any file gives the pairs of np.loadtxt and validate_adjacency bit
+        for bit, or the same error class and message."""
+        text, canonical = data.draw(_adjacency_files())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.csv"
+            path.write_bytes(text)
+            assert _outcome(load_adjacency_csv, path) == _outcome(loadtxt_adjacency, path)
+            if canonical:
+                assert _read_canonical(path) is not None
+
     def test_format_shape(self, tmp_path):
         g = validate_adjacency([[0.0, 0.5], [0.5, 0.0]])
         path = tmp_path / "g.csv"
@@ -367,3 +413,80 @@ class TestAdjacencyCsv:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 2
         assert all(len(line.split(",")) == 2 for line in lines)
+
+
+def _outcome(read, path):
+    """The pair bytes ``read`` returns for ``path``, or the class and
+    message of what it raises."""
+    try:
+        return read(path).edges.tobytes()
+    except Exception as err:  # any error class must match
+        return type(err), str(err)
+
+
+_SPELLINGS = (lambda x: "%.17g" % x, repr, lambda x: "%g" % x, lambda x: "%.3e" % x)
+# Tokens besides spelled floats: a sign, no digit before or after the point,
+# zeros of both signs, one value spelled two ways, non-finite values, and an
+# underscore, which float() accepts and np.loadtxt does not.
+_LITERALS = ("+5", ".5", "5.", "-.5", "+.5e1", "0", "-0", "0.5", "5e-1", "1e999",
+             "-1e999", "nan", "1e-400", "1_0")
+
+
+@st.composite
+def _token(draw, value=None):
+    if value is None and draw(st.booleans()):
+        return draw(st.sampled_from(_LITERALS))
+    value = float(draw(_ENTRIES) if value is None else value)
+    return draw(st.sampled_from(_SPELLINGS))(value)
+
+
+@st.composite
+def _adjacency_files(draw):
+    """The bytes of a square CSV of 1 to 4 nodes, and whether they are
+    canonical by construction.  A token below the diagonal repeats its
+    mirror's bytes, spells the mirror's value another way, is off by a gap
+    within or beyond TOLERANCE, or is unrelated.  Then the file may be
+    damaged: CRLF, no final LF, a trailing space, a BOM, a # comment, a
+    blank line, a ragged line, or no data at all."""
+    n = draw(st.integers(1, 4))
+    rows = [[None] * n for _ in range(n)]
+    canonical = n >= 2
+    for i in range(n):
+        rows[i][i] = draw(_token())
+        for j in range(i + 1, n):
+            rows[i][j] = upper = draw(_token())
+            kind = draw(st.sampled_from(["same", "same", "respelled", "gap", "other"]))
+            if kind == "same":
+                rows[j][i] = upper
+                continue
+            canonical = False
+            if kind == "other":
+                rows[j][i] = draw(_token())
+                continue
+            value = float(upper)
+            if kind == "gap":
+                value += draw(st.sampled_from([TOLERANCE / 2, -TOLERANCE, 2 * TOLERANCE]))
+            rows[j][i] = draw(_token(value))
+    canonical = canonical and all(set(t) <= set("0123456789.eE+-")
+                                  and math.isfinite(float(t)) for row in rows for t in row)
+    lines = [",".join(row) for row in rows]
+    damage = draw(st.lists(st.sampled_from(["crlf", "no-final-lf", "trailing-space",
+                                            "bom", "comment", "blank", "ragged",
+                                            "empty"]), max_size=2, unique=True))
+    k = draw(st.integers(0, n - 1))
+    if "trailing-space" in damage:
+        lines[k] += " "
+    if "ragged" in damage:
+        lines[k] = lines[k].rpartition(",")[0] if n > 1 else lines[k] + ",1"
+    if "comment" in damage:
+        lines.insert(k, "# exported adjacency")
+    if "blank" in damage:
+        lines.insert(k, "")
+    newline = "\r\n" if "crlf" in damage else "\n"
+    text = newline.join(lines) + ("" if "no-final-lf" in damage else newline)
+    if "empty" in damage:
+        text = draw(st.sampled_from(["", "\n", "# nothing\n"]))
+    if "bom" in damage:
+        text = "\ufeff" + text
+    canonical = canonical and not set(damage) - {"no-final-lf"}
+    return text.encode("utf-8"), canonical

@@ -6,7 +6,9 @@ processes or cuts work into chunks, only ``models.py`` decodes JSON
 documents, only ``graphs.pair_layout`` calls numpy's triangle helpers, no
 module names the retired dense type ``AdjacencyMatrix``, only
 ``models._check_family`` tests membership in ``FAMILIES``, only
-``twosample`` and ``realdata`` name the group-size errors, and every
+``twosample`` and ``realdata`` name the group-size errors, only
+``graphs.load_adjacency_csv`` calls ``np.loadtxt``, no module calls a numpy
+function that imports ``numpy.ma`` or imports it itself, and every
 ``graphtest`` name the benchmark code in ``perfbench/`` uses exists.
 
 No linter ships with the test dependencies, so this walks the syntax tree
@@ -449,6 +451,17 @@ def test_one_family_check(path):
     assert family_checks(path.read_text(encoding="utf-8"), check_function) == []
 
 
+def _names(node) -> list[str]:
+    """What ``node`` names as a name, an attribute or an imported name."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name.split(".")[-1] for alias in node.names]
+    return []
+
+
 SIZE_ERRORS = {"SampleSizeMismatchError", "OddSampleSizeError"}
 
 
@@ -457,17 +470,8 @@ def size_error_names(source: str) -> list[str]:
     attribute or an imported name.  The kernel (``twosample``) and the one
     group-size rule (``realdata.run_passes``) raise them; ``errors`` only
     defines them."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            names = [node.id]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name.split(".")[-1] for alias in node.names]
-        else:
-            continue
-        found += [(node.lineno, name) for name in names if name in SIZE_ERRORS]
+    found = [(node.lineno, name) for node in ast.walk(ast.parse(source))
+             for name in _names(node) if name in SIZE_ERRORS]
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
@@ -494,3 +498,78 @@ def test_detects_size_error_names():
                          ids=lambda p: p.name)
 def test_one_group_size_rule(path):
     assert size_error_names(path.read_text(encoding="utf-8")) == []
+
+
+def loadtxt_uses(source: str, reader: str | None = None) -> list[str]:
+    """The uses in ``source`` of ``loadtxt``, as a name, an attribute or an
+    imported name, outside the top-level function ``reader``.  Every
+    adjacency file is read by one function, which parses canonical files
+    itself and hands the rest to ``np.loadtxt``."""
+    tree = ast.parse(source)
+    inside = _nodes_inside(tree, reader)
+    lines = [node.lineno for node in ast.walk(tree)
+             if "loadtxt" in _names(node) and id(node) not in inside]
+    return [f"line {line}: loadtxt" for line in sorted(lines)]
+
+
+def test_detects_loadtxt_uses():
+    """Line 4 is a second reader beside the one allowed, line 2 an import
+    that would let any function call it."""
+    source = ("import numpy as np\nfrom numpy import loadtxt as read\n"
+              "def load_adjacency_csv(path):\n    return np.loadtxt(path)\n"
+              "def load_group(paths):\n    return [np.loadtxt(p) for p in paths]\n"
+              '"""np.loadtxt, named only in a docstring."""\n')
+    assert loadtxt_uses(source, "load_adjacency_csv") == ["line 2: loadtxt",
+                                                         "line 6: loadtxt"]
+    assert loadtxt_uses(source) == ["line 2: loadtxt", "line 4: loadtxt",
+                                    "line 6: loadtxt"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_adjacency_reader(path):
+    reader = "load_adjacency_csv" if path.name == "graphs.py" else None
+    assert loadtxt_uses(path.read_text(encoding="utf-8"), reader) == []
+
+
+# numpy functions whose first call imports numpy.ma (about 15 ms): the
+# quantile functions call np.unique, which reads np.ma.
+MA_LOADERS = {"percentile", "nanpercentile", "quantile", "nanquantile", "unique"}
+
+
+def numpy_ma_loads(source: str) -> list[str]:
+    """The calls in ``source`` of :data:`MA_LOADERS` through ``np`` or
+    ``numpy``, their imports from ``numpy``, and every import or attribute
+    read of ``numpy.ma``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("numpy.ma")]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, f"numpy.{alias.name}") for alias in node.names
+                      if alias.name in MA_LOADERS | {"ma"}]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.ma"):
+            found.append((node.lineno, node.module))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy") and node.attr in MA_LOADERS | {"ma"}):
+            found.append((node.lineno, f"numpy.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detects_numpy_ma_loads():
+    """Line 3 is the summary's call before it was written out with
+    np.partition."""
+    source = ("import numpy as np\nimport numpy.ma\n"
+              "lo, q1, med, q3, hi = np.percentile(v, [0, 25, 50, 75, 100])\n"
+              "from numpy import unique, partition\nfrom numpy.ma import masked\n"
+              "keys = numpy.quantile(v, 0.5), np.ma.is_masked(v)\n"
+              "ordered = np.partition(v, [0, 2])\nsorted(set(rows)).unique\n")
+    assert numpy_ma_loads(source) == [
+        "line 2: numpy.ma", "line 3: numpy.percentile", "line 4: numpy.unique",
+        "line 5: numpy.ma", "line 6: numpy.ma", "line 6: numpy.quantile"]
+    assert numpy_ma_loads("import numpy as np\nnp.partition(v, 1)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_ma(path):
+    assert numpy_ma_loads(path.read_text(encoding="utf-8")) == []

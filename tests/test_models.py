@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +106,19 @@ class TestBetaMoments:
         centered_sq = (draws - draws.mean()) ** 2
         se_var = centered_sq.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.var(ddof=1) - var) < 3 * se_var
+
+    @pytest.mark.parametrize("a,b", [(1e308, 1e308), (1.7e308, 1e308),
+                                     (1e308, 0.8e308), (sys.float_info.max,) * 2,
+                                     (3.0, 7.0), (1e200, 3e200)])
+    def test_mean_survives_an_overflowing_shape_sum(self, a, b):
+        """alpha + beta overflowed above the float64 max, and the mean came
+        out 0.  Scaling both shapes by a power of two leaves the mean's bits
+        unchanged, overflow or not, and the variance stays finite."""
+        mean, var = beta_moments(a, b)
+        assert mean == beta_moments(a * 2.0**-600, b * 2.0**-600)[0]
+        assert 0.0 <= var < 1.0
+        if a == b:
+            assert mean == 0.5
 
     def test_shift_monotone_for_right_skew(self):
         """For a < b the shifted mean (a+e)/(a+b+2e) strictly increases in e."""

@@ -4,6 +4,9 @@ the weighted and thresholded passes."""
 from __future__ import annotations
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graphtest
 from graphtest.errors import (
     DataLoadError,
     GraphTestError,
@@ -211,6 +215,27 @@ def test_load_holds_each_group_once(tmp_path):
     for got, want in zip(loaded, groups):
         assert got.edges.tobytes() == want.edges.tobytes()
     assert peak <= 1.45 * sum(sample.edges.nbytes for sample in groups)
+
+
+def test_realdata_run_leaves_numpy_ma_unloaded(tmp_path):
+    """numpy imports ``numpy.ma`` (about 15 ms) on the first call of
+    ``np.percentile``; a ``realdata`` run, summaries and all, never loads
+    it."""
+    groups = []
+    for label, seed in (("a", 1), ("b", 2)):
+        _write_group(tmp_path / label, _population(seed, 4))
+        groups += ["--group-" + label, str(tmp_path / label)]
+    script = ("import sys\nimport graphtest.cli\n"
+              "assert graphtest.cli.main(sys.argv[1:]) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(graphtest.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script, "realdata", *groups, "--reps", "3",
+         "--taus", "0.3", "--seed", "1", "--out", str(tmp_path / "r.csv")],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1] == "False"
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 1 + 2 * 2
 
 
 _EDGE_WEIGHTS = st.one_of(
