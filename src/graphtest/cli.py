@@ -13,9 +13,10 @@ to stderr as one line, ``<code>: <message>``.  A subcommand takes only the
 flags it reads: ``--seed`` all but ``theory``, ``--output-format`` the
 three that print records, the group flags ``test`` and ``realdata`` (each
 set declared once, in a parent parser), ``--threads`` ``simulate``.  An
-``--out`` that cannot be created fails before the run.  Without ``--seed``,
-``generate``, ``test`` and ``realdata`` draw a seed from OS entropy and
-print it to stderr as ``graphtest: seed <N> (from OS entropy)``;
+``--out`` that cannot be written fails before the run, and before
+``realdata`` reads any file.  Without ``--seed``, ``generate``, ``test``
+and ``realdata`` draw a seed from OS entropy and print it to stderr as
+``graphtest: seed <N> (from OS entropy)``;
 ``simulate`` uses its config's ``master_seed``.  ``test`` and ``realdata``
 read the group files and run their splits (through
 :func:`graphtest.realdata.run_passes`) on one worker process per usable CPU
@@ -313,13 +314,12 @@ def _cmd_realdata(args) -> int:
     strategy = {"oversample": "oversample_smaller",
                 "subsample": "subsample_larger",
                 "split-only": "split_only"}[args.strategy]
+    if args.out:
+        _check_out(args.out)
     group_a, group_b = load_groups((args.group_a, args.group_b), usable_cpus())
     seed = _master_seed(args)
     plan = ResamplingPlan(strategy=strategy, repetitions=args.reps, seed=seed)
     methods = _methods(args.method)
-    if args.out:
-        _check_out(args.out)
-
     runs, sweep = run_passes(group_a, group_b, plan, methods, args.alpha,
                              args.drop_last, args.taus or (), usable_cpus())
     if all(run.summary is None for run in runs.values()):
@@ -333,13 +333,15 @@ def _cmd_realdata(args) -> int:
 
 
 def _check_out(path: str) -> None:
-    """Raise now the error that creating ``path`` after the run would, by
-    creating and removing it; an existing ``path`` is left as it is."""
+    """Raise now the error that writing ``path`` after the run would, by
+    creating and removing it, or by opening an existing ``path`` for
+    writing, which leaves its bytes as they are."""
     try:
         os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
     except FileExistsError:
-        return
-    os.unlink(path)
+        os.close(os.open(path, os.O_WRONLY))
+    else:
+        os.unlink(path)
 
 
 REALDATA_HEADER = ("strategy", "tau", "method", "min", "q1", "median", "q3",

@@ -5,9 +5,10 @@ repeated work into its tasks.
 passes of ``realdata`` and ``test``, the files of ``load_groups``) into
 repetition chunks, runs them costliest first on worker processes, and
 yields each chunk's value in that plan order as it is ready, so a caller
-can store it and let it go at once.  :func:`run` joins the stream into
-each unit's chunk results in repetition order, so a caller that reduces
-them in that order gets the same output for any worker count.  With one
+can store it and let it go at once.  A unit's larger chunks are planned
+first, so each unit's chunks come in ``start`` order, and :func:`run`
+joins the values per unit in stream order: a caller that reduces them in
+that order gets the same output for any worker count.  With one
 worker or one chunk the chunks run in this process.  The ``shared`` value
 reaches each worker once, through the pool initializer (inherited, not
 pickled, where the pool forks), instead of being pickled with every chunk.
@@ -40,20 +41,25 @@ def _call_shared(fn, *task):
 
 def _plan(costs, reps: int, workers: int) -> list[tuple[int, int, int]]:
     """Chunks ``(unit, start, stop)`` covering repetitions ``0..reps-1`` of
-    every unit exactly once, costliest first.
+    every unit exactly once (none when ``reps`` is 0), costliest first.
 
     A repetition of unit ``u`` costs ``costs[u]``.  Each unit is cut into
-    the fewest near-equal chunks (sizes differ by at most one) whose cost
-    stays within ``1 / (4 * workers)`` of the total work, or into single
-    repetitions when one alone exceeds that.  Handed out in this order
-    (Graham's longest-processing-time rule), no large chunk starts last and
-    leaves a worker idle.  Ties in cost keep ``(unit, start)`` order."""
+    the fewest near-equal chunks (sizes differ by at most one, the larger
+    ones first) whose cost stays within ``1 / (4 * workers)`` of the total
+    work, or into single repetitions when one alone exceeds that.  Handed
+    out in this order (Graham's longest-processing-time rule), no large
+    chunk starts last and leaves a worker idle.  Ties in cost keep
+    ``(unit, start)`` order, so each unit's chunks are in ``start``
+    order."""
+    if not reps:
+        return []
     total = reps * sum(costs)
     chunks = []
     for unit, cost in enumerate(costs):
         per_chunk = min(reps, max(1, total // (4 * workers * cost)))
         count = -(-reps // per_chunk)
-        bounds = [reps * i // count for i in range(count + 1)]
+        size, larger = divmod(reps, count)
+        bounds = [i * size + min(i, larger) for i in range(count + 1)]
         chunks += [(unit, a, b) for a, b in zip(bounds, bounds[1:])]
     return sorted(chunks, key=lambda c: (-(c[2] - c[1]) * costs[c[0]], c[0], c[1]))
 
@@ -62,7 +68,8 @@ def stream(fn, shared, units, costs, reps: int, workers: int):
     """Yield ``(unit, start, stop, fn(shared, units[unit], start, stop))``
     for each chunk of :func:`_plan`, in plan order, as soon as it and every
     chunk before it have run.  A unit's chunks cover its repetitions
-    ``0..reps-1``; one repetition of ``units[i]`` costs ``costs[i]``.
+    ``0..reps-1`` and come in ``start`` order; one repetition of
+    ``units[i]`` costs ``costs[i]``.
 
     The chunks run on at most ``workers`` processes (never more than there
     are chunks).  The first chunk in plan order that raised re-raises here.
@@ -70,7 +77,7 @@ def stream(fn, shared, units, costs, reps: int, workers: int):
     started are cancelled and every worker is joined."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    chunks = _plan(costs, reps, workers) if reps else []
+    chunks = _plan(costs, reps, workers)
     workers = min(workers, len(chunks))
     if workers <= 1:
         for unit, start, stop in chunks:
@@ -91,9 +98,8 @@ def stream(fn, shared, units, costs, reps: int, workers: int):
 
 def run(fn, shared, units, costs, reps: int, workers: int) -> list[list]:
     """For each of ``units`` in order, the values of its chunks from
-    :func:`stream` in ``start`` order."""
+    :func:`stream`, joined in stream order, which is ``start`` order."""
     joined = [[] for _ in units]
-    for unit, _, _, value in sorted(stream(fn, shared, units, costs, reps, workers),
-                                    key=lambda chunk: chunk[:2]):
+    for unit, _, _, value in stream(fn, shared, units, costs, reps, workers):
         joined[unit].append(value)
     return joined

@@ -16,13 +16,13 @@ runs it too, with the ``split_only`` strategy and no threshold.
 
 Loading and the passes run on worker processes through
 :mod:`graphtest.pool`, which cuts both into chunks by one rule.  The files
-of all groups are read in name-order chunks; each file's pair vector goes
-into its group's preallocated edge array as its chunk comes back, so a
-load holds every graph once, and the files are checked one by one in name
-order after the last chunk.  Passes are cut into repetition chunks, and
-repetition ``r`` of every pass draws from ``substream(seed, r)`` whichever
-chunk runs it.  So samples, results and errors are the same for any worker
-count.
+of all groups are listed first and then read in name-order chunks, which
+come back in name order; each file is checked as its chunk arrives and its
+pair vector goes into its group's edge array, so a load holds every graph
+once and stops at the first bad file.  Passes are cut into repetition
+chunks, and repetition ``r`` of every pass draws from ``substream(seed, r)``
+whichever chunk runs it.  So samples, results and errors are the same for
+any worker count.
 """
 
 from __future__ import annotations
@@ -94,18 +94,18 @@ def _csv_paths(directory: Path) -> list[Path]:
 
 def _read_files(paths, _, start: int, stop: int):
     """``(n, float64 bytes of the pair vector)`` for each file in
-    ``paths[start:stop]``, or that file's :class:`DataLoadError` in its
-    place; reading goes on past an error.  Bytes, not arrays: with the
-    vectors sent back as pickled arrays, a two-worker ``realdata`` run on
-    54 v 70 graphs of 100 nodes peaked about 1.5 MB higher."""
+    ``paths[start:stop]`` in order, up to and including the first that
+    fails, whose :class:`DataLoadError` ends the list.  Bytes, not arrays:
+    with the vectors sent back as pickled arrays, a two-worker ``realdata``
+    run on 54 v 70 graphs of 100 nodes peaked about 1.5 MB higher."""
     entries = []
     for path in paths[start:stop]:
         try:
             graph = load_adjacency_csv(path)
         except (GraphTestError, OSError, ValueError) as err:
             entries.append(DataLoadError(f"{path.name}: {err}"))
-        else:
-            entries.append((graph.n, graph.edges[0].tobytes()))
+            break
+        entries.append((graph.n, graph.edges[0].tobytes()))
     return entries
 
 
@@ -113,50 +113,34 @@ def load_groups(directories, workers: int = 1) -> tuple[GraphSample, ...]:
     """One sample per directory, of every ``*.csv`` adjacency file in it in
     name order, reading the files on up to ``workers`` processes.
 
-    The files of all groups, in name order, are cut into chunks of equal
-    cost by :func:`graphtest.pool.stream`, and each file's pair vector is
-    written into its group's edge array as its chunk comes back, so the
-    groups are held once.  A group's array takes the width of the first of
-    its files to come back; a file of another width is recorded, not
-    stored.  Whatever the worker count, the error raised is the first one a
-    file-by-file load of the directories in order meets: an unreadable
-    file, a file whose node count differs from its group's first file, or a
-    directory without ``.csv`` files."""
-    listed, late = [], None
-    for directory in map(Path, directories):
-        try:
-            listed.append(_csv_paths(directory))
-        except (DataLoadError, OSError) as err:
-            late = err
-            break
+    Every directory is listed first, so a missing one, or one without
+    ``.csv`` files, fails before any file is read.  The files of all
+    groups, in name order, are then cut into chunks of equal cost by
+    :func:`graphtest.pool.stream`, which yields them in that order.  Each
+    file is checked as its chunk arrives and its pair vector written into
+    its group's edge array, allocated from the group's first file, so the
+    groups are held once.  The first unreadable file, or file whose node
+    count differs from its group's first file, raises at once, and the
+    chunks not yet started are cancelled; so the error is the same for any
+    worker count."""
+    listed = [_csv_paths(Path(directory)) for directory in directories]
     paths = list(chain.from_iterable(listed))
     slots = [(g, k) for g, group in enumerate(listed) for k in range(len(group))]
     edges = [None] * len(listed)
-    found = [None] * len(paths)  # each file's node count or DataLoadError
-    for _, start, _, entries in pool.stream(_read_files, paths, [None], [1],
-                                            len(paths), workers):
-        for i, entry in enumerate(entries, start):
+    for _, start, stop, entries in pool.stream(_read_files, paths, [None], [1],
+                                               len(paths), workers):
+        for (g, k), entry in zip(slots[start:stop], entries):
             if isinstance(entry, DataLoadError):
-                found[i] = entry
-                continue
-            (g, k), (found[i], row) = slots[i], entry
+                raise entry
+            n, row = entry
             row = np.frombuffer(row)
-            if edges[g] is None:
-                edges[g] = np.empty((len(listed[g]), row.size))
-            if row.size == edges[g].shape[1]:
-                edges[g][k] = row
+            if k == 0:
+                n0, edges[g] = n, np.empty((len(listed[g]), row.size))
+            elif n != n0:
+                raise MixedDimensionsError(f"{listed[g][k].name} has {n} nodes, "
+                                           f"expected {n0} (from {listed[g][0].name})")
+            edges[g][k] = row
         del entries  # free this chunk before the next one is read
-
-    for path, (g, k), n in zip(paths, slots, found):
-        if isinstance(n, DataLoadError):
-            raise n
-        if k == 0:
-            n0 = n
-        elif n != n0:
-            raise MixedDimensionsError(f"{path.name} has {n} nodes, expected "
-                                       f"{n0} (from {listed[g][0].name})")
-    if late is not None:
-        raise late
     return tuple(map(GraphSample.from_edges, edges))
 
 

@@ -13,7 +13,9 @@ as a single replicate chunk, ``repeated_splits`` is the split loop of
 time, on rows from ``strategy_rows``, the selection by strategy that the
 package once made, and ``float_bernoulli_population`` and
 ``float_bernoulli_from_means`` are the Bernoulli samplers as they were
-when they drew float64 edges.
+when they drew float64 edges, and ``sorted_join`` is
+:func:`graphtest.pool.run` as it was when a unit's chunks could stream out
+of ``start`` order.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from graphtest.graphs import (
     validate_adjacency,
 )
 from graphtest.models import MeanMatrix, TwoBlockModel, _blocks
+from graphtest.pool import stream
 from graphtest.realdata import ResamplingPlan
 from graphtest.rng import substream
 from graphtest.simulate import ExperimentConfig, _cell_results, _run_chunk
@@ -209,3 +212,13 @@ def float_bernoulli_from_means(mean: MeanMatrix, rng: np.random.Generator) -> np
     means ``mean.mu``, drawn in ``pair_layout`` order."""
     rows, cols = pair_layout(mean.n)
     return (rng.random(rows.size) < mean.mu[rows, cols]).astype(np.float64)[np.newaxis]
+
+
+def sorted_join(fn, shared, units, costs, reps: int, workers: int) -> list[list]:
+    """For each of ``units`` in order, the values of its chunks from
+    :func:`graphtest.pool.stream`, sorted by ``(unit, start)``."""
+    joined = [[] for _ in units]
+    for unit, _, _, value in sorted(stream(fn, shared, units, costs, reps, workers),
+                                    key=lambda chunk: chunk[:2]):
+        joined[unit].append(value)
+    return joined

@@ -409,8 +409,9 @@ class TestSimulate:
 
 
 class TestReportPath:
-    """``simulate`` and ``realdata`` check that ``--out`` can be created
-    before the run, and change no file when the run fails."""
+    """``simulate`` and ``realdata`` check that ``--out`` can be written
+    before the run (``realdata`` before it reads any file), and change no
+    file when the run fails."""
 
     @staticmethod
     def _argv(command, tmp_path, out):
@@ -427,13 +428,30 @@ class TestReportPath:
         def refuse(*args, **kwargs):
             raise GraphTestError("the run started")
         monkeypatch.setattr("graphtest.simulate.run_experiment", refuse)
+        monkeypatch.setattr("graphtest.cli.load_groups", refuse)
         monkeypatch.setattr("graphtest.cli.run_passes", refuse)
 
     @pytest.mark.parametrize("command", ["simulate", "realdata"])
     def test_bad_out_fails_before_the_run(self, command, tmp_path, monkeypatch,
                                           capsys):
+        """A path in a missing directory, and an existing directory."""
+        missing, directory = tmp_path / "missing" / "r.csv", tmp_path / "outdir"
+        directory.mkdir()
+        argv = self._argv(command, tmp_path, missing)
+        self._refuse_runs(monkeypatch)
+        for out, error in ((missing, "[Errno 2] No such file or directory"),
+                           (directory, "[Errno 21] Is a directory")):
+            argv[-1] = str(out)
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"io-error: {error}: '{out}'\n"
+        assert directory.is_dir() and list(directory.iterdir()) == []
+
+    def test_bad_out_fails_before_the_seed_is_drawn(self, tmp_path, monkeypatch,
+                                                    capsys):
+        """Without ``--seed``, a bad ``--out`` prints only its error line."""
         out = tmp_path / "missing" / "r.csv"
-        argv = self._argv(command, tmp_path, out)
+        argv = self._argv("realdata", tmp_path, out)
+        del argv[argv.index("--seed"):argv.index("--seed") + 2]
         self._refuse_runs(monkeypatch)
         assert main(argv) == 2
         assert capsys.readouterr().err == (
@@ -800,10 +818,10 @@ class TestWorkerCount:
 
 
 class TestPlanOrderLoad:
-    """Chunks of a 124-file load come back in plan order, not file order:
-    at two workers the chunk of files 13..26 comes first and that of files
-    0..12 eighth.  A group's array is then shaped by a file that is not its
-    first, and the error line is still that of a file-by-file load."""
+    """Chunks of a 124-file load come back in file order, larger chunks
+    first: at two workers files 0..13, then 14..27.  A file of another node
+    count ends the first chunk, and the error line is that of a
+    file-by-file load for any worker count."""
 
     @pytest.fixture
     def sweep_dirs(self, tmp_path):
@@ -827,8 +845,7 @@ class TestPlanOrderLoad:
     def test_error_line_identical_for_1_2_3_workers(self, sweep_dirs, tmp_path,
                                                     corrupt, expected,
                                                     monkeypatch, capsys):
-        chunks = _plan([1], 124, 2)
-        assert chunks.index((0, 13, 27)) == 0 and chunks.index((0, 0, 13)) == 7
+        assert _plan([1], 124, 2)[:2] == [(0, 0, 14), (0, 14, 28)]
         a, b = sweep_dirs
         save_adjacency_csv(make_synthetic_groups(n=4, size_a=1, size_b=1)[0]
                            .graphs[0], a / "graph_0013.csv")

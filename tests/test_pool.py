@@ -8,10 +8,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtest import pool
 from graphtest.errors import GraphTestError
 from graphtest.pool import _plan, run, stream
+
+from oracles import sorted_join
 
 
 def _pid_and_square(_, x, start, stop):
@@ -94,10 +98,12 @@ class TestMapTasks:
 class TestRun:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_unit_chunks_come_back_in_start_order(self, workers):
-        """Units costing 1 and 3 per repetition are cut unevenly and planned
-        costliest first, yet each unit's chunks come back by ``start``."""
+        """Units costing 1 and 3 per repetition are cut into chunks of two
+        sizes and planned costliest first, and ``run`` joins each unit's
+        chunks by ``start`` without sorting them."""
         chunks = _plan([1, 3], 7, workers)
-        assert chunks != sorted(chunks)
+        assert any(len({stop - start for u, start, stop in chunks if u == unit}) == 2
+                   for unit in (0, 1))
         results = run(_chunk, None, ["cheap", "dear"], [1, 3], 7, workers)
         assert [{name for name, _, _ in done} for done in results] == [
             {"cheap"}, {"dear"}]
@@ -128,6 +134,32 @@ class TestPlan:
         assert _plan([1] * 5, 30, 2) == [(unit, start, start + 15)
                                           for unit in range(5)
                                           for start in (0, 15)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(costs=st.lists(st.integers(1, 10**6), max_size=8), reps=st.integers(0, 600),
+       workers=st.integers(1, 8))
+def test_plan_cuts_each_unit_in_start_order(costs, reps, workers):
+    """Every repetition is planned once; a unit's chunk sizes differ by at
+    most one, the larger first; chunks are costliest first; and each unit's
+    chunks come in ``start`` order, so ``run`` at one worker equals the
+    sort-based join."""
+    chunks = _plan(costs, reps, workers)
+    assert sorted((unit, r) for unit, start, stop in chunks
+                  for r in range(start, stop)) == [
+        (unit, r) for unit in range(len(costs)) for r in range(reps)]
+    keys = [(-(stop - start) * costs[unit], unit, start) for unit, start, stop in chunks]
+    assert keys == sorted(keys)
+    for unit in range(len(costs)):
+        own = [(start, stop) for u, start, stop in chunks if u == unit]
+        sizes = [stop - start for start, stop in own]
+        assert bool(own) == (reps > 0)
+        assert sizes == sorted(sizes, reverse=True)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        assert [start for start, _ in own] == [0, *(stop for _, stop in own)][:len(own)]
+    units = range(len(costs))
+    assert run(_chunk, None, units, costs, reps, 1) == sorted_join(
+        _chunk, None, units, costs, reps, 1)
 
 
 class TestStream:

@@ -27,6 +27,7 @@ from graphtest.errors import (
 from graphtest.graphs import (
     GraphSample,
     five_number_summary,
+    load_adjacency_csv,
     save_adjacency_csv,
     threshold_binarize,
 )
@@ -179,6 +180,9 @@ class TestParallelLoad:
             "subject_003.csv has 4 nodes, expected 6 (from subject_000.csv)")
 
     def test_earlier_group_error_wins(self, groups, tmp_path):
+        """A bad file of an earlier group beats one of a later group, but
+        every directory is listed before any file is read, so a missing
+        directory beats every bad file."""
         a, b = groups
         (b / "subject_001.csv").write_text("0,1\nx,0\n")
         (a / "subject_004.csv").write_text("0,1\n2,0\n")
@@ -186,7 +190,7 @@ class TestParallelLoad:
             message = _error(load_groups, groups, workers=workers)[2]
             assert message.startswith("subject_004.csv:")
             message = _error(load_groups, (a, tmp_path / "nowhere"), workers=workers)[2]
-            assert message.startswith("subject_004.csv:")
+            assert message == f"{tmp_path / 'nowhere'} is not a directory"
 
     def test_fewer_than_one_worker_rejected(self, groups):
         with pytest.raises(ValueError, match="workers must be at least 1"):
@@ -196,6 +200,53 @@ class TestParallelLoad:
         _write_group(tmp_path / "c", _population(64, 3, n=4))
         _, c = load_groups((groups[0], tmp_path / "c"), workers=2)
         assert (c.m, c.n) == (3, 4)
+
+
+class TestFailFastLoad:
+    """A load stops at the first bad input: no file after a bad one, and no
+    file at all when a directory is bad, is read at one worker, and the
+    error is the same at 2 and 3 workers."""
+
+    @pytest.fixture
+    def read(self, monkeypatch):
+        """The names of the files this process reads, in order."""
+        names = []
+
+        def load(path):
+            names.append(Path(path).name)
+            return load_adjacency_csv(path)
+        monkeypatch.setattr("graphtest.realdata.load_adjacency_csv", load)
+        return names
+
+    @staticmethod
+    def _same_error_at_2_and_3_workers(directories, serial):
+        for workers in (2, 3):
+            assert _error(load_groups, directories, workers=workers) == serial
+        assert multiprocessing.active_children() == []
+
+    def test_corrupt_file_ends_the_load_in_its_chunk(self, tmp_path, read):
+        big = tmp_path / "big"
+        _write_group(big, _population(67, 40, n=6))
+        (big / "subject_003.csv").write_text("0,1\nx,0\n")
+        assert _plan([1], 40, 1)[:2] == [(0, 0, 10), (0, 10, 20)]
+        serial = _error(load_groups, [big], workers=1)
+        assert serial[:2] == (DataLoadError, "data-load")
+        assert serial[2].startswith("subject_003.csv: ")
+        assert read == [f"subject_{k:03d}.csv" for k in range(4)]
+        self._same_error_at_2_and_3_workers([big], serial)
+
+    @pytest.mark.parametrize("second", ["nowhere", "empty"])
+    def test_bad_second_directory_fails_before_any_file_is_read(
+            self, tmp_path, read, second):
+        _write_group(tmp_path / "a", _population(68, 5, n=6))
+        (tmp_path / "empty").mkdir()
+        directories = (tmp_path / "a", tmp_path / second)
+        serial = _error(load_groups, directories, workers=1)
+        assert serial == (DataLoadError, "data-load", (
+            f"{tmp_path / second} is not a directory" if second == "nowhere"
+            else f"no .csv files in {tmp_path / second}"))
+        assert read == []
+        self._same_error_at_2_and_3_workers(directories, serial)
 
 
 def test_load_holds_each_group_once(tmp_path):
