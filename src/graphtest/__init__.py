@@ -19,9 +19,7 @@ from .diagnostics import (
     BernoulliCondition,
     ConditionRatios,
     ModelMoments,
-    lambda_n,
     lambda_sparse_bernoulli,
-    mean_matrix_moments,
 )
 from .graphs import (
     FiveNumberSummary,
@@ -34,12 +32,10 @@ from .graphs import (
     validate_adjacency,
 )
 from .models import (
-    MeanMatrix,
     TwoBlockModel,
     bernoulli_moments,
     beta_moments,
     beta_params_from_moments,
-    model_mean_matrix,
     paired_difference_fourth_moment,
     sample_graph_from_means,
     sample_population,
@@ -61,7 +57,6 @@ __all__ = [
     "ConditionRatios",
     "FiveNumberSummary",
     "GraphSample",
-    "MeanMatrix",
     "ModelMoments",
     "Partition",
     "TestResult",
@@ -72,11 +67,8 @@ __all__ = [
     "critical_value",
     "decide",
     "five_number_summary",
-    "lambda_n",
     "lambda_sparse_bernoulli",
     "load_adjacency_csv",
-    "mean_matrix_moments",
-    "model_mean_matrix",
     "pair_layout",
     "paired_difference_fourth_moment",
     "random_partition",

@@ -8,18 +8,17 @@ Everything here is exact arithmetic on model moments, no sampling:
   approximation; small values mean the null calibration is trustworthy.
 * ``bernoulli_condition`` - the simplified check for binary graphs, which
   only needs ``n`` versus the squared Frobenius norm of the mean matrix.
-* ``lambda_n`` - the noncentrality that governs power under the
-  alternative; the test's power climbs to one as it grows.
+* ``lambda_from_moments`` - the noncentrality ``lambda_n`` that governs
+  power under the alternative; the test's power climbs to one as it grows.
 * ``lambda_sparse_bernoulli`` - leading-order noncentrality for two sparse
   binary regimes (proportional means; common level with a small split).
 * ``tfro_consistency_ratio`` - expected ratio of the baseline's squared
   denominator to the true numerator variance; values far from 1 predict a
   miscalibrated (typically severely conservative) baseline.
 
-The model diagnostics read the ``(P,)`` pair vectors of a
-:class:`ModelMoments`; the family formulas live in :mod:`graphtest.models`.
-Dense ``n x n`` matrices enter only through :func:`mean_matrix_moments`
-(a :class:`~graphtest.models.MeanMatrix`) and :func:`lambda_n`.
+The model diagnostics are sums over the node pairs ``i < j`` of the
+``(P,)`` pair vectors of a :class:`ModelMoments`; the family formulas live
+in :mod:`graphtest.models`.
 """
 
 from __future__ import annotations
@@ -29,13 +28,9 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import (
-    DegenerateModelError,
-    DimensionMismatchError,
-    InvalidScenarioParamsError,
-)
-from .graphs import pair_layout
-from .models import MeanMatrix, TwoBlockModel, pair_moments
+from .errors import DegenerateModelError, InvalidScenarioParamsError
+from .graphs import pair_layout, pair_vector
+from .models import TwoBlockModel, pair_moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +40,7 @@ class ModelMoments:
 
     Under the null the two mean/variance sets coincide and ``eta`` holds the
     per-pair fourth moment of a weight difference between two independent
-    null graphs.
+    null graphs.  :func:`~graphtest.graphs.pair_vector` checks each field.
     """
 
     n: int
@@ -61,9 +56,9 @@ class ModelMoments:
         pairs = self.n * (self.n - 1) // 2
         for name in ("mu1", "mu2", "sigma1_sq", "sigma2_sq", "eta"):
             value = getattr(self, name)
-            if value is not None and np.shape(value) != (pairs,):
-                raise DimensionMismatchError(
-                    f"{name} must have shape ({pairs},), got {np.shape(value)}")
+            if value is not None:
+                object.__setattr__(self, name, pair_vector(
+                    value, name, pairs, nonnegative=name.startswith("sigma")))
 
     @property
     def is_null(self) -> bool:
@@ -83,14 +78,6 @@ def two_block_moments(model: TwoBlockModel, m: int) -> ModelMoments:
     mu2, sigma2_sq, _ = pair_moments(model, shifted=True)
     return ModelMoments(n=model.n, m=m, mu1=mu1, mu2=mu2,
                         sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, eta=eta)
-
-
-def mean_matrix_moments(mean: MeanMatrix, m: int) -> ModelMoments:
-    """Null moments from a user-supplied mean/variance matrix (no eta)."""
-    pairs = pair_layout(mean.n)
-    mu, sigma2 = mean.mu[pairs], mean.sigma2[pairs]
-    return ModelMoments(n=mean.n, m=m, mu1=mu, mu2=mu,
-                        sigma1_sq=sigma2, sigma2_sq=sigma2)
 
 
 def _null_sigma4(moments: ModelMoments, what: str) -> tuple[np.ndarray, float]:
@@ -194,24 +181,9 @@ def bernoulli_condition(moments: ModelMoments, delta: float) -> BernoulliConditi
     )
 
 
-def lambda_n(
-    mu1: np.ndarray,
-    mu2: np.ndarray,
-    sigma1_sq: np.ndarray,
-    sigma2_sq: np.ndarray,
-    m: int,
-) -> float:
-    """Noncentrality ``m * sum((mu1-mu2)^2) / (2 * sqrt(sum(V^2)))`` with
-    ``V = sigma1^2 + sigma2^2 + (mu1-mu2)^2`` per pair, from ``n x n``
-    mean and variance matrices."""
-    n = np.shape(mu1)[0]
-    pairs = pair_layout(n)
-    vectors = (np.asarray(a)[pairs] for a in (mu1, mu2, sigma1_sq, sigma2_sq))
-    return lambda_from_moments(ModelMoments(n, m, *vectors))
-
-
 def lambda_from_moments(moments: ModelMoments) -> float:
-    """:func:`lambda_n` on pair-vector moments."""
+    """Noncentrality ``lambda_n = m * sum((mu1-mu2)^2) / (2 * sqrt(sum(V^2)))``
+    with ``V = sigma1^2 + sigma2^2 + (mu1-mu2)^2``, summed over the pairs."""
     d, total_v_sq = _gap_and_v_sq(moments)
     return float(moments.m * (d * d).sum() / (2.0 * sqrt(total_v_sq)))
 
@@ -238,7 +210,7 @@ def lambda_sparse_bernoulli(
     ``(m * n / 2) * b_n^2 / a_n``.
 
     Both drop the vanishing correction factor, so they track the exact
-    :func:`lambda_n` only to leading order.
+    :func:`lambda_from_moments` only to leading order.
     """
     if not 0.0 < a_n < 1.0:
         raise InvalidScenarioParamsError(f"a_n must lie in (0, 1), got {a_n}")

@@ -27,7 +27,7 @@ class NonSquareError(GraphTestError):
 
 
 class NonFiniteEntryError(GraphTestError):
-    """An adjacency or mean/variance matrix contains NaN or infinity."""
+    """An adjacency matrix or a pair vector of moments is NaN or infinite at (i, j)."""
 
     code = "non-finite-entry"
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     AsymmetryError,
+    ConfigError,
     DimensionMismatchError,
     EmptyInputError,
     NonFiniteEntryError,
@@ -83,7 +84,7 @@ class GraphSample:
         return sample
 
     def _own(self, edges: np.ndarray) -> None:
-        n = (1 + isqrt(1 + 8 * edges.shape[-1])) // 2
+        n = _nodes(edges.shape[-1])
         if edges.ndim != 2 or not edges.size or edges.shape[1] != n * (n - 1) // 2:
             raise DimensionMismatchError(
                 f"expected a non-empty (m, n(n-1)/2) edge array, got shape {edges.shape}"
@@ -126,13 +127,45 @@ class FiveNumberSummary:
         return (self.min, self.q1, self.median, self.q3, self.max)
 
 
-def require_finite(matrix: np.ndarray) -> None:
+def _nodes(pairs: int) -> int:
+    """The node count ``n`` of ``n(n-1)/2`` pairs, if ``pairs`` is such a count."""
+    return (1 + isqrt(1 + 8 * pairs)) // 2
+
+
+def _require_finite(values: np.ndarray) -> None:
     """Raise :class:`NonFiniteEntryError` naming the first NaN or infinite
-    entry of a 2-D array."""
-    bad = ~np.isfinite(matrix)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NonFiniteEntryError(int(i), int(j), float(matrix[i, j]))
+    entry of a 2-D array, or of a ``(P,)`` pair vector by its pair
+    ``(i, j)`` in :func:`pair_layout` order."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))  # the first False, row-major
+        i, j = (divmod(k, values.shape[1]) if values.ndim == 2
+                else (index[k] for index in pair_layout(_nodes(values.size))))
+        raise NonFiniteEntryError(int(i), int(j), float(values.flat[k]))
+
+
+def pair_vector(value, name: str, pairs: int | None = None,
+                nonnegative: bool = False) -> np.ndarray:
+    """``value`` as a float64 ``(P,)`` pair vector in :func:`pair_layout`
+    order: ``P`` is ``pairs``, or if None any ``n(n-1)/2`` with ``n >= 2``.
+
+    Any other shape, a dense ``n x n`` matrix or a ragged sequence included,
+    is a :class:`DimensionMismatchError`, a NaN or infinite entry a
+    :class:`NonFiniteEntryError` naming its pair, and with ``nonnegative`` a
+    negative entry a :class:`ConfigError`.  The checks make only ``P``-byte
+    temporaries."""
+    try:
+        vector = np.asarray(value, dtype=np.float64)
+    except ValueError as err:  # numpy refuses a ragged sequence
+        raise DimensionMismatchError(f"{name} must be a pair vector: {err}") from None
+    n = _nodes(vector.size)
+    if vector.shape != (n * (n - 1) // 2 if pairs is None and n > 1 else pairs,):
+        raise DimensionMismatchError(
+            f"{name} must have shape ({pairs or 'n(n-1)/2'},), got {vector.shape}")
+    _require_finite(vector)
+    if nonnegative and (vector < 0).any():
+        raise ConfigError(f"{name} must be non-negative, got {vector[vector < 0][0]}")
+    return vector
 
 
 def validate_adjacency(raw) -> GraphSample:
@@ -149,7 +182,7 @@ def validate_adjacency(raw) -> GraphSample:
         raise NonSquareError(f"expected a square matrix, got shape {w.shape}")
     if w.shape[0] < 2:
         raise NonSquareError("a graph needs at least 2 nodes")
-    require_finite(w)
+    _require_finite(w)
 
     rows, cols = pair_layout(w.shape[0])
     upper, lower = w[rows, cols], w[cols, rows]

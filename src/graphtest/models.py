@@ -13,8 +13,9 @@ Each family's moments and draw rule are written here alone, and
 parameter rule is written once: ``_check_family`` checks the family name,
 :meth:`TwoBlockModel.params` applies the shift, and each family's moment
 function checks its range, before and after the shift.
-Arbitrary inhomogeneous means enter through :class:`MeanMatrix`, from
-which :func:`~graphtest.diagnostics.mean_matrix_moments` takes the pairs.
+Arbitrary inhomogeneous means and variances enter
+:func:`sample_graph_from_means` and
+:class:`~graphtest.diagnostics.ModelMoments` as ``(P,)`` pair vectors.
 
 It is also the one JSON boundary of model and experiment documents:
 :func:`read_json` reads a file, :func:`json_object` checks an object's type,
@@ -36,7 +37,7 @@ from .errors import (
     OddNodeCountError,
     ProbabilityRangeError,
 )
-from .graphs import GraphSample, pair_layout, require_finite
+from .graphs import GraphSample, pair_layout, pair_vector
 from .rng import check_integer
 
 FAMILIES = ("beta", "bernoulli")
@@ -91,39 +92,6 @@ class TwoBlockModel:
             (a, b), (c, d) = self.within, self.between
             return (a + e, b + e), (c + e, d + e)
         return self.within + self.epsilon, self.between + self.epsilon
-
-
-@dataclass(frozen=True, eq=False)
-class MeanMatrix:
-    """Per-pair edge-weight means and variances: n x n, finite, symmetric,
-    zero diagonal."""
-
-    mu: np.ndarray
-    sigma2: np.ndarray
-
-    def __post_init__(self):
-        mu = np.array(self.mu, dtype=np.float64, copy=True)
-        s2 = np.array(self.sigma2, dtype=np.float64, copy=True)
-        for name, arr in (("mu", mu), ("sigma2", s2)):
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ConfigError(f"{name} must be square, got shape {arr.shape}")
-            require_finite(arr)
-            if not np.array_equal(arr, arr.T):
-                raise ConfigError(f"{name} must be symmetric")
-            if np.diagonal(arr).any():
-                raise ConfigError(f"{name} must have a zero diagonal")
-        if mu.shape != s2.shape:
-            raise ConfigError("mu and sigma2 must have matching shapes")
-        if (s2 < 0).any():
-            raise ConfigError("variances must be non-negative")
-        mu.setflags(write=False)
-        s2.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", s2)
-
-    @property
-    def n(self) -> int:
-        return self.mu.shape[0]
 
 
 @lru_cache(maxsize=None)
@@ -200,12 +168,6 @@ def pair_moments(model: TwoBlockModel, shifted: bool) -> tuple[np.ndarray, ...]:
     return tuple(np.where(within, w, b) for w, b in zip(*moments))
 
 
-def model_mean_matrix(model: TwoBlockModel, shifted: bool = False) -> MeanMatrix:
-    """Per-pair mean/variance matrices implied by the model (shift optional)."""
-    mu, sigma2 = GraphSample.from_edges(np.stack(pair_moments(model, shifted)[:2])).graphs
-    return MeanMatrix(mu.dense(), sigma2.dense())
-
-
 def _draw_pairs(family: str, params, size: int, rng: np.random.Generator) -> np.ndarray:
     if family == "beta":
         return rng.beta(*params, size=size)
@@ -253,21 +215,22 @@ def beta_params_from_moments(mean, variance):
 
 
 def sample_graph_from_means(
-    mean: MeanMatrix, family: str, rng: np.random.Generator
+    mu, sigma2, family: str, rng: np.random.Generator
 ) -> GraphSample:
     """Draw a one-graph sample with an arbitrary inhomogeneous mean structure.
 
-    Each pair (i, j) is drawn independently from the family member with
-    mean ``mean.mu[i, j]``; the Beta family additionally matches
-    ``mean.sigma2[i, j]`` (method of moments), while the Bernoulli family's
-    variance is implied by its mean, and its graph is bool.  Pairs are
-    drawn in :func:`pair_layout` order.
+    ``mu`` and ``sigma2`` are the ``(P,)`` pair vectors of the means and
+    variances, checked by :func:`~graphtest.graphs.pair_vector` before any
+    draw.  Each pair is drawn independently, in :func:`pair_layout` order:
+    the Beta family matches its mean and variance (method of moments), the
+    Bernoulli family its mean, in a bool graph.
     """
     _check_family(family)
-    rows, cols = pair_layout(mean.n)
-    params = mu = mean.mu[rows, cols]
+    mu = pair_vector(mu, "mu")
+    sigma2 = pair_vector(sigma2, "sigma2", mu.size, nonnegative=True)
+    params = mu
     if family == "beta":
-        params = beta_params_from_moments(mu, mean.sigma2[rows, cols])
+        params = beta_params_from_moments(mu, sigma2)
     elif ((mu < 0) | (mu > 1)).any():
         raise ProbabilityRangeError("bernoulli means must lie in [0, 1]")
     return GraphSample.from_edges(_draw_pairs(family, params, mu.size, rng)[np.newaxis])

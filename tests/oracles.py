@@ -35,11 +35,10 @@ from graphtest.errors import (
 from graphtest.graphs import (
     TOLERANCE,
     GraphSample,
-    pair_layout,
-    require_finite,
+    _require_finite,
     validate_adjacency,
 )
-from graphtest.models import MeanMatrix, TwoBlockModel, _blocks
+from graphtest.models import TwoBlockModel, _blocks
 from graphtest.pool import stream
 from graphtest.realdata import ResamplingPlan
 from graphtest.rng import substream
@@ -63,7 +62,7 @@ def dense_validate(raw) -> np.ndarray:
         raise NonSquareError(f"expected a square matrix, got shape {w.shape}")
     if w.shape[0] < 2:
         raise NonSquareError("a graph needs at least 2 nodes")
-    require_finite(w)
+    _require_finite(w)
     with np.errstate(over="ignore"):
         gap = np.abs(w - w.T)
     worst = float(gap.max())
@@ -207,11 +206,10 @@ def float_bernoulli_population(model: TwoBlockModel, shifted: bool, m: int,
     return edges
 
 
-def float_bernoulli_from_means(mean: MeanMatrix, rng: np.random.Generator) -> np.ndarray:
-    """The float64 ``(1, P)`` edges of one Bernoulli graph with per-pair
-    means ``mean.mu``, drawn in ``pair_layout`` order."""
-    rows, cols = pair_layout(mean.n)
-    return (rng.random(rows.size) < mean.mu[rows, cols]).astype(np.float64)[np.newaxis]
+def float_bernoulli_from_means(mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The float64 ``(1, P)`` edges of one Bernoulli graph with the pair
+    vector of means ``mu``, drawn in ``pair_layout`` order."""
+    return (rng.random(mu.size) < mu).astype(np.float64)[np.newaxis]
 
 
 def sorted_join(fn, shared, units, costs, reps: int, workers: int) -> list[list]:

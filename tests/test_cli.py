@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from graphtest.cli import main
 from graphtest.errors import GraphTestError
 from graphtest.graphs import GraphSample, load_adjacency_csv, validate_adjacency
-from graphtest.models import MeanMatrix, TwoBlockModel, beta_moments, sample_population
+from graphtest.models import TwoBlockModel, beta_moments, sample_population
 from graphtest.pool import _plan
 from graphtest.realdata import load_groups, make_synthetic_groups
 from graphtest.rng import substream
@@ -337,11 +337,10 @@ class TestTheory:
 
     def test_bernoulli_builds_no_dense_matrix(self, tmp_path, monkeypatch, capsys):
         """The binary simplification is a sum over pair vectors: no n x n
-        adjacency or mean matrix is built on the way."""
+        matrix is built on the way."""
         def refuse(self):
             raise AssertionError(f"built a dense {type(self).__name__}")
         monkeypatch.setattr(GraphSample, "dense", refuse)
-        monkeypatch.setattr(MeanMatrix, "__post_init__", refuse)
         doc = {"schema": 1, "family": "bernoulli", "n": 10,
                "within": 0.5, "between": 0.4}
         path = tmp_path / "bern.json"

@@ -15,9 +15,7 @@ from graphtest.diagnostics import (
     bernoulli_condition,
     condition_ratios,
     lambda_from_moments,
-    lambda_n,
     lambda_sparse_bernoulli,
-    mean_matrix_moments,
     null_variance,
     power_condition_ratios,
     tfro_consistency_ratio,
@@ -32,12 +30,7 @@ from graphtest.errors import (
     ProbabilityRangeError,
 )
 from graphtest.graphs import GraphSample, pair_layout
-from graphtest.models import (
-    MeanMatrix,
-    TwoBlockModel,
-    model_mean_matrix,
-    paired_difference_fourth_moment,
-)
+from graphtest.models import TwoBlockModel, pair_moments, paired_difference_fourth_moment
 from graphtest.rng import substream
 from oracles import exact_fourth_moment
 
@@ -147,55 +140,53 @@ class TestConditionRatios:
             condition_ratios(moments).as_tuple(), rel=1e-12)
 
 
-def _mean_moments(mu):
-    """Null pair-vector moments of the dense mean matrix ``mu``."""
-    return mean_matrix_moments(MeanMatrix(mu, 0 * mu), 2)
-
-
 class TestBernoulliCondition:
     def test_half_mean_values(self):
-        mu = 0.5 * (np.ones((100, 100)) - np.eye(100))
-        report = bernoulli_condition(_mean_moments(mu), delta=0.05)
+        moments = _constant_moments(100, 2, mu=0.5, sigma2=0.0)
+        report = bernoulli_condition(moments, delta=0.05)
         assert report.mu_fro_sq == pytest.approx(2475.0, rel=1e-12)
         assert report.ratio == pytest.approx(100 / 2475, rel=1e-12)
         assert report.bounded and not report.degenerate
 
     def test_zero_mean_degenerate(self):
-        report = bernoulli_condition(_mean_moments(np.zeros((10, 10))), delta=0.05)
+        report = bernoulli_condition(_constant_moments(10, 2, mu=0.0, sigma2=0.0),
+                                     delta=0.05)
         assert report.degenerate
         assert report.ratio == float("inf")
 
     def test_near_one_means_flagged(self):
-        mu = 0.99 * (np.ones((6, 6)) - np.eye(6))
-        report = bernoulli_condition(_mean_moments(mu), delta=0.05)
+        moments = _constant_moments(6, 2, mu=0.99, sigma2=0.0)
+        report = bernoulli_condition(moments, delta=0.05)
         assert not report.bounded
         assert len(report.violations) == 15
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -5.0, 1.5, float("nan")])
     def test_delta_outside_unit_interval_rejected(self, delta):
-        mu = 0.5 * (np.ones((4, 4)) - np.eye(4))
+        moments = _constant_moments(4, 2, mu=0.5, sigma2=0.0)
         with pytest.raises(ValueError, match="delta"):
-            bernoulli_condition(_mean_moments(mu), delta=delta)
+            bernoulli_condition(moments, delta=delta)
 
 
 class TestLambdaN:
+    """``lambda_from_moments``, the noncentrality lambda_n."""
+
     def test_null_is_zero(self):
-        mu = 0.3 * (np.ones((4, 4)) - np.eye(4))
-        s2 = 0.21 * (np.ones((4, 4)) - np.eye(4))
-        assert lambda_n(mu, mu, s2, s2, 4) == 0.0
+        assert lambda_from_moments(_constant_moments(4, 4, mu=0.3, sigma2=0.21)) == 0.0
 
     def test_hand_arithmetic(self):
         """Homogeneous binary pair: V = 0.16 + 0.09 + 0.01 = 0.26 per pair."""
-        shape = np.ones((3, 3)) - np.eye(3)
-        lam = lambda_n(0.2 * shape, 0.1 * shape, 0.16 * shape, 0.09 * shape, m=2)
+        shape = np.ones(3)
+        lam = lambda_from_moments(ModelMoments(
+            3, 2, 0.2 * shape, 0.1 * shape, 0.16 * shape, 0.09 * shape))
         expected = 2 * (3 * 0.01) / (2 * math.sqrt(3 * 0.26**2))
         assert expected == pytest.approx(0.06662, abs=5e-6)
         assert lam == pytest.approx(expected, rel=1e-12)
 
     def test_linear_in_m(self):
-        shape = np.ones((6, 6)) - np.eye(6)
+        shape = np.ones(15)
         args = (0.2 * shape, 0.1 * shape, 0.16 * shape, 0.09 * shape)
-        assert lambda_n(*args, m=4) == pytest.approx(2 * lambda_n(*args, m=2), rel=1e-12)
+        assert lambda_from_moments(ModelMoments(6, 4, *args)) == pytest.approx(
+            2 * lambda_from_moments(ModelMoments(6, 2, *args)), rel=1e-12)
 
     def test_population_exchange_invariance(self):
         model = TwoBlockModel(n=8, family="beta", within=(2.0, 3.0),
@@ -206,9 +197,8 @@ class TestLambdaN:
         assert swapped == pytest.approx(lambda_from_moments(mm), rel=1e-12)
 
     def test_degenerate(self):
-        zero = np.zeros((4, 4))
         with pytest.raises(DegenerateModelError):
-            lambda_n(zero, zero, zero, zero, 2)
+            lambda_from_moments(_constant_moments(4, 2, mu=0.0, sigma2=0.0))
 
 
 class TestLambdaSparseBernoulli:
@@ -232,9 +222,10 @@ class TestLambdaSparseBernoulli:
         within the uncounted constant (the drop includes a sqrt(2) factor)."""
         n, m, a_n, tau = 100, 4, 0.05, 2.0
         approx = lambda_sparse_bernoulli(a_n, tau, n=n, m=m, scenario="a")
-        shape = np.ones((n, n)) - np.eye(n)
+        shape = np.ones(n * (n - 1) // 2)
         mu1, mu2 = tau * a_n * shape, a_n * shape
-        exact = lambda_n(mu1, mu2, mu1 * (1 - tau * a_n), mu2 * (1 - a_n), m)
+        exact = lambda_from_moments(ModelMoments(
+            n, m, mu1, mu2, mu1 * (1 - tau * a_n), mu2 * (1 - a_n)))
         assert 1.0 < exact / approx < 2.0
 
     def test_invalid_params(self):
@@ -386,13 +377,14 @@ class TestMomentFactories:
         assert got == expected
         assert peak <= 9 * 8 * (1000 * 999 // 2)
 
-    def test_mean_matrix_moments_roundtrip(self):
+    def test_null_moments_from_pair_vectors(self):
+        """Per-pair means and variances given for both populations are null
+        moments without eta, with the null variance of their model."""
         model = TwoBlockModel(n=6, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
-        mean = model_mean_matrix(model)
-        moments = mean_matrix_moments(mean, 4)
+        mu, sigma2, _ = pair_moments(model, shifted=False)
+        moments = ModelMoments(6, 4, mu, mu, sigma2, sigma2)
         assert moments.is_null and moments.eta is None
-        assert null_variance(moments) == pytest.approx(
-            null_variance(two_block_moments(model, 4)), rel=1e-12)
+        assert null_variance(moments) == null_variance(two_block_moments(model, 4))
 
 
 class TestPowerConditionRatios:

@@ -20,7 +20,7 @@ import pytest
 
 from graphtest.cli import main
 from graphtest.graphs import save_adjacency_csv
-from graphtest.models import MeanMatrix, sample_graph_from_means
+from graphtest.models import sample_graph_from_means
 from graphtest.realdata import make_synthetic_groups
 from graphtest.rng import substream
 
@@ -134,15 +134,11 @@ def _theory(tmp_path, capsys, family, fmt="json") -> bytes:
 
 
 def _means(family) -> bytes:
-    """One draw from an inhomogeneous mean matrix (distinct Beta shapes on
-    every pair)."""
-    n = 10
-    rows, cols = np.triu_indices(n, 1)
-    mu = np.zeros((n, n))
-    mu[rows, cols] = np.random.default_rng(17).uniform(0.1, 0.9, size=rows.size)
-    mu += mu.T
-    mean = MeanMatrix(mu, 0.5 * mu * (1.0 - mu))
-    return sample_graph_from_means(mean, family, substream(13, 0)).dense().tobytes()
+    """One draw from inhomogeneous pair means on 10 nodes (distinct Beta
+    shapes on every pair)."""
+    mu = np.random.default_rng(17).uniform(0.1, 0.9, size=45)
+    return sample_graph_from_means(mu, 0.5 * mu * (1.0 - mu), family,
+                                   substream(13, 0)).dense().tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))

@@ -4,7 +4,9 @@ no module imports or reads another package module's private names, no
 module imports scipy when it is loaded, only ``pool.py`` starts
 processes or cuts work into chunks, only ``models.py`` decodes JSON
 documents, only ``graphs.pair_layout`` calls numpy's triangle helpers, no
-module names the retired dense type ``AdjacencyMatrix``, only
+module names a retired dense type or function (``AdjacencyMatrix``,
+``MeanMatrix``, ``model_mean_matrix``, ``mean_matrix_moments``), only
+``graphs.py`` calls ``.dense()``, only
 ``models._check_family`` tests membership in ``FAMILIES``, only
 ``twosample`` and ``realdata`` name the group-size errors, only
 ``graphs.load_adjacency_csv`` calls ``np.loadtxt``, no module calls a numpy
@@ -359,7 +361,8 @@ def _nodes_inside(tree, function: str | None) -> set[int]:
 
 TRIANGLE_HELPERS = {"triu", "tril", "triu_indices", "tril_indices",
                     "triu_indices_from", "tril_indices_from"}
-RETIRED_NAMES = {"AdjacencyMatrix"}
+RETIRED_NAMES = {"AdjacencyMatrix", "MeanMatrix", "model_mean_matrix",
+                 "mean_matrix_moments"}
 
 
 def layout_leaks(source: str, layout_function: str | None = None) -> list[str]:
@@ -394,11 +397,14 @@ def test_detects_layout_leaks():
               "def pair_layout(n):\n    return np.triu_indices(n, k=1)\n"
               "def other(w):\n    return np.triu(w), np.tril_indices(3)\n"
               'class AdjacencyMatrix:\n    """Once the AdjacencyMatrix type."""\n'
-              "dense = graphs.AdjacencyMatrix\n")
+              "dense = graphs.AdjacencyMatrix\n"
+              "from .models import MeanMatrix\n"
+              '"""Dense means came from model_mean_matrix(model)."""\n')
     assert layout_leaks(source, "pair_layout") == [
         "line 2: tril", "line 6: tril_indices", "line 6: triu",
         "line 7: AdjacencyMatrix", "line 8: AdjacencyMatrix",
-        "line 9: AdjacencyMatrix"]
+        "line 9: AdjacencyMatrix", "line 10: MeanMatrix",
+        "line 11: model_mean_matrix"]
     assert layout_leaks(source)[:2] == ["line 2: tril", "line 4: triu_indices"]
     assert layout_leaks("rows, cols = pair_layout(n)\nw[rows, cols]\n") == []
 
@@ -407,6 +413,32 @@ def test_detects_layout_leaks():
 def test_one_pair_layout_and_one_graph_type(path):
     layout_function = "pair_layout" if path.name == "graphs.py" else None
     assert layout_leaks(path.read_text(encoding="utf-8"), layout_function) == []
+
+
+def dense_calls(source: str) -> list[str]:
+    """The calls in ``source`` of a ``.dense()`` method.  Dense ``n x n``
+    matrices exist only at the CSV boundary, in ``graphs.py``."""
+    lines = [node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "dense"]
+    return [f"line {line}: .dense()" for line in sorted(lines)]
+
+
+def test_detects_dense_calls():
+    """Line 3 is how ``models`` once built a dense mean matrix."""
+    source = ("def model_means(model):\n"
+              "    mu, sigma2 = sample.graphs\n"
+              "    return mu.dense(), sigma2.dense()\n"
+              '"""graph.dense(), named only in a docstring."""\n'
+              "dense = graph.dense\nsample.dense_rows()\n")
+    assert dense_calls(source) == ["line 3: .dense()", "line 3: .dense()"]
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py"))
+                                         - {PACKAGE / "graphs.py"}),
+                         ids=lambda p: p.name)
+def test_only_graphs_builds_dense_matrices(path):
+    assert dense_calls(path.read_text(encoding="utf-8")) == []
 
 
 def family_checks(source: str, check_function: str | None = None) -> list[str]:

@@ -10,23 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphtest.diagnostics import ModelMoments
 from graphtest.errors import (
     ConfigError,
+    DimensionMismatchError,
     GraphTestError,
     NonFiniteEntryError,
     NonPositiveParameterError,
     OddNodeCountError,
     ProbabilityRangeError,
 )
-from graphtest.graphs import GraphSample
+from graphtest.graphs import GraphSample, pair_layout
 from graphtest.models import (
-    MeanMatrix,
     TwoBlockModel,
     _model_from_json,
     bernoulli_moments,
     beta_moments,
     beta_params_from_moments,
-    model_mean_matrix,
+    pair_moments,
     sample_graph_from_means,
     sample_population,
 )
@@ -34,15 +35,21 @@ from graphtest.rng import substream
 from oracles import float_bernoulli_from_means, float_bernoulli_population
 
 
+def _pair(n, i, j):
+    """Position of the pair (i, j), i < j, in ``pair_layout(n)``."""
+    rows, cols = pair_layout(n)
+    return int(np.flatnonzero((rows == i) & (cols == j))[0])
+
+
 class TestBlockOfPair:
-    """Blocks are read off the model's mean matrix: a pair has the
+    """Blocks are read off the model's pair means: a pair has the
     within-block mean iff both nodes lie in the same half."""
 
     MODEL = TwoBlockModel(n=10, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
 
     def _block(self, i, j):
         """Block of the 1-based pair (i, j)."""
-        mu = model_mean_matrix(self.MODEL).mu[i - 1, j - 1]
+        mu = pair_moments(self.MODEL, shifted=False)[0][_pair(10, i - 1, j - 1)]
         return {beta_moments(2.0, 3.0)[0]: "within",
                 beta_moments(1.0, 3.0)[0]: "between"}[mu]
 
@@ -218,7 +225,7 @@ class TestModelValidation:
         """Their variance once divided by an s * s that underflows to zero."""
         model = TwoBlockModel(n=4, family="beta", within=(5e-324, 5e-324),
                               between=(1.0, 3.0))
-        assert model_mean_matrix(model).sigma2[0, 1] == 0.25
+        assert pair_moments(model, shifted=False)[1][_pair(4, 0, 1)] == 0.25
 
     @pytest.mark.parametrize("epsilon", [None, "0.1", (0.1,)])
     def test_non_numeric_epsilon_rejected(self, epsilon):
@@ -235,7 +242,7 @@ class TestModelValidation:
         assert beta_moments(1e200, 1e200) == (0.5, 0.5 * 0.5 / (2e200 + 1.0))
         model = TwoBlockModel(n=4, family="beta", within=(1e200, 1e200),
                               between=(1.0, 3.0))
-        assert np.isfinite(model_mean_matrix(model).sigma2).all()
+        assert np.isfinite(pair_moments(model, shifted=False)[1]).all()
 
 
 _EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0, 1,
@@ -283,61 +290,106 @@ def test_model_raises_exactly_as_the_moment_rule(family, data, epsilon):
 
 
 class TestModelMeanMatrix:
+    """A model's mean structure, as the pair vectors of ``pair_moments``."""
+
     def test_bernoulli_two_block_pattern(self):
         model = TwoBlockModel(n=4, family="bernoulli", within=0.5, between=0.4)
-        mm = model_mean_matrix(model)
+        mu, sigma2, _ = pair_moments(model, shifted=False)
         # Blocks {1,2} and {3,4}: within pairs (1,2) and (3,4), rest between.
-        assert mm.mu[0, 1] == 0.5 and mm.mu[2, 3] == 0.5
+        assert mu.shape == sigma2.shape == (6,)
+        assert mu[_pair(4, 0, 1)] == 0.5 and mu[_pair(4, 2, 3)] == 0.5
         for i, j in [(0, 2), (0, 3), (1, 2), (1, 3)]:
-            assert mm.mu[i, j] == 0.4
-        assert mm.sigma2[0, 1] == pytest.approx(0.25)
-        assert mm.sigma2[0, 2] == pytest.approx(0.24)
-        assert not np.diagonal(mm.mu).any()
+            assert mu[_pair(4, i, j)] == 0.4
+        assert sigma2[_pair(4, 0, 1)] == pytest.approx(0.25)
+        assert sigma2[_pair(4, 0, 2)] == pytest.approx(0.24)
 
     def test_beta_within_mean(self):
         model = TwoBlockModel(n=6, family="beta", within=(2.0, 3.0), between=(1.0, 3.0))
-        mm = model_mean_matrix(model)
-        assert mm.mu[0, 1] == pytest.approx(0.4)
-        assert mm.mu[0, 3] == pytest.approx(0.25)
+        mu = pair_moments(model, shifted=False)[0]
+        assert mu[_pair(6, 0, 1)] == pytest.approx(0.4)
+        assert mu[_pair(6, 0, 3)] == pytest.approx(0.25)
 
     def test_degenerate_bernoulli_variance(self):
         model = TwoBlockModel(n=4, family="bernoulli", within=1.0, between=1.0)
-        mm = model_mean_matrix(model)
-        assert not mm.sigma2.any()
+        assert not pair_moments(model, shifted=False)[1].any()
 
     def test_shifted_matrix_uses_shifted_params(self):
         model = TwoBlockModel(n=4, family="bernoulli", within=0.5, between=0.4,
                               epsilon=0.1)
-        mm = model_mean_matrix(model, shifted=True)
-        assert mm.mu[0, 1] == pytest.approx(0.6)
-        assert mm.mu[0, 2] == pytest.approx(0.5)
+        mu = pair_moments(model, shifted=True)[0]
+        assert mu[_pair(4, 0, 1)] == pytest.approx(0.6)
+        assert mu[_pair(4, 0, 2)] == pytest.approx(0.5)
+
+
+def _null_moments(mu, sigma2, family, rng):
+    """Null ``ModelMoments`` on 4 nodes, called as ``sample_graph_from_means``
+    is; ``family`` and ``rng`` are unused."""
+    return ModelMoments(4, 2, mu, mu, sigma2, sigma2)
+
+
+# The two entry points of per-pair means and variances, each with the names
+# it gives the mean and the variance vector.
+ENTRY_POINTS = ((sample_graph_from_means, "mu", "sigma2"),
+                (_null_moments, "mu1", "sigma1_sq"))
 
 
 class TestMeanMatrixValidation:
+    """Per-pair means and variances are checked where they enter, by
+    ``sample_graph_from_means`` and ``ModelMoments``, before any draw."""
+
+    @staticmethod
+    def _refused(mu, sigma2, error):
+        """The ``error`` each entry point raises for each family, having
+        drawn nothing."""
+        raised = []
+        for entry, _, _ in ENTRY_POINTS:
+            for family in ("beta", "bernoulli"):
+                rng = substream(23, 0)
+                before = rng.bit_generator.state
+                with pytest.raises(error) as err:
+                    entry(mu, sigma2, family, rng)
+                assert rng.bit_generator.state == before
+                raised.append(err.value)
+        return raised
+
     @pytest.mark.parametrize("field", ["mu", "sigma2"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_entry_named(self, field, value):
-        """Checked before symmetry, so a NaN is not misreported as asymmetry."""
-        off_diagonal = np.ones((4, 4)) - np.eye(4)
-        arrays = {"mu": 0.5 * off_diagonal, "sigma2": 0.25 * off_diagonal}
-        arrays[field][1, 2] = arrays[field][2, 1] = value
-        with pytest.raises(NonFiniteEntryError) as err:
-            MeanMatrix(**arrays)
-        assert (err.value.i, err.value.j) == (1, 2)
-        assert err.value.value == value or math.isnan(value)
+        """The first non-finite pair is named by its (i, j) in pair_layout
+        order.  A NaN Bernoulli mean once passed the range check
+        ``(mu < 0) | (mu > 1)`` and drew an empty graph."""
+        arrays = {"mu": np.full(6, 0.5), "sigma2": np.full(6, 0.05)}
+        arrays[field][[_pair(4, 1, 2), _pair(4, 2, 3)]] = value
+        for err in self._refused(arrays["mu"], arrays["sigma2"], NonFiniteEntryError):
+            assert (err.i, err.j) == (1, 2)
+            assert err.value == value or math.isnan(value)
 
-    @pytest.mark.parametrize("mu, sigma2, message", [
-        (np.zeros((2, 3)), np.zeros((2, 3)), "mu must be square, got shape (2, 3)"),
-        (np.zeros((3, 3)), np.zeros(3), "sigma2 must be square, got shape (3,)"),
-        (np.triu(np.ones((3, 3)), 1), np.zeros((3, 3)), "mu must be symmetric"),
-        (np.zeros((3, 3)), np.eye(3), "sigma2 must have a zero diagonal"),
-        (np.zeros((3, 3)), np.zeros((4, 4)), "mu and sigma2 must have matching shapes"),
-        (np.zeros((3, 3)), np.eye(3) - np.ones((3, 3)), "variances must be non-negative"),
-    ])
-    def test_malformed_matrix_message(self, mu, sigma2, message):
-        with pytest.raises(ConfigError) as err:
-            MeanMatrix(mu, sigma2)
-        assert str(err.value) == message
+    def test_negative_variance_rejected(self):
+        sigma2 = np.full(6, 0.05)
+        sigma2[_pair(4, 0, 3)] = -0.25
+        messages = {str(err) for err in self._refused(np.full(6, 0.5), sigma2, ConfigError)}
+        assert messages == {"sigma2 must be non-negative, got -0.25",
+                            "sigma1_sq must be non-negative, got -0.25"}
+
+    @pytest.mark.parametrize("mu, sigma2, bad", [
+        (np.full((4, 4), 0.5), np.full((4, 4), 0.05), "mean"),
+        (np.full(6, 0.5), np.full(3, 0.05), "variance"),
+        (np.full(6, 0.5), np.full((4, 4), 0.05), "variance"),
+        (np.full(4, 0.5), np.full(4, 0.05), "mean"),
+        ([[0.5, 0.5], [0.5]], [0.05, 0.05, 0.05], "mean"),
+        (np.full(6, 0.5), [[0.05], [0.05, 0.05]], "variance"),
+        (np.zeros(0), np.zeros(0), "mean"),
+    ], ids=["dense", "mismatched", "dense-variance", "non-triangular", "ragged",
+            "ragged-variance", "empty"])
+    def test_malformed_pair_vector_rejected(self, mu, sigma2, bad):
+        """A dense n x n matrix, a vector of no triangular length, a ragged
+        sequence or a pair of mismatched shapes is named, not a numpy
+        broadcast error."""
+        errors = iter(self._refused(mu, sigma2, DimensionMismatchError))
+        for _, mean, variance in ENTRY_POINTS:
+            for _family in ("beta", "bernoulli"):
+                assert str(next(errors)).startswith(
+                    f"{mean if bad == 'mean' else variance} must ")
 
 
 class TestSampling:
@@ -460,54 +512,47 @@ class TestInhomogeneousSampling:
         ("bernoulli", -0.5, ProbabilityRangeError, "bernoulli means must lie in [0, 1]"),
     ])
     def test_mean_matrix_sampling_rejects(self, family, scale, error, message):
-        off_diagonal = np.ones((3, 3)) - np.eye(3)
-        mean = MeanMatrix(scale * off_diagonal, 0.1 * off_diagonal)
         with pytest.raises(error) as err:
-            sample_graph_from_means(mean, family, substream(23, 0))
+            sample_graph_from_means(np.full(3, scale), np.full(3, 0.1), family,
+                                    substream(23, 0))
         assert str(err.value) == message
 
     def test_bernoulli_mean_matrix_sampling(self):
-        """Per-pair empirical frequencies track an arbitrary mean matrix."""
-        rng = np.random.default_rng(21)
-        n = 6
-        mu = np.zeros((n, n))
-        rows, cols = np.triu_indices(n, 1)
-        mu[rows, cols] = rng.uniform(0.1, 0.9, size=rows.size)
-        mu += mu.T
-        mean = MeanMatrix(mu, mu * (1 - mu))
-        draws = np.stack([
-            sample_graph_from_means(mean, "bernoulli", substream(22, k)).dense()
+        """Per-pair empirical frequencies track arbitrary pair means."""
+        mu = np.random.default_rng(21).uniform(0.1, 0.9, size=15)  # n = 6
+        draws = np.concatenate([
+            sample_graph_from_means(mu, mu * (1 - mu), "bernoulli", substream(22, k)).edges
             for k in range(4000)
         ])
-        freq = draws.mean(axis=0)[rows, cols]
-        se = np.sqrt(mu[rows, cols] * (1 - mu[rows, cols]) / 4000)
-        assert (np.abs(freq - mu[rows, cols]) < 4 * se).all()
+        freq = draws.mean(axis=0)
+        se = np.sqrt(mu * (1 - mu) / 4000)
+        assert (np.abs(freq - mu) < 4 * se).all()
 
     def test_bernoulli_mean_matrix_draws_the_float_sampler_as_bool(self):
         model = TwoBlockModel(n=10, family="bernoulli", within=0.6, between=0.2)
-        mean = model_mean_matrix(model)
+        mu, sigma2, _ = pair_moments(model, shifted=False)
         got_rng, want_rng = substream(24, 0), substream(24, 0)
-        graph = sample_graph_from_means(mean, "bernoulli", got_rng)
-        want = float_bernoulli_from_means(mean, want_rng)
+        graph = sample_graph_from_means(mu, sigma2, "bernoulli", got_rng)
+        want = float_bernoulli_from_means(mu, want_rng)
         assert graph.edges.dtype == bool
         assert graph.edges.tobytes() == want.astype(bool).tobytes()
         assert graph.dense().tobytes() == GraphSample.from_edges(want).dense().tobytes()
         assert got_rng.random() == want_rng.random()
 
     def test_beta_mean_matrix_sampling_matches_two_block(self):
-        """Sampling from a two-block model's mean matrix reproduces its
+        """Sampling from a two-block model's pair moments reproduces its
         per-block moments."""
         model = TwoBlockModel(n=20, family="beta", within=(2.0, 3.0),
                               between=(1.0, 3.0))
-        mean = model_mean_matrix(model)
-        draws = np.stack([
-            sample_graph_from_means(mean, "beta", substream(23, k)).dense()
+        mu, sigma2, _ = pair_moments(model, shifted=False)
+        draws = np.concatenate([
+            sample_graph_from_means(mu, sigma2, "beta", substream(23, k)).edges
             for k in range(800)
         ])
-        within_vals = draws[:, 0, 1]
+        within_vals = draws[:, _pair(20, 0, 1)]
         se = math.sqrt(0.04 / within_vals.size)
         assert abs(within_vals.mean() - 0.4) < 4 * se
-        between_vals = draws[:, 0, 15]
+        between_vals = draws[:, _pair(20, 0, 15)]
         se = math.sqrt(beta_moments(1.0, 3.0)[1] / between_vals.size)
         assert abs(between_vals.mean() - 0.25) < 4 * se
 
