@@ -25,8 +25,9 @@ read the group files and run their splits (through
 and output does not depend on the worker count.  ``test`` prints each
 split's results, so its splits are those of ``realdata --strategy
 split-only``; ``realdata`` fails with ``all-na`` when every weighted
-repetition of every method is NA.  ``run_passes`` checks the group sizes
-of both commands by one rule, before the first split.
+repetition of every method is NA.  Both commands check the group sizes by
+one rule on the file counts, before any file is read and before a seed is
+drawn.
 """
 
 from __future__ import annotations
@@ -230,7 +231,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    group_a, group_b = load_groups((args.group_a, args.group_b), usable_cpus())
+    group_a, group_b = load_groups((args.group_a, args.group_b), usable_cpus(),
+                                   "split_only", args.drop_last)
     plan = ResamplingPlan("split_only", args.splits, _master_seed(args))
     methods = _methods(args.method)
     runs, _ = run_passes(group_a, group_b, plan, methods, args.alpha,
@@ -316,7 +318,8 @@ def _cmd_realdata(args) -> int:
                 "split-only": "split_only"}[args.strategy]
     if args.out:
         _check_out(args.out)
-    group_a, group_b = load_groups((args.group_a, args.group_b), usable_cpus())
+    group_a, group_b = load_groups((args.group_a, args.group_b), usable_cpus(),
+                                   strategy, args.drop_last)
     seed = _master_seed(args)
     plan = ResamplingPlan(strategy=strategy, repetitions=args.reps, seed=seed)
     methods = _methods(args.method)

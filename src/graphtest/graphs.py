@@ -20,7 +20,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite, isqrt
+from math import isqrt
 from operator import itemgetter
 
 import numpy as np
@@ -207,10 +207,15 @@ def threshold_binarize(sample: GraphSample, tau: float) -> GraphSample:
 
     The comparison is strict, so weights exactly at ``tau`` map to 0; ties
     at the threshold do occur with rank-transformed correlation weights.
+    ``w > tau or w < -tau`` is ``|w| > tau`` for every weight, signed zeros
+    included, and makes only bool temporaries, not an ``(m, P)`` float64
+    copy of ``|w|``.
     """
     if not np.isfinite(tau) or tau < 0:
         raise ValueError(f"threshold must be a finite non-negative real, got {tau!r}")
-    return GraphSample.from_edges(np.abs(sample.edges) > tau)
+    edges = sample.edges
+    above = edges > tau
+    return GraphSample.from_edges(np.logical_or(above, edges < -tau, out=above))
 
 
 def five_number_summary(values) -> FiveNumberSummary:
@@ -267,35 +272,44 @@ def _read_canonical(path) -> np.ndarray | None:
     A canonical file holds only the bytes of :data:`_CANONICAL_BYTES` in
     ``n >= 2`` lines (the last one may lack its LF) of ``n`` comma-separated
     tokens; each token left of the diagonal is byte-equal to its mirror,
-    and every token parses to a finite float.  It needs no repair, so only
-    the tokens above the diagonal and on it are parsed.  On these bytes
-    ``float`` and ``np.loadtxt`` both parse with CPython's
-    ``PyOS_string_to_double``, so the values have ``np.loadtxt``'s bits.
+    and every token parses to a finite float.  It needs no repair, so line
+    ``i`` is checked by one byte comparison: it must start with its ``i``
+    mirrors joined by commas, and a comma.  Only the rest of the line, the
+    diagonal token and those above it, is split, and the tokens are
+    converted by ``np.array(..., dtype=np.float64)``, which calls ``float``
+    on each.  On these bytes ``float`` and ``np.loadtxt`` both parse with
+    CPython's ``PyOS_string_to_double``, so the values have
+    ``np.loadtxt``'s bits.
     """
     upper, diagonal, n = [], [], 0
     try:
         with open(path, "rb") as fh:
             for i, line in enumerate(fh):
-                tokens = line.rstrip(b"\n").split(b",")
                 if i == 0:
-                    n = len(tokens)
+                    n = line.count(b",") + 1
                     # n lines of n tokens need n * n bytes at least; checked
                     # before the layout of n is built.
                     if n * n > os.fstat(fh.fileno()).st_size:
                         return None
                     gathers = _mirror_gathers(n)
-                if (line.translate(None, _CANONICAL_BYTES) or i >= n
-                        or len(tokens) != n or gathers[i](upper) != tuple(tokens[:i])):
+                if i >= n or line.translate(None, _CANONICAL_BYTES):
                     return None
-                diagonal.append(tokens[i])
-                upper += tokens[i + 1:]
+                lower = b",".join(gathers[i](upper)) + b"," if i else b""
+                if not line.startswith(lower):
+                    return None
+                tokens = line[len(lower):].rstrip(b"\n").split(b",")
+                if len(tokens) != n - i:
+                    return None
+                diagonal.append(tokens[0])
+                upper += tokens[1:]
     except OSError:
         return None  # np.loadtxt raises it again, with its own message
     if n < 2 or len(diagonal) != n:
         return None
     try:
-        pairs = np.fromiter(map(float, upper), np.float64, len(upper))
-        finite = np.isfinite(pairs).all() and all(map(isfinite, map(float, diagonal)))
+        pairs = np.array(upper, dtype=np.float64)
+        finite = np.isfinite(pairs).all() and np.isfinite(
+            np.array(diagonal, dtype=np.float64)).all()
     except ValueError:
         return None
     return pairs if finite else None
@@ -306,7 +320,9 @@ def load_adjacency_csv(path) -> GraphSample:
     header, as a one-graph sample.
 
     A canonical file (:func:`_read_canonical`), as :func:`save_adjacency_csv`
-    writes, is parsed without ``np.loadtxt``; any other file is read by
+    writes, is parsed without ``np.loadtxt``: one byte comparison of each
+    line with its joined mirrors, and one ``np.array`` conversion of the
+    tokens on and above the diagonal.  Any other file is read by
     ``np.loadtxt`` and :func:`validate_adjacency`, which raise every error.
     """
     pairs = _read_canonical(path)

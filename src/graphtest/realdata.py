@@ -2,8 +2,9 @@
 
 The paired statistics need two equally sized, even groups.  A strategy
 only picks the common size (the larger group size to oversample to, the
-smaller to subsample to, or the shared size of ``split_only``), and
-:func:`run_passes` checks it once, before any repetition.  A repetition
+smaller to subsample to, or the shared size of ``split_only``), and one
+rule checks it, before any repetition: in :func:`run_passes`, and on the
+file counts in :func:`load_groups` before any file is read.  A repetition
 selects rows of that size without copying them: it draws one row-index
 vector per group, each group on its own, and the statistics read the
 split's graphs through them from the loaded samples.  It then draws a fresh
@@ -109,21 +110,26 @@ def _read_files(paths, _, start: int, stop: int):
     return entries
 
 
-def load_groups(directories, workers: int = 1) -> tuple[GraphSample, ...]:
+def load_groups(directories, workers: int = 1, strategy: str | None = None,
+                drop_last: bool = False) -> tuple[GraphSample, ...]:
     """One sample per directory, of every ``*.csv`` adjacency file in it in
     name order, reading the files on up to ``workers`` processes.
 
     Every directory is listed first, so a missing one, or one without
-    ``.csv`` files, fails before any file is read.  The files of all
-    groups, in name order, are then cut into chunks of equal cost by
-    :func:`graphtest.pool.stream`, which yields them in that order.  Each
-    file is checked as its chunk arrives and its pair vector written into
-    its group's edge array, allocated from the group's first file, so the
-    groups are held once.  The first unreadable file, or file whose node
-    count differs from its group's first file, raises at once, and the
-    chunks not yet started are cancelled; so the error is the same for any
-    worker count."""
+    ``.csv`` files, fails before any file is read.  Given a ``strategy``,
+    the file counts of the two directories must then pass
+    :func:`_split_sizes` with ``drop_last``, so a size error too comes
+    before any file is read.  The files of all groups, in name order, are
+    then cut into chunks of equal cost by :func:`graphtest.pool.stream`,
+    which yields them in that order.  Each file is checked as its chunk
+    arrives and its pair vector written into its group's edge array,
+    allocated from the group's first file, so the groups are held once.
+    The first unreadable file, or file whose node count differs from its
+    group's first file, raises at once, and the chunks not yet started are
+    cancelled; so the error is the same for any worker count."""
     listed = [_csv_paths(Path(directory)) for directory in directories]
+    if strategy is not None:
+        _split_sizes(*map(len, listed), strategy, drop_last)
     paths = list(chain.from_iterable(listed))
     slots = [(g, k) for g, group in enumerate(listed) for k in range(len(group))]
     edges = [None] * len(listed)
@@ -156,6 +162,20 @@ def _common_size(m_a: int, m_b: int, strategy: str) -> int:
             f"groups have {m_a} and {m_b} graphs; equalize them first (see the "
             "realdata subcommand)")
     return m_a
+
+
+def _split_sizes(m_a: int, m_b: int, strategy: str,
+                 drop_last: bool) -> tuple[int, int]:
+    """The common size of groups of ``m_a`` and ``m_b`` graphs under
+    ``strategy`` (:func:`_common_size`), and how many of its graphs each
+    split keeps: ``drop_last`` drops the last graph of an odd size above
+    1, which is otherwise an :class:`OddSampleSizeError`."""
+    size = _common_size(m_a, m_b, strategy)
+    keep = size - 1 if drop_last and size % 2 and size > 1 else size
+    if keep % 2 and keep > 1:
+        raise OddSampleSizeError(
+            f"group size {size} is odd; pass --drop-last to discard one pair")
+    return size, keep
 
 
 def _equalize_rows(m_a: int, m_b: int, size: int,
@@ -241,14 +261,9 @@ def run_passes(
     results are joined in repetition order, so nothing depends on
     ``workers``.  Returns the weighted runs and ``(tau, runs)`` per
     threshold; a method that is NA in every repetition of a pass gets a
-    None summary.  Before any repetition, ``drop_last`` drops the last
-    selected graph of an odd common size above 1, which is otherwise an
-    :class:`OddSampleSizeError`."""
-    size = _common_size(sample_a.m, sample_b.m, plan.strategy)
-    keep = size - 1 if drop_last and size % 2 and size > 1 else size
-    if keep % 2 and keep > 1:
-        raise OddSampleSizeError(
-            f"group size {size} is odd; pass --drop-last to discard one pair")
+    None summary.  Before any repetition, the sizes are checked by
+    :func:`_split_sizes`, with ``drop_last``."""
+    size, keep = _split_sizes(sample_a.m, sample_b.m, plan.strategy, drop_last)
     passes = (None, *taus)
     groups = (sample_a, sample_b, (plan.seed, size, keep), methods, alpha)
     runs = pool.run(_run_chunk, groups, passes, [1] * len(passes),

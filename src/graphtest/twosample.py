@@ -207,19 +207,22 @@ def _scaled_half_sums(g_edges: np.ndarray, h_edges: np.ndarray, op, halves,
     half's order.  A single column (P = 1) numpy sums pairwise, so that
     case sums the column itself.  Given the :func:`_half_counts` of bool
     edges, each sum is instead ``op`` of the half's G and H counts, which
-    is the same integer.  The sums are the first two rows of ``work``, a
-    ``(3, P)`` block that is overwritten."""
+    is the same integer, and ``e`` is 0: counts are small integers, whose
+    products and sums stay far from overflow and underflow, where scaling
+    by a power of two changes no rounding, so ``2**-e`` could not change a
+    bit of the statistics.  The sums are the first two rows of
+    ``work``, a ``(3, P)`` block that is overwritten."""
     s1, s2, tmp = work
     if counts is not None:
         op(counts[0::2], counts[1::2], out=work[:2])
-    else:
-        work.fill(0.0)
-        for acc, (g_rows, h_rows) in zip((s1, s2), halves):
-            if acc.size == 1:
-                op(g_edges[g_rows], h_edges[h_rows]).sum(axis=0, out=acc)
-            else:
-                for i, j in zip(g_rows, h_rows):
-                    acc += op(g_edges[i], h_edges[j], out=tmp)
+        return s1, s2, 0
+    work.fill(0.0)
+    for acc, (g_rows, h_rows) in zip((s1, s2), halves):
+        if acc.size == 1:
+            op(g_edges[g_rows], h_edges[h_rows]).sum(axis=0, out=acc)
+        else:
+            for i, j in zip(g_rows, h_rows):
+                acc += op(g_edges[i], h_edges[j], out=tmp)
     e = int(np.frexp(max(np.abs(s1, out=tmp).max(), np.abs(s2, out=tmp).max()))[1])
     return np.ldexp(s1, -e, out=s1), np.ldexp(s2, -e, out=s2), e
 
@@ -305,8 +308,8 @@ def run_methods(
     graph at a time, so the kernel holds a few ``(P,)`` vectors whatever
     ``m`` is.  When both samples are bool, the rows are counted once in
     integers and both D's and S's half sums come from the counts, with
-    the same bits as the float sums.  Half sums are scaled by a power of
-    two before any product, so ``tn`` is the same for weights of any
+    the same bits as the float sums.  Float half sums are scaled by a power
+    of two before any product, so ``tn`` is the same for weights of any
     magnitude and ``tfro`` scales exactly with them.  No floating-point
     warning escapes.
     """

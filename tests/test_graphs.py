@@ -286,6 +286,21 @@ class TestThresholdBinarize:
         assert out.edges.dtype == bool
         assert threshold_binarize(out, 0.5).edges.tolist() == [[True]]
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), tau=st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 0.3, 1.0, FLOAT_MAX]),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)))
+    def test_matches_the_absolute_value_comparison(self, data, tau):
+        """Signed zeros, subnormals, ties at both +tau and -tau, and weights
+        near the float64 max give the bools of ``|w| > tau``."""
+        m = data.draw(st.integers(1, 3))
+        entry = st.one_of(_ENTRIES, st.sampled_from([tau, -tau]))
+        edges = np.array(data.draw(st.lists(entry, min_size=6 * m, max_size=6 * m)))
+        edges = edges.reshape(m, 6)
+        out = threshold_binarize(GraphSample.from_edges(edges), tau).edges
+        assert out.dtype == bool
+        assert np.array_equal(out, np.abs(edges) > tau)
+
     def test_antitone_in_threshold(self):
         """Raising tau can only remove edges, never add them."""
         rng = np.random.default_rng(11)
@@ -405,6 +420,29 @@ class TestAdjacencyCsv:
             assert _outcome(load_adjacency_csv, path) == _outcome(loadtxt_adjacency, path)
             if canonical:
                 assert _read_canonical(path) is not None
+
+    @pytest.mark.parametrize("text, canonical", [
+        (b"0,0.5\n0.55,0\n", False),
+        (b"0,0.5\n0.55\n", False),
+        (b"0,1,2\n1,0,3\n2,3.0,0\n", False),
+        (b"0,1,2\n1,0,3\n2,4,0\n", False),
+        (b"0,0.5,0.25\n0.5,0\n0.25,1,0\n", False),
+        (b"0,0.5,0.25\n0.5,0,1,9\n0.25,1,0\n", False),
+        (b"0,0.5,\n0.5,0\n", False),
+        (b"0,-1.5\n-1.5,0\n", True),
+        (b"0,0.5,2\n0.5,0,1e-3\n2,1e-3,0", True),
+    ], ids=["mirror-is-a-byte-prefix", "mirror-is-a-byte-prefix-of-the-line",
+            "respelled-in-last-line", "asymmetric-in-last-line", "one-token-too-few",
+            "one-token-too-many", "trailing-comma-on-first-line", "two-nodes",
+            "no-final-lf"])
+    def test_join_check_examples(self, tmp_path, text, canonical):
+        """Each line must start with its mirrors joined by commas, and a
+        comma, then hold exactly the tokens from the diagonal on; whether
+        or not the file passes, its pairs or error are the oracle's."""
+        path = tmp_path / "g.csv"
+        path.write_bytes(text)
+        assert _outcome(load_adjacency_csv, path) == _outcome(loadtxt_adjacency, path)
+        assert (_read_canonical(path) is not None) == canonical
 
     def test_format_shape(self, tmp_path):
         g = validate_adjacency([[0.0, 0.5], [0.5, 0.0]])

@@ -248,6 +248,31 @@ class TestFailFastLoad:
         assert read == []
         self._same_error_at_2_and_3_workers(directories, serial)
 
+    @pytest.mark.parametrize("sizes, strategy, drop_last, error", [
+        ((4, 6), "split_only", True, (SampleSizeMismatchError, "sample-size-mismatch",
+                                      "groups have 4 and 6 graphs; equalize them "
+                                      "first (see the realdata subcommand)")),
+        ((5, 7), "oversample_smaller", False, (OddSampleSizeError, "odd-sample-size",
+                                               "group size 7 is odd; pass "
+                                               "--drop-last to discard one pair")),
+    ], ids=["unequal-split-only", "odd-without-drop-last"])
+    def test_size_error_fails_before_any_file_is_read(self, tmp_path, read, sizes,
+                                                      strategy, drop_last, error):
+        """The size rule of :func:`run_passes` on the file counts: its error
+        comes before any file is read, even one that is corrupt."""
+        directories = (tmp_path / "a", tmp_path / "b")
+        for directory, size, seed in zip(directories, sizes, (83, 84)):
+            _write_group(directory, _population(seed, size, n=6))
+        (directories[0] / "subject_000.csv").write_text("0,1\nx,0\n")
+        serial = _error(load_groups, directories, workers=1, strategy=strategy,
+                        drop_last=drop_last)
+        assert serial == error
+        assert read == []
+        for workers in (2, 3):
+            assert _error(load_groups, directories, workers=workers,
+                          strategy=strategy, drop_last=drop_last) == serial
+        assert multiprocessing.active_children() == []
+
 
 def test_load_holds_each_group_once(tmp_path):
     """A one-worker load of two groups of the realdata-sweep shape (n=100,
