@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.  Errors are printed
 to stderr as one line, ``<code>: <message>``.  A subcommand takes only the
 flags it reads: ``--seed`` all but ``theory``, ``--output-format`` the
 three that print records, the group flags ``test`` and ``realdata`` (each
-set declared once, in a parent parser), ``--threads`` ``simulate``.  An
+set declared once, in a parent parser), ``--alpha`` ``test``, the only one
+that prints decisions, ``--threads`` ``simulate``.  An
 ``--out`` that cannot be written fails before the run, and before
 ``realdata`` reads any file.  Without ``--seed``, ``generate``, ``test``
 and ``realdata`` draw a seed from OS entropy and print it to stderr as
@@ -114,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         groups.add_argument("--group-a", required=True)
         groups.add_argument("--group-b", required=True)
         groups.add_argument("--method", choices=("tn", "tfro", "both"), default=method)
-        groups.add_argument("--alpha", type=_open_unit("alpha"), default=0.05)
         groups.add_argument("--drop-last", action="store_true",
                             help="drop the last graph of each group when sizes are odd")
         return groups
@@ -135,6 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="test two equally sized groups of adjacency CSVs")
     p.add_argument("--splits", type=_int_at_least(1), default=1,
                    help="number of random-split repetitions")
+    p.add_argument("--alpha", type=_open_unit("alpha"), default=0.05)
 
     p = sub.add_parser("theory", parents=[printing],
                        help="closed-form diagnostics for a model document")
@@ -323,8 +324,8 @@ def _cmd_realdata(args) -> int:
     seed = _master_seed(args)
     plan = ResamplingPlan(strategy=strategy, repetitions=args.reps, seed=seed)
     methods = _methods(args.method)
-    runs, sweep = run_passes(group_a, group_b, plan, methods, args.alpha,
-                             args.drop_last, args.taus or (), usable_cpus())
+    runs, sweep = run_passes(group_a, group_b, plan, methods, drop_last=args.drop_last,
+                             taus=args.taus or (), workers=usable_cpus())
     if all(run.summary is None for run in runs.values()):
         raise AllNAError(
             f"all {plan.repetitions} repetitions produced undefined statistics")

@@ -71,6 +71,8 @@ class TwoBlockModel:
             raise OddNodeCountError(f"two-block designs need even n, got {self.n}")
         if not (isinstance(self.epsilon, _NUMBER) and 0 <= self.epsilon < np.inf):
             raise ConfigError(f"epsilon must be a non-negative real, got {self.epsilon!r}")
+        # Adding 0 turns -0.0, printed "-0.0", into 0.0 and keeps any other value.
+        object.__setattr__(self, "epsilon", self.epsilon + 0)
         for params in (self.within, self.between):
             if self.family == "bernoulli":
                 if not isinstance(params, _NUMBER):

@@ -37,10 +37,12 @@ import numpy as np
 from . import pool
 from .errors import (
     DataLoadError,
+    DimensionMismatchError,
     GraphTestError,
     MixedDimensionsError,
     OddSampleSizeError,
     SampleSizeMismatchError,
+    TooFewSamplesError,
 )
 from .graphs import (
     FiveNumberSummary,
@@ -125,8 +127,10 @@ def load_groups(directories, workers: int = 1, strategy: str | None = None,
     arrives and its pair vector written into its group's edge array,
     allocated from the group's first file, so the groups are held once.
     The first unreadable file, or file whose node count differs from its
-    group's first file, raises at once, and the chunks not yet started are
-    cancelled; so the error is the same for any worker count."""
+    group's first file, raises at once, and so, given a ``strategy``, does
+    group B's first file if its node count differs from group A's; the
+    chunks not yet started are cancelled, so the error is the same for any
+    worker count."""
     listed = [_csv_paths(Path(directory)) for directory in directories]
     if strategy is not None:
         _split_sizes(*map(len, listed), strategy, drop_last)
@@ -141,6 +145,9 @@ def load_groups(directories, workers: int = 1, strategy: str | None = None,
             n, row = entry
             row = np.frombuffer(row)
             if k == 0:
+                # With a strategy there are two groups, and n0 is still group A's.
+                if g and strategy is not None and n != n0:
+                    raise DimensionMismatchError(f"groups have {n0} and {n} nodes")
                 n0, edges[g] = n, np.empty((len(listed[g]), row.size))
             elif n != n0:
                 raise MixedDimensionsError(f"{listed[g][k].name} has {n} nodes, "
@@ -168,11 +175,14 @@ def _split_sizes(m_a: int, m_b: int, strategy: str,
                  drop_last: bool) -> tuple[int, int]:
     """The common size of groups of ``m_a`` and ``m_b`` graphs under
     ``strategy`` (:func:`_common_size`), and how many of its graphs each
-    split keeps: ``drop_last`` drops the last graph of an odd size above
-    1, which is otherwise an :class:`OddSampleSizeError`."""
+    split keeps.  A size below 2 is a :class:`TooFewSamplesError`;
+    ``drop_last`` drops the last graph of an odd size, which is otherwise
+    an :class:`OddSampleSizeError`."""
     size = _common_size(m_a, m_b, strategy)
-    keep = size - 1 if drop_last and size % 2 and size > 1 else size
-    if keep % 2 and keep > 1:
+    if size < 2:
+        raise TooFewSamplesError(f"need at least 2 graphs per group, got {size}")
+    keep = size - 1 if drop_last and size % 2 else size
+    if keep % 2:
         raise OddSampleSizeError(
             f"group size {size} is odd; pass --drop-last to discard one pair")
     return size, keep

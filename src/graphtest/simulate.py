@@ -91,6 +91,8 @@ class ExperimentConfig:
         for n in self.n_grid:
             for epsilon in self.epsilon_grid:
                 self.cell_model(n, epsilon)
+        # As in TwoBlockModel: -0.0 becomes 0.0, which the report prints as "0".
+        object.__setattr__(self, "epsilon_grid", tuple(e + 0 for e in self.epsilon_grid))
 
     def cell_model(self, n: int, epsilon: float) -> TwoBlockModel:
         return TwoBlockModel(

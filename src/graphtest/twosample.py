@@ -74,12 +74,10 @@ class Partition:
     second_half: tuple[int, ...]
 
     def __post_init__(self):
-        first = tuple(int(i) for i in self.first_half)
-        second = tuple(int(i) for i in self.second_half)
-        m = len(first) + len(second)
+        first, second = tuple(map(int, self.first_half)), tuple(map(int, self.second_half))
         if len(first) != len(second):
             raise OddSampleSizeError("partition halves must have equal size")
-        if set(first) & set(second) or set(first) | set(second) != set(range(m)):
+        if sorted(first + second) != list(range(2 * len(first))):
             raise ValueError("partition halves must be disjoint and cover 0..m-1")
         object.__setattr__(self, "first_half", first)
         object.__setattr__(self, "second_half", second)
@@ -121,56 +119,39 @@ class TestResult:
 
 
 def random_partition(m: int, rng: np.random.Generator) -> Partition:
-    """Uniformly random equal split of ``0..m-1`` (m even, m >= 2)."""
+    """Uniformly random equal split of ``0..m-1`` (m even, m >= 2): the
+    sorted halves of one permutation drawn from ``rng``."""
     if m < 2:
         raise TooFewSamplesError(f"need at least 2 graphs per group, got {m}")
     if m % 2 != 0:
-        raise OddSampleSizeError(
-            f"group size must be even to split into halves, got {m}"
-        )
-    perm = rng.permutation(m)
-    first = tuple(sorted(int(i) for i in perm[: m // 2]))
-    second = tuple(sorted(int(i) for i in perm[m // 2:]))
-    return Partition(first, second)
+        raise OddSampleSizeError(f"group size must be even to split into halves, got {m}")
+    perm = rng.permutation(m).tolist()
+    return Partition(sorted(perm[: m // 2]), sorted(perm[m // 2:]))
 
 
 def _check_samples(sample_g: GraphSample, sample_h: GraphSample, partition: Partition,
                    rows=None) -> tuple:
     """The rows of ``sample_g`` and of ``sample_h`` that each half of the
-    split pairs, ``((g_rows, h_rows), (g_rows, h_rows))``: position ``k``
-    reads row ``rows_g[k]`` and row ``rows_h[k]`` of ``rows``, or row ``k``
-    of both samples when ``rows`` is None."""
+    split pairs, ``((g_rows, h_rows), (g_rows, h_rows))`` as lists: position
+    ``k`` reads row ``rows_g[k]`` and row ``rows_h[k]`` of ``rows``, which
+    is every row of each sample in order when None.  Both cases are checked
+    and composed by the same lines."""
     if sample_g.n != sample_h.n:
-        raise DimensionMismatchError(
-            f"groups have {sample_g.n} and {sample_h.n} nodes"
-        )
-    if rows is None:
-        if sample_g.m != sample_h.m:
-            raise SampleSizeMismatchError(
-                f"groups have {sample_g.m} and {sample_h.m} graphs"
-            )
-        size = sample_g.m
-    else:
-        rows = tuple(np.asarray(r) for r in rows)
-        if len(rows[0]) != len(rows[1]):
-            raise SampleSizeMismatchError(
-                f"row vectors select {len(rows[0])} and {len(rows[1])} graphs"
-            )
-        for r, sample in zip(rows, (sample_g, sample_h)):
-            if r.size and not 0 <= r.min() <= r.max() < sample.m:
-                raise SampleSizeMismatchError(
-                    f"row vector selects rows {r.min()}..{r.max()} of a group "
-                    f"of {sample.m} graphs"
-                )
-        size = len(rows[0])
-    if partition.m != size:
+        raise DimensionMismatchError(f"groups have {sample_g.n} and {sample_h.n} nodes")
+    rows_g, rows_h = rows = ([range(sample_g.m), range(sample_h.m)] if rows is None
+                             else [np.asarray(r).tolist() for r in rows])
+    if len(rows_g) != len(rows_h):
         raise SampleSizeMismatchError(
-            f"partition covers {partition.m} pairs but groups have {size}"
-        )
-    halves = (list(partition.first_half), list(partition.second_half))
-    if rows is None:
-        return tuple((half, half) for half in halves)
-    return tuple((rows[0][half].tolist(), rows[1][half].tolist()) for half in halves)
+            f"row vectors select {len(rows_g)} and {len(rows_h)} graphs")
+    for r, sample in zip(rows, (sample_g, sample_h)):
+        if r and not 0 <= min(r) <= max(r) < sample.m:
+            raise SampleSizeMismatchError(f"row vector selects rows {min(r)}..{max(r)} "
+                                          f"of a group of {sample.m} graphs")
+    if partition.m != len(rows_g):
+        raise SampleSizeMismatchError(
+            f"partition covers {partition.m} pairs but groups have {len(rows_g)}")
+    return tuple(([rows_g[k] for k in half], [rows_h[k] for k in half])
+                 for half in (partition.first_half, partition.second_half))
 
 
 def _half_counts(g_edges: np.ndarray, h_edges: np.ndarray, halves) -> np.ndarray:
@@ -300,8 +281,8 @@ def run_methods(
     ``rows``, a pair ``(rows_g, rows_h)`` of index vectors, maps the split's
     positions to sample rows: position ``k`` pairs graph ``rows_g[k]`` of
     ``sample_g`` with graph ``rows_h[k]`` of ``sample_h``, so a resample of
-    the groups is tested without copying it.  None is the identity, and
-    then both samples have the split's size.
+    the groups is tested without copying it.  None is the identity, every
+    row of each sample in order, and is checked and read by the same path.
 
     D = G - H, its half sums and T are formed once; S = G + H only for
     ``tfro``.  Half sums are streamed from the groups' edge arrays one

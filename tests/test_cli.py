@@ -290,6 +290,13 @@ class TestTheory:
             "size_vs_sigma4", "sigma8_concentration", "sigma4_eta", "eta_sq",
             "all_below_0.1_heuristic"}
 
+    def test_negative_zero_epsilon_prints_as_zero(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**MODEL_DOC, "epsilon": -0.0}))
+        assert main(["theory", "--config", str(path), "--m", "4"]) == 0
+        out = capsys.readouterr().out
+        assert '"epsilon": 0.0,' in out and "-0.0" not in out
+
     def test_bernoulli_block_present(self, tmp_path, capsys):
         doc = {"schema": 1, "family": "bernoulli", "n": 10,
                "within": 0.5, "between": 0.4}
@@ -387,6 +394,21 @@ class TestSimulate:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [row[-1] for row in rows if row[2] == "0"] == ["0", "0"]
         assert "nan" not in out.read_text()
+
+    def test_negative_zero_epsilon_prints_as_zero(self, tmp_path, capsys):
+        """An epsilon of -0.0 is the null: the report row is the one an
+        epsilon of 0.0 writes, not "-0"."""
+        reports = []
+        for epsilon in (-0.0, 0.0):
+            config = tmp_path / "experiment.json"
+            config.write_text(json.dumps({**EXPERIMENT_DOC, "replications": 3,
+                                          "epsilon_grid": [epsilon]}))
+            out = tmp_path / f"report{len(reports)}.csv"
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert b"-0" not in reports[0]
+        assert reports[0].splitlines()[1].startswith(b"10,2,0,tn,")
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "missing.json"),
@@ -663,6 +685,28 @@ class TestRealdata:
                 save_adjacency_csv(graph, directory / f"s{k}.csv")
             dirs.append(directory)
         return dirs
+
+    def test_group_shape_errors_come_before_the_seed(self, unequal_dirs, tmp_path,
+                                                     capsys):
+        """Subsampling to one graph fails on the file counts, and a group B
+        of another node count at its first file, both before a seed is
+        drawn: without --seed the error is the only stderr line."""
+        a, b = unequal_dirs
+        one, wide = tmp_path / "one", tmp_path / "wide"
+        one.mkdir()
+        wide.mkdir()
+        (one / "s0.csv").write_bytes((a / "s0.csv").read_bytes())
+        sample, _ = make_synthetic_groups(n=12, size_a=4, size_b=2, seed=78)
+        for k, graph in enumerate(sample.graphs):
+            save_adjacency_csv(graph, wide / f"s{k}.csv")
+        for group_a, group_b, strategy, error in (
+                (one, b, "subsample",
+                 "too-few-samples: need at least 2 graphs per group, got 1"),
+                (a, wide, "oversample",
+                 "dimension-mismatch: groups have 10 and 12 nodes")):
+            assert main(["realdata", "--group-a", str(group_a), "--group-b",
+                         str(group_b), "--strategy", strategy, "--reps", "2"]) == 2
+            assert capsys.readouterr() == ("", error + "\n")
 
     def test_oversample_to_stdout(self, unequal_dirs, capsys):
         a, b = unequal_dirs
@@ -1033,7 +1077,7 @@ class TestUsageAndHelp:
         assert main(["realdata", "--help"]) == 0
         out = capsys.readouterr().out
         for flag in ("--group-a", "--group-b", "--strategy", "--reps", "--taus",
-                     "--method", "--alpha", "--seed", "--out"):
+                     "--method", "--seed", "--out"):
             assert flag in out
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -1044,6 +1088,7 @@ class TestUsageAndHelp:
         ("simulate", "--output-format", "json"),
         ("realdata", "--output-format", "json"),
         ("theory", "--seed", "1"),
+        ("realdata", "--alpha", "0.05"),
     ])
     def test_removed_flags_exit_1(self, command, flag, value, capsys):
         """Flags a subcommand never read are gone, not silently accepted."""

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from graphtest import graphs
 from graphtest.errors import (
     AsymmetryError,
     DimensionMismatchError,
@@ -431,18 +432,47 @@ class TestAdjacencyCsv:
         (b"0,0.5,\n0.5,0\n", False),
         (b"0,-1.5\n-1.5,0\n", True),
         (b"0,0.5,2\n0.5,0,1e-3\n2,1e-3,0", True),
+        (b"0,1e\n1e,0\n", False),
+        (b"0,-\n-,0\n", False),
+        (b"0,+\n+,0\n", False),
+        (b".,1\n1,0\n", False),
+        (b"0,1.2.3\n1.2.3,0\n", False),
+        (b"0,,2\n,0,3\n2,3,0\n", False),
     ], ids=["mirror-is-a-byte-prefix", "mirror-is-a-byte-prefix-of-the-line",
             "respelled-in-last-line", "asymmetric-in-last-line", "one-token-too-few",
             "one-token-too-many", "trailing-comma-on-first-line", "two-nodes",
-            "no-final-lf"])
+            "no-final-lf", "no-exponent-digits", "minus-alone", "plus-alone",
+            "point-alone", "two-points", "empty-token"])
     def test_join_check_examples(self, tmp_path, text, canonical):
         """Each line must start with its mirrors joined by commas, and a
-        comma, then hold exactly the tokens from the diagonal on; whether
-        or not the file passes, its pairs or error are the oracle's."""
+        comma, then hold exactly the tokens from the diagonal on, and each
+        token must convert; whether or not the file passes, its pairs or
+        error are the oracle's."""
         path = tmp_path / "g.csv"
         path.write_bytes(text)
         assert _outcome(load_adjacency_csv, path) == _outcome(loadtxt_adjacency, path)
         assert (_read_canonical(path) is not None) == canonical
+
+    def test_first_line_longer_than_the_file_allows(self, tmp_path, monkeypatch):
+        """Eleven tokens on the first line need 121 bytes: a shorter file is
+        given to np.loadtxt before the mirror layout of 11 nodes is built."""
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"0,1,2,3,4,5,6,7,8,9,10\n1,0\n")
+        built = []
+        monkeypatch.setattr(graphs, "_mirror_gathers", built.append)
+        assert _read_canonical(path) is None
+        assert built == []
+        assert _outcome(load_adjacency_csv, path) == _outcome(loadtxt_adjacency, path)
+
+    def test_directory_is_left_to_loadtxt(self, tmp_path):
+        """A path that cannot be opened as a file raises the OSError of
+        np.loadtxt, with its message."""
+        path = tmp_path / "x.csv"
+        path.mkdir()
+        assert _read_canonical(path) is None
+        outcome = _outcome(load_adjacency_csv, path)
+        assert issubclass(outcome[0], OSError)
+        assert outcome == _outcome(loadtxt_adjacency, path)
 
     def test_format_shape(self, tmp_path):
         g = validate_adjacency([[0.0, 0.5], [0.5, 0.0]])

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 import graphtest
 from graphtest.errors import (
     DataLoadError,
+    DimensionMismatchError,
     GraphTestError,
     MixedDimensionsError,
     OddSampleSizeError,
     SampleSizeMismatchError,
+    TooFewSamplesError,
 )
 from graphtest.graphs import (
     GraphSample,
@@ -219,9 +221,9 @@ class TestFailFastLoad:
         return names
 
     @staticmethod
-    def _same_error_at_2_and_3_workers(directories, serial):
+    def _same_error_at_2_and_3_workers(directories, serial, **kwargs):
         for workers in (2, 3):
-            assert _error(load_groups, directories, workers=workers) == serial
+            assert _error(load_groups, directories, workers=workers, **kwargs) == serial
         assert multiprocessing.active_children() == []
 
     def test_corrupt_file_ends_the_load_in_its_chunk(self, tmp_path, read):
@@ -255,7 +257,13 @@ class TestFailFastLoad:
         ((5, 7), "oversample_smaller", False, (OddSampleSizeError, "odd-sample-size",
                                                "group size 7 is odd; pass "
                                                "--drop-last to discard one pair")),
-    ], ids=["unequal-split-only", "odd-without-drop-last"])
+        ((1, 1), "split_only", True, (TooFewSamplesError, "too-few-samples",
+                                      "need at least 2 graphs per group, got 1")),
+        ((1, 5), "subsample_larger", False, (TooFewSamplesError, "too-few-samples",
+                                             "need at least 2 graphs per group, "
+                                             "got 1")),
+    ], ids=["unequal-split-only", "odd-without-drop-last", "one-graph-groups",
+            "subsample-to-one-graph"])
     def test_size_error_fails_before_any_file_is_read(self, tmp_path, read, sizes,
                                                       strategy, drop_last, error):
         """The size rule of :func:`run_passes` on the file counts: its error
@@ -272,6 +280,36 @@ class TestFailFastLoad:
             assert _error(load_groups, directories, workers=workers,
                           strategy=strategy, drop_last=drop_last) == serial
         assert multiprocessing.active_children() == []
+
+    def test_node_mismatch_across_groups_ends_the_load_at_its_first_file(
+            self, tmp_path, read):
+        """Given a strategy, group B's first file is checked against group
+        A's node count as it arrives: its chunk is the last read, and the
+        error beats a mixed-dimension file and a corrupt file later in
+        group B."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        _write_group(a, _population(85, 3, n=6))
+        _write_group(b, _population(86, 5, n=8))
+        save_adjacency_csv(_population(87, 1, n=6), b / "subject_001.csv")
+        (b / "subject_003.csv").write_text("0,1\nx,0\n")
+        assert _plan([1], 8, 1)[:2] == [(0, 0, 2), (0, 2, 4)]
+        sizes = {"strategy": "oversample_smaller", "drop_last": True}
+        serial = _error(load_groups, (a, b), workers=1, **sizes)
+        assert serial == (DimensionMismatchError, "dimension-mismatch",
+                          "groups have 6 and 8 nodes")
+        assert read == [f"subject_{k:03d}.csv" for k in range(3)] + ["subject_000.csv"]
+        self._same_error_at_2_and_3_workers((a, b), serial, **sizes)
+
+    def test_directory_named_csv_is_a_data_load_error(self, tmp_path, read):
+        """A directory that the listing takes for a CSV fails as an
+        unreadable file, named, at 1, 2 and 3 workers."""
+        _write_group(tmp_path / "a", _population(88, 3, n=6))
+        (tmp_path / "a" / "x.csv").mkdir()
+        serial = _error(load_groups, [tmp_path / "a"], workers=1)
+        assert serial[:2] == (DataLoadError, "data-load")
+        assert serial[2].startswith("x.csv: ")
+        assert read == [f"subject_{k:03d}.csv" for k in range(3)] + ["x.csv"]
+        self._same_error_at_2_and_3_workers([tmp_path / "a"], serial)
 
 
 def test_load_holds_each_group_once(tmp_path):

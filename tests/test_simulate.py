@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 
 import pytest
@@ -74,6 +75,19 @@ class TestConfigValidation:
             ExperimentConfig(family="bernoulli", within=0.5, between=0.4,
                              n_grid=(10,), m_grid=(2,), epsilon_grid=(0.6,),
                              replications=5, alpha=0.05, master_seed=1)
+
+
+def test_negative_zero_epsilon_is_stored_as_zero(tmp_path):
+    """A config or model built in code keeps no -0.0 epsilon, so its report
+    writes "0", as --taus writes a threshold of -0."""
+    config = _beta_config(epsilon_grid=(-0.0, 0.5), replications=2)
+    model = config.cell_model(10, -0.0)
+    assert [math.copysign(1.0, e) for e in (*config.epsilon_grid, model.epsilon)] \
+        == [1.0, 1.0, 1.0]
+    path = tmp_path / "report.csv"
+    emit_report(run_experiment(config), path)
+    assert [row["epsilon"] for row in csv.DictReader(path.open())] \
+        == ["0", "0", "0.5", "0.5"]
 
 
 class TestRunCell:
