@@ -7,6 +7,10 @@ between-block pairs.  A non-negative shift ``epsilon`` defines the second
 population (``Beta(a+eps, b+eps)`` / ``Bern(p+eps)``), so ``epsilon = 0``
 is the null configuration.  Beta graphs are drawn as float64 weights and
 Bernoulli graphs as bool, which the statistics sum exactly in integers.
+:func:`bernoulli_draw_order` draws the same Bernoulli graphs with each
+row's pairs in draw order, for ``simulate`` to count: their statistics are
+exact integer sums that no order of the pairs changes (see
+:func:`~graphtest.twosample.order_free`).
 
 Each family's moments and draw rule are written here alone, and
 :func:`pair_moments` gives a two-block model's per-pair vectors.  Each
@@ -41,7 +45,12 @@ from .graphs import GraphSample, pair_layout, pair_vector
 from .rng import check_integer
 
 FAMILIES = ("beta", "bernoulli")
-_NUMBER = (int, float)  # a model parameter or shift; NaN and inf are range errors
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a model parameter or shift: an ``int`` or
+    ``float`` but not a bool.  NaN and inf are range errors."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_family(family) -> None:
@@ -69,16 +78,16 @@ class TwoBlockModel:
             raise ConfigError(f"node count must be at least 2, got {self.n}")
         if self.n % 2 != 0:
             raise OddNodeCountError(f"two-block designs need even n, got {self.n}")
-        if not (isinstance(self.epsilon, _NUMBER) and 0 <= self.epsilon < np.inf):
+        if not (_is_number(self.epsilon) and 0 <= self.epsilon < np.inf):
             raise ConfigError(f"epsilon must be a non-negative real, got {self.epsilon!r}")
         # Adding 0 turns -0.0, printed "-0.0", into 0.0 and keeps any other value.
         object.__setattr__(self, "epsilon", self.epsilon + 0)
         for params in (self.within, self.between):
             if self.family == "bernoulli":
-                if not isinstance(params, _NUMBER):
+                if not _is_number(params):
                     raise ConfigError(f"bernoulli parameter must be a probability, got {params!r}")
             elif not (isinstance(params, tuple) and len(params) == 2
-                      and all(isinstance(x, _NUMBER) for x in params)):
+                      and all(map(_is_number, params))):
                 raise ConfigError(f"beta parameters must be an (a, b) pair, got {params!r}")
         # The family's moment rule checks each range, before and after the shift.
         for shifted in (False, True):
@@ -170,11 +179,16 @@ def pair_moments(model: TwoBlockModel, shifted: bool) -> tuple[np.ndarray, ...]:
     return tuple(np.where(within, w, b) for w, b in zip(*moments))
 
 
-def _draw_pairs(family: str, params, size: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_pairs(family: str, params, size: int, rng: np.random.Generator,
+                out: np.ndarray | None = None,
+                buffer: np.ndarray | None = None) -> np.ndarray:
+    """``size`` draws from ``rng``; Bernoulli ones are compared into
+    ``out`` if given, from uniforms drawn into ``buffer`` if given."""
     if family == "beta":
         return rng.beta(*params, size=size)
     # Bern(p) as a thresholded uniform; exact at p = 0 and p = 1.
-    return rng.random(size) < params
+    uniforms = rng.random(size) if buffer is None else rng.random(out=buffer[:size])
+    return np.less(uniforms, params, out=out)
 
 
 def sample_population(
@@ -192,6 +206,25 @@ def sample_population(
         for (mask, size), params in blocks:
             row[mask] = _draw_pairs(model.family, params, size, rng)
     return GraphSample.from_edges(edges)
+
+
+def bernoulli_draw_order(model: TwoBlockModel, shifted: bool, m: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """The bool ``(m, P)`` edges of the Bernoulli graphs that
+    :func:`sample_population` draws from the same stream state, with each
+    row's pairs in the order they are drawn: the within-block pairs, then
+    the between-block pairs, each in :func:`pair_layout` order.  The same
+    uniforms meet the same pairs, so this is a column permutation of that
+    sample's edges, drawn without scattering each row into pair order."""
+    (_, within), (_, between) = _blocks(model.n)
+    edges = np.empty((m, within + between), dtype=bool)
+    # One uniform buffer for every block, freed before the group is tested.
+    buffer = np.empty(max(within, between))
+    params = model.params(shifted)
+    for row in edges:
+        for cols, p in zip((row[:within], row[within:]), params):
+            _draw_pairs("bernoulli", p, cols.size, rng, cols, buffer)
+    return edges
 
 
 def beta_params_from_moments(mean, variance):

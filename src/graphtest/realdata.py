@@ -77,7 +77,8 @@ class ResamplingPlan:
 
 @dataclass(frozen=True, eq=False)
 class RepeatedRun:
-    """All repetitions of one method: raw results, summary of the non-NA
+    """All repetitions of one method: raw results (decided only when
+    :func:`run_passes` was given an ``alpha``), summary of the non-NA
     statistics (None if every repetition was NA), and the NA count."""
 
     method: str
@@ -225,7 +226,8 @@ def equalize(
 
 def _run_chunk(groups, tau: float | None, start: int, stop: int) -> list:
     """The ``run_methods`` results of repetitions ``start..stop-1`` on
-    ``groups`` (both samples and the test settings), binarized at ``tau``
+    ``groups`` (both samples and the test settings, ``alpha`` None or the
+    level to decide at), binarized at ``tau``
     unless it is None.  Repetition ``r`` selects ``size`` rows of each group
     and then draws one split of the first ``keep`` that every method
     shares, both from ``substream(seed, r)``; a group of ``size`` graphs
@@ -257,7 +259,7 @@ def run_passes(
     sample_b: GraphSample,
     plan: ResamplingPlan,
     methods: tuple[str, ...] = ("tn", "tfro"),
-    alpha: float = 0.05,
+    alpha: float | None = None,
     drop_last: bool = False,
     taus=(),
     workers: int = 1,
@@ -271,7 +273,8 @@ def run_passes(
     results are joined in repetition order, so nothing depends on
     ``workers``.  Returns the weighted runs and ``(tau, runs)`` per
     threshold; a method that is NA in every repetition of a pass gets a
-    None summary.  Before any repetition, the sizes are checked by
+    None summary.  Each result is decided at ``alpha``, or left undecided
+    when it is None, as the summaries need no decision.  Before any repetition, the sizes are checked by
     :func:`_split_sizes`, with ``drop_last``."""
     size, keep = _split_sizes(sample_a.m, sample_b.m, plan.strategy, drop_last)
     passes = (None, *taus)

@@ -13,6 +13,10 @@ order.
 Per replicate: draw the first group from the unshifted model and the second
 from the shifted one (a zero shift is the null), draw a fresh random
 partition, evaluate the requested statistics, and tally decisions.
+A Bernoulli cell within :func:`~graphtest.twosample.order_free`'s bound
+draws and counts its rows in draw order, never scattered into pair order;
+its statistics are exact integer sums, so they keep their bits.  Beta
+cells, and cells past the bound, are sampled in pair order.
 Replicates whose statistic is NA are excluded from the rejection-rate
 denominator and counted separately.
 
@@ -31,6 +35,7 @@ from .errors import ConfigError, DegenerateModelError
 from .graphs import write_csv
 from .models import (
     TwoBlockModel,
+    bernoulli_draw_order,
     json_design,
     json_object,
     json_value,
@@ -38,7 +43,7 @@ from .models import (
     sample_population,
 )
 from .rng import check_integer, check_seed, substream
-from .twosample import METHODS, random_partition, run_methods
+from .twosample import METHODS, order_free, random_partition, run_methods, run_on_edges
 
 REPORT_HEADER = ("n", "m", "epsilon", "method", "rejections", "na",
                  "replications", "rate", "lambda")
@@ -153,13 +158,16 @@ def _run_chunk(config: ExperimentConfig, cell: tuple[int, int, int, float],
             pass
     rejects = [0] * len(config.methods)
     nas = [0] * len(config.methods)
+    # Draw-order rows stay raw arrays: a GraphSample claims pair_layout order.
+    draw, test = ((bernoulli_draw_order, run_on_edges)
+                  if model.family == "bernoulli" and order_free(m, n * (n - 1) // 2)
+                  else (sample_population, run_methods))
     for r in range(start, stop):
         rng = substream(config.master_seed, cell_index, r)
-        group_g = sample_population(model, False, m, rng)
-        group_h = sample_population(model, True, m, rng)
+        group_g = draw(model, False, m, rng)
+        group_h = draw(model, True, m, rng)
         partition = random_partition(m, rng)
-        results = run_methods(config.methods, group_g, group_h, partition,
-                              config.alpha)
+        results = test(config.methods, group_g, group_h, partition, config.alpha)
         for i, result in enumerate(results):
             nas[i] += result.is_na
             rejects[i] += result.reject is True

@@ -28,6 +28,11 @@ counted in int32 and the half sums of D and S are formed from the counts.
 Every partial sum of 0/1 values is a small integer, exact in float64 in
 any order, so ``sum(G) - sum(H)`` is bit for bit the float sum of
 ``G - H`` and the results equal those of the same graphs as float64.
+The three reductions of bool statistics then add integers too, exactly
+while :func:`order_free` holds, so the order of the pairs changes no bit:
+``simulate`` counts Bernoulli rows in the order they are drawn, through
+:func:`run_on_edges`, the unchecked twin of :func:`run_methods` on raw
+edge arrays; both run the one kernel.
 
 Either denominator can vanish on very sparse or identical samples, and
 half sums of weights of opposite sign near the float64 limit overflow;
@@ -271,33 +276,25 @@ def decide(result: TestResult, alpha: float) -> TestResult:
     return replace(result, reject=bool(reject), alpha=alpha)
 
 
-def run_methods(
-    methods: tuple[str, ...], sample_g: GraphSample, sample_h: GraphSample,
-    partition: Partition, alpha: float, rows=None,
-) -> tuple[TestResult, ...]:
-    """Compute the named statistics ("tn", "tfro") on one split and decide
-    each; one result per requested method, in the order requested.
+def order_free(m: int, pairs: int) -> bool:
+    """Whether the statistics of bool groups of ``m`` graphs over ``pairs``
+    node pairs have the same bits for every order of the pairs.
 
-    ``rows``, a pair ``(rows_g, rows_h)`` of index vectors, maps the split's
-    positions to sample rows: position ``k`` pairs graph ``rows_g[k]`` of
-    ``sample_g`` with graph ``rows_h[k]`` of ``sample_h``, so a resample of
-    the groups is tested without copying it.  None is the identity, every
-    row of each sample in order, and is checked and read by the same path.
+    Bool statistics are formed from per-pair integer counts: with
+    ``k = m // 2`` graphs a half, every ``T_ij`` lies within ``k**2``, every
+    ``T_ij**2`` within ``k**4`` and every product of S's half sums within
+    ``4 * k**2``.  While ``pairs * max(k**4, 4 * k**2)`` is at most
+    ``2**53``, every partial sum of the three reductions is an integer that
+    float64 holds exactly, so no order of the additions can round."""
+    k = m // 2
+    return pairs * max(k**4, 4 * k * k) <= 2**53
 
-    D = G - H, its half sums and T are formed once; S = G + H only for
-    ``tfro``.  Half sums are streamed from the groups' edge arrays one
-    graph at a time, so the kernel holds a few ``(P,)`` vectors whatever
-    ``m`` is.  When both samples are bool, the rows are counted once in
-    integers and both D's and S's half sums come from the counts, with
-    the same bits as the float sums.  Float half sums are scaled by a power
-    of two before any product, so ``tn`` is the same for weights of any
-    magnitude and ``tfro`` scales exactly with them.  No floating-point
-    warning escapes.
-    """
-    if not set(methods) <= set(METHODS):
-        raise ValueError(f"unknown method in {methods!r}, expected a subset of {METHODS}")
-    halves = _check_samples(sample_g, sample_h, partition, rows)
-    g, h = sample_g.edges, sample_h.edges
+
+def _statistics(methods: tuple[str, ...], g: np.ndarray, h: np.ndarray, halves,
+                alpha: float | None) -> tuple[TestResult, ...]:
+    """The kernel: the named statistics of the split that ``halves`` (as
+    :func:`_check_samples` returns them) makes of the rows of the edge
+    arrays ``g`` and ``h``, each decided at ``alpha`` unless it is None."""
     counts = _half_counts(g, h, halves) if g.dtype == h.dtype == bool else None
     results = {}
     # One work block per split: D's half sums, then S's once T is reduced.
@@ -316,7 +313,52 @@ def run_methods(
             results["tfro"] = _result("tfro", numerator,
                                       float(np.multiply(s1, s2, out=s1).sum()),
                                       2 * e_d, 2 * e_s)
+    if alpha is None:
+        return tuple(results[method] for method in methods)
     return tuple(decide(results[method], alpha) for method in methods)
+
+
+def run_methods(
+    methods: tuple[str, ...], sample_g: GraphSample, sample_h: GraphSample,
+    partition: Partition, alpha: float | None, rows=None,
+) -> tuple[TestResult, ...]:
+    """Compute the named statistics ("tn", "tfro") on one split and decide
+    each at ``alpha``, or leave them undecided when it is None; one result
+    per requested method, in the order requested.
+
+    ``rows``, a pair ``(rows_g, rows_h)`` of index vectors, maps the split's
+    positions to sample rows: position ``k`` pairs graph ``rows_g[k]`` of
+    ``sample_g`` with graph ``rows_h[k]`` of ``sample_h``, so a resample of
+    the groups is tested without copying it.  None is the identity, every
+    row of each sample in order, and is checked and read by the same path.
+
+    D = G - H, its half sums and T are formed once; S = G + H only for
+    ``tfro``.  Half sums are streamed from the groups' edge arrays one
+    graph at a time, so the kernel holds a few ``(P,)`` vectors whatever
+    ``m`` is.  When both samples are bool, the rows are counted once in
+    integers and both D's and S's half sums come from the counts, with
+    the same bits as the float sums.  Float half sums are scaled by a power
+    of two before any product, so ``tn`` is the same for weights of any
+    magnitude and ``tfro`` scales exactly with them.  No floating-point
+    warning escapes.  This is the checked entry to the kernel; its
+    unchecked twin on raw arrays is :func:`run_on_edges`.
+    """
+    if not set(methods) <= set(METHODS):
+        raise ValueError(f"unknown method in {methods!r}, expected a subset of {METHODS}")
+    halves = _check_samples(sample_g, sample_h, partition, rows)
+    return _statistics(methods, sample_g.edges, sample_h.edges, halves, alpha)
+
+
+def run_on_edges(methods: tuple[str, ...], g_edges: np.ndarray, h_edges: np.ndarray,
+                 partition: Partition, alpha: float | None) -> tuple[TestResult, ...]:
+    """:func:`run_methods` on raw ``(m, P)`` edge arrays, every row of each
+    in order, with nothing checked: the caller passes known methods and
+    arrays of ``partition.m`` rows over the same pairs, in any column order
+    the two share.  Bool arrays within :func:`order_free`'s bound give the
+    bits of the same graphs in ``pair_layout`` order."""
+    halves = tuple((list(half), list(half))
+                   for half in (partition.first_half, partition.second_half))
+    return _statistics(methods, g_edges, h_edges, halves, alpha)
 
 
 def run_method(

@@ -180,6 +180,9 @@ class TestModelValidation:
         (4, "beta", ("2", 3.0), "beta parameters must be an (a, b) pair, got ('2', 3.0)"),
         (4, "beta", (None, 3.0), "beta parameters must be an (a, b) pair, got (None, 3.0)"),
         (4, "beta", (2.0, [3.0]), "beta parameters must be an (a, b) pair, got (2.0, [3.0])"),
+        # A bool is not a number, as at the JSON boundary.
+        (4, "beta", (True, 3.0), "beta parameters must be an (a, b) pair, got (True, 3.0)"),
+        (4, "bernoulli", False, "bernoulli parameter must be a probability, got False"),
     ])
     def test_malformed_model_message(self, n, family, within, message):
         between = (1.0, 3.0) if family == "beta" else 0.5
@@ -227,7 +230,7 @@ class TestModelValidation:
                               between=(1.0, 3.0))
         assert pair_moments(model, shifted=False)[1][_pair(4, 0, 1)] == 0.25
 
-    @pytest.mark.parametrize("epsilon", [None, "0.1", (0.1,)])
+    @pytest.mark.parametrize("epsilon", [None, "0.1", (0.1,), True, False])
     def test_non_numeric_epsilon_rejected(self, epsilon):
         """epsilon takes the number rule of a Bernoulli probability; it once
         reached np.isfinite and raised a bare TypeError."""

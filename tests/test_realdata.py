@@ -46,6 +46,7 @@ from graphtest.realdata import (
     run_passes,
 )
 from graphtest.rng import substream
+from graphtest.twosample import decide
 
 from oracles import repeated_splits, strategy_rows
 
@@ -573,6 +574,20 @@ class TestRepeatedTests:
         runs = _repeated(a, b, plan, methods=("tn", "tfro"))
         for r_tn, r_tfro in zip(runs["tn"].results, runs["tfro"].results):
             assert r_tn.numerator == pytest.approx(r_tfro.numerator, rel=1e-12)
+
+    def test_results_are_decided_only_at_a_given_alpha(self):
+        """Without an alpha the results are left undecided; with one, each
+        is the decision of the same undecided result."""
+        a, b = _population(47, 6, epsilon=0.0), _population(48, 6, epsilon=0.5)
+        plan = ResamplingPlan("split_only", repetitions=5, seed=49)
+        undecided = _repeated(a, b, plan, methods=("tn", "tfro"))
+        decided = _repeated(a, b, plan, methods=("tn", "tfro"), alpha=0.05)
+        for method in ("tn", "tfro"):
+            assert all(r.reject is None and r.alpha is None
+                       for r in undecided[method].results)
+            assert decided[method].results == tuple(
+                decide(r, 0.05) for r in undecided[method].results)
+            assert decided[method].summary == undecided[method].summary
 
     def test_drop_last_handles_odd_groups(self):
         a, b = _population(40, 5), _population(41, 5)

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from graphtest import pool
+from graphtest import pool, simulate
 from graphtest.errors import ConfigError
 from graphtest.models import sample_population
 from graphtest.rng import substream
@@ -19,7 +19,7 @@ from graphtest.simulate import (
     emit_report,
     run_experiment,
 )
-from graphtest.twosample import random_partition, run_method
+from graphtest.twosample import order_free, random_partition, run_method
 
 from oracles import run_cell
 
@@ -58,6 +58,11 @@ class TestConfigValidation:
         ({"n_grid": (10.0,)}, "node count must be an integer, got 10.0"),
         ({"m_grid": (2.0,)}, "group size must be an integer, got 2.0"),
         ({"replications": 20.0}, "replications must be an integer, got 20.0"),
+        # A bool is not a number: the design and the shifts refuse it.
+        ({"within": (True, 3.0)}, "beta parameters must be an (a, b) pair, got (True, 3.0)"),
+        ({"epsilon_grid": (0.0, True)}, "epsilon must be a non-negative real, got True"),
+        ({"family": "bernoulli", "within": True, "between": 0.5},
+         "bernoulli parameter must be a probability, got True"),
     ])
     def test_rejection_message(self, overrides, message):
         with pytest.raises(ConfigError) as err:
@@ -116,6 +121,76 @@ class TestRunCell:
         for cell in cells:
             assert cell.reject_count == rejects[cell.method]
             assert cell.na_count == nas[cell.method]
+
+    @staticmethod
+    def _spied_cells(monkeypatch, config, cells):
+        """``run_cell`` of each ``(n, m, epsilon, cell_index)``, with the
+        results of every replicate and the kernel entry that made them."""
+        calls = []
+
+        def spy(name, entry):
+            def wrapped(*args):
+                calls.append((name, entry(*args)))
+                return calls[-1][1]
+            monkeypatch.setattr(simulate, name, wrapped)
+
+        spy("run_on_edges", simulate.run_on_edges)
+        spy("run_methods", simulate.run_methods)
+        tallies = [run_cell(config, n, m, eps, idx) for n, m, eps, idx in cells]
+        return tallies, calls
+
+    @staticmethod
+    def _explicit_replicates(config, n, m, epsilon, cell_index):
+        """Each replicate's results from the documented stream discipline,
+        with the groups in pair order."""
+        model = config.cell_model(n, epsilon)
+        for r in range(config.replications):
+            rng = substream(config.master_seed, cell_index, r)
+            g = sample_population(model, False, m, rng)
+            h = sample_population(model, True, m, rng)
+            part = random_partition(m, rng)
+            yield tuple(run_method(method, g, h, part, config.alpha)
+                        for method in config.methods)
+
+    def _check_bernoulli_cells(self, monkeypatch, config, path):
+        """Every replicate's results equal the explicit loop's in every
+        field, bit for bit (float reprs round-trip), the tallies follow from
+        them, and every replicate went through ``path``."""
+        cells = [(n, m, eps, idx) for idx, n, m, eps in config.cells()]
+        tallies, calls = self._spied_cells(monkeypatch, config, cells)
+        assert {name for name, _ in calls} == {path}
+        got = iter(results for _, results in calls)
+        for (n, m, eps, idx), cell_results in zip(cells, tallies):
+            want = list(self._explicit_replicates(config, n, m, eps, idx))
+            assert [repr(next(got)) for _ in want] == [repr(w) for w in want]
+            for i, cell in enumerate(cell_results):
+                column = [results[i] for results in want]
+                assert cell.na_count == sum(r.is_na for r in column)
+                assert cell.reject_count == sum(r.reject is True for r in column)
+        assert next(got, None) is None
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
+    def test_bernoulli_replicate_protocol_is_pinned(self, monkeypatch, p):
+        """Bernoulli cells are drawn and counted in draw order, yet give
+        the results of sampling in pair order and testing each method
+        apart.  A probability of 1 admits no shift."""
+        config = ExperimentConfig(
+            family="bernoulli", within=p, between=p / 5, n_grid=(2, 4, 10, 60),
+            m_grid=(2, 4, 14), epsilon_grid=(0.0,) if p == 1.0 else (0.0, 0.02),
+            replications=4, alpha=0.05, master_seed=17)
+        self._check_bernoulli_cells(monkeypatch, config, "run_on_edges")
+
+    @pytest.mark.parametrize("m, path", [(19482, "run_on_edges"),
+                                         (19484, "run_methods")])
+    def test_bernoulli_exact_sum_bound(self, monkeypatch, m, path):
+        """At n = 2 a half of 9741 graphs keeps every sum below 2**53, so
+        draw order is exact; one of 9742 may not, and keeps pair order."""
+        assert order_free(m, 1) == (path == "run_on_edges")
+        config = ExperimentConfig(
+            family="bernoulli", within=0.5, between=0.5, n_grid=(2,),
+            m_grid=(m,), epsilon_grid=(0.02,), replications=2, alpha=0.05,
+            master_seed=19)
+        self._check_bernoulli_cells(monkeypatch, config, path)
 
     def test_all_na_cell(self):
         """Empty graphs everywhere: every statistic undefined, rate is None."""
